@@ -34,6 +34,7 @@ __all__ = [
     "circumradius_upper",
     "body_to_dict",
     "body_from_dict",
+    "body_to_text",
     "write_body",
     "read_body",
 ]
@@ -117,6 +118,11 @@ class HullBody:
 
     def __setattr__(self, name, value):
         raise AttributeError("HullBody is immutable")
+
+    def __reduce__(self):
+        # rebuild through __init__: validation runs again and the cache
+        # starts empty instead of travelling with the body
+        return (type(self), (self.dim, self.components))
 
     def _full_dimensional(self) -> bool:
         n = self.dim
@@ -375,9 +381,14 @@ def _emit(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def body_to_text(body: HullBody) -> str:
+    """The body's text document, without a trailing newline."""
+    return _emit(body_to_dict(body))
+
+
 def write_body(body: HullBody, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_emit(body_to_dict(body)))
+        fh.write(body_to_text(body))
         fh.write("\n")
 
 

@@ -14,6 +14,7 @@ numeric tolerance failure inside a solver.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -26,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .bodies import body_from_dict, body_to_dict, cap_body
-from .bodies import _emit as _emit_body_text
+from .bodies import body_to_text, cap_body
 from .concentration import (
     SmallBallEstimate,
     TailCurve,
@@ -35,21 +35,23 @@ from .concentration import (
     mc_quadratic_tail,
     mc_small_ball,
     merge_curves,
+    pilot_thresholds,
 )
-from .distance import BmOptions, bm_upper, op_norm, separation_scale
+from .distance import (
+    BmOptions,
+    SeparationOptions,
+    bm_upper,
+    op_norm,
+    run_separation,
+    separation_scale,
+)
 from .gauge import GaugeToleranceError, gauge
 from .linalg import PigeonholeError
 from .randmodel import ModelParams, round_half_up, sample_body, substream
-from .symnet import (
-    build_net,
-    certify_pair,
-    enumerate_steps,
-    log_profile,
-    lp_body,
-    net_to_text,
-    profile_cell,
-    tau_for_separation,
-)
+from .symnet import build_net, certify_pair, lp_body, net_to_text, tau_for_separation
+
+# not called here (build_net owns the step family); bench/tracer.py wraps them on this module
+from .symnet import enumerate_steps, log_profile  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -67,7 +69,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 BLOCK_TRIALS = 4096
-PILOT_TRIALS = 4096
 
 COMMANDS = ("sample", "gauge", "conc", "dist", "separate", "net")
 FORMATS = ("jsonl", "csv", "svg")
@@ -103,7 +104,7 @@ _SCHEMAS = {
     "separate": (
         {"n", "delta", "n_subsets", "bodies"},
         {"kind": "subset", "threshold": 2.0, "bins": 16, "max_pairs": None,
-         "n_diag": 8, "refine": False, "sign_cutoff": 16},
+         "n_diag": 8, "refine": False},
     ),
     "net": (
         {"n"},
@@ -187,13 +188,13 @@ def _validate_params(command: str, params: dict, errors: list) -> dict:
         ):
             errors.append("params.thresholds: needs a strictly increasing positive list")
     if command in ("dist", "separate"):
-        if "mode" in known:
-            need("mode", lambda v: v in ("exhaustive", "sampled"),
-                 "must be 'exhaustive' or 'sampled'")
         need("n_diag", lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
-        need("sign_cutoff", lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
-        if "refine" in known and not isinstance(merged.get("refine"), bool):
+        if not isinstance(merged.get("refine"), bool):
             errors.append(f"params.refine: needs a boolean, got {merged.get('refine')!r}")
+    if command == "dist":
+        need("mode", lambda v: v in ("exhaustive", "sampled"),
+             "must be 'exhaustive' or 'sampled'")
+        need("sign_cutoff", lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
     if command == "separate":
         need("threshold", lambda v: _is_num(v) and v > 0, "needs a positive number")
         need("bins", lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
@@ -290,12 +291,15 @@ def load_config(path: str, command: str, overrides: dict | None = None):
         params_doc = {}
     params = _validate_params(command, params_doc, errors)
 
-    if "cap_enumeration" in overrides and overrides["cap_enumeration"] is not None:
-        cap = overrides["cap_enumeration"]
+    cap = overrides.get("cap_enumeration")
+    if cap is not None:
         if command == "net":
             params["cap"] = cap
-        elif "sign_cutoff" in params:
+        elif command == "dist":
             params["sign_cutoff"] = cap
+        else:
+            errors.append(f"--cap-enumeration: command {command!r} reads no "
+                          "enumeration budget (only net and dist do)")
 
     # cross checks that need several fields at once
     if command == "conc" and not errors:
@@ -364,10 +368,6 @@ def _build_body(kind: str, params: ModelParams, rng):
     return draw.body, draw
 
 
-def _body_text(body) -> str:
-    return _emit_body_text(body_to_dict(body))
-
-
 def _pool_map(fn, jobs, workers: int):
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
@@ -397,12 +397,12 @@ def _conc_block(job):
     (seed, rep, idx, stat, mat, n, m, trials, thresholds) = job
     rng = substream(seed, f"conc/{rep}/trial-block/{idx}")
     a = np.asarray(mat, dtype=float)
-    thr = None if thresholds is None else np.asarray(thresholds, dtype=float)
+    if stat == "small_ball":
+        return mc_small_ball(a, n, m, trials, stream=rng)
+    thr = np.asarray(thresholds, dtype=float)
     if stat == "quadratic":
         return mc_quadratic_tail(a, n, m, trials, thresholds=thr, stream=rng)
-    if stat == "large_deviation":
-        return mc_large_deviation(a, n, m, trials, thresholds=thr, stream=rng)
-    return mc_small_ball(a, n, m, trials, stream=rng)
+    return mc_large_deviation(a, n, m, trials, thresholds=thr, stream=rng)
 
 
 def _gauge_job(job):
@@ -421,22 +421,6 @@ def _gauge_job(job):
     return rows
 
 
-def _pair_job(job):
-    (i, j, text_i, text_j, n_diag, refine, sign_cutoff) = job
-    body_i = body_from_dict(json.loads(text_i))
-    body_j = body_from_dict(json.loads(text_j))
-    opts = BmOptions(n_diag=n_diag, refine=refine)
-    est = bm_upper(body_i, body_j, opts)
-    return {
-        "i": i,
-        "j": j,
-        "upper": est.upper,
-        "norm_fwd": est.norm_fwd,
-        "norm_inv": est.norm_inv,
-        "candidates": len(est.candidates),
-    }
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -444,28 +428,27 @@ def _cmd_sample(cfg: ExperimentConfig):
     p = cfg.params
     params = _model_params(p)
     records, files = [], {}
-    for rep in range(1):
-        for i in range(p["count"]):
-            stream = f"sample/{rep}/body/{i}"
-            body, draw = _build_body(p["kind"], params, substream(cfg.seed, stream))
-            fname = f"body-{rep}-{i}.txt"
-            files[fname] = _body_text(body) + "\n"
-            records.append(
-                _mk_record(
-                    cfg,
-                    stream,
-                    "body",
-                    {
-                        "index": i,
-                        "file": fname,
-                        "kind": p["kind"],
-                        "n": params.n,
-                        "m": params.m,
-                        "n_subsets": params.n_subsets,
-                        "covers_all": draw.covers_all,
-                    },
-                )
+    for i in range(p["count"]):
+        stream = f"sample/0/body/{i}"
+        body, draw = _build_body(p["kind"], params, substream(cfg.seed, stream))
+        fname = f"body-0-{i}.txt"
+        files[fname] = body_to_text(body) + "\n"
+        records.append(
+            _mk_record(
+                cfg,
+                stream,
+                "body",
+                {
+                    "index": i,
+                    "file": fname,
+                    "kind": p["kind"],
+                    "n": params.n,
+                    "m": params.m,
+                    "n_subsets": params.n_subsets,
+                    "covers_all": draw.covers_all,
+                },
             )
+        )
     return records, files
 
 
@@ -535,11 +518,8 @@ def _cmd_conc(cfg: ExperimentConfig):
         elif p["thresholds"] is not None:
             thresholds = [float(v) for v in p["thresholds"]]
         else:
-            pilot = _conc_block(
-                (cfg.seed, rep, "pilot", stat, mat_list, n, m,
-                 min(PILOT_TRIALS, trials), None)
-            )
-            thresholds = [float(v) for v in pilot.thresholds]
+            pilot = substream(cfg.seed, f"conc/{rep}/trial-block/pilot")
+            thresholds = [float(v) for v in pilot_thresholds(stat, mat, n, m, trials, pilot)]
         sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
         if trials % BLOCK_TRIALS:
             sizes.append(trials % BLOCK_TRIALS)
@@ -599,47 +579,31 @@ def _cmd_dist(cfg: ExperimentConfig):
 def _cmd_separate(cfg: ExperimentConfig):
     p = cfg.params
     params = _model_params(p)
-    m_bodies = p["bodies"]
     stream = substream(cfg.seed, "separate/0/body-stream/0")
-    texts = []
-    for _ in range(m_bodies):
-        body, _ = _build_body(p["kind"], params, stream)
-        texts.append(_body_text(body))
-    pairs = [(i, j) for i in range(m_bodies) for j in range(i + 1, m_bodies)]
-    budget = len(pairs) if p["max_pairs"] is None else min(p["max_pairs"], len(pairs))
-    jobs = [
-        (i, j, texts[i], texts[j], p["n_diag"], p["refine"], p["sign_cutoff"])
-        for i, j in pairs[:budget]
-    ]
-    results = _pool_map(_pair_job, jobs, cfg.workers)
-
-    matrix = [[None] * m_bodies for _ in range(m_bodies)]
-    for i in range(m_bodies):
-        matrix[i][i] = 1.0
-    for row in results:
-        matrix[row["i"]][row["j"]] = matrix[row["j"]][row["i"]] = row["upper"]
-    vals = np.array([row["upper"] for row in results], dtype=float)
-    if vals.size:
-        counts, edges = np.histogram(vals, bins=p["bins"])
-    else:
-        counts = np.zeros(p["bins"], dtype=np.int64)
-        edges = np.linspace(1.0, 2.0, p["bins"] + 1)
+    bodies = [_build_body(p["kind"], params, stream)[0] for _ in range(p["bodies"])]
+    opts = SeparationOptions(
+        threshold=p["threshold"],
+        bins=p["bins"],
+        max_pairs=p["max_pairs"],
+        bm=BmOptions(n_diag=p["n_diag"], refine=p["refine"]),
+    )
+    report = run_separation(bodies, opts, functools.partial(_pool_map, workers=cfg.workers))
     payload = {
-        "bodies": m_bodies,
-        "matrix": matrix,
-        "pairs_done": len(results),
-        "missing_pairs": [list(pr) for pr in pairs[budget:]],
-        "hist_counts": counts,
-        "hist_edges": edges,
-        "threshold": p["threshold"],
-        "n_below_threshold": int(np.count_nonzero(vals < p["threshold"])),
+        "bodies": len(bodies),
+        "matrix": [[None if math.isnan(v) else v for v in row] for row in report.matrix.tolist()],
+        "pairs_done": len(report.estimates),
+        "missing_pairs": report.missing_pairs,
+        "hist_counts": report.hist_counts,
+        "hist_edges": report.hist_edges,
+        "threshold": report.threshold,
+        "n_below_threshold": report.n_below_threshold,
         "predicted_scale": separation_scale(cfg.constants["c1"], p["delta"]),
     }
     records = [_mk_record(cfg, "separate/0/merged", "separation", payload)]
-    for row in results:
-        records.append(
-            _mk_record(cfg, f"separate/0/pair/{row['i']}-{row['j']}", "pair", row)
-        )
+    for (i, j), est in report.estimates.items():
+        row = {"i": i, "j": j, "upper": est.upper, "norm_fwd": est.norm_fwd,
+               "norm_inv": est.norm_inv, "candidates": len(est.candidates)}
+        records.append(_mk_record(cfg, f"separate/0/pair/{i}-{j}", "pair", row))
     return records, {}
 
 
@@ -653,7 +617,7 @@ def _cmd_net(cfg: ExperimentConfig):
     ps = [math.inf if v in ("inf", "Infinity") else float(v) for v in raw_ps]
     bodies = [lp_body(n, v) for v in ps]
     net = build_net(bodies, tau, cap=p["cap"], c_const=cfg.constants["C"])
-    family = enumerate_steps(n, net.levels, cap=p["cap"])
+    rep_of = {pos: rep for cell, rep in net.cell_reps for pos in net.members[cell]}
     records = [
         _mk_record(
             cfg,
@@ -672,10 +636,9 @@ def _cmd_net(cfg: ExperimentConfig):
         )
     ]
     for i, body in enumerate(bodies):
-        cell = profile_cell(log_profile(body, family, tau), tau)
-        rep_body = net.rep_for_cell(cell)
+        rep_body = rep_of[i]
         cert = certify_pair(
-            body, rep_body, family, tau, samples=p["samples"],
+            body, rep_body, net.family, tau, samples=p["samples"],
             stream=substream(cfg.seed, f"net/0/certify/{i}"),
         )
         records.append(
@@ -955,7 +918,7 @@ def main(argv=None) -> int:
             "--cap-enumeration",
             type=int,
             default=None,
-            help="override the enumeration budget (net profile cap or sign cutoff)",
+            help="override the enumeration budget (net: profile cap; dist: sign cutoff)",
         )
     args = parser.parse_args(argv)
     overrides = {}

@@ -24,6 +24,7 @@ __all__ = [
     "WILSON_Z99",
     "wilson_interval",
     "default_thresholds",
+    "pilot_thresholds",
     "mc_quadratic_tail",
     "mc_small_ball",
     "mc_large_deviation",
@@ -306,6 +307,19 @@ def _norm_chunk(n: int, m: int) -> int:
     return max(1, int(4_000_000 // max(n * m, 1)))
 
 
+def pilot_thresholds(statistic: str, a, n: int, m: int, trials: int, stream) -> np.ndarray:
+    """default_thresholds over the first min(1024, trials) draws of the
+    statistic ("quadratic" or "large_deviation") from the stream."""
+    a = check_matrix(a, square=True)
+    count = min(_PILOT, trials)
+    if statistic == "quadratic":
+        raw = _quad_stats(a, n, m, count, stream, _quad_chunk(m))
+        return default_thresholds(np.abs(raw - (m / n) * float(np.trace(a))))
+    if statistic == "large_deviation":
+        return default_thresholds(_restricted_norms(a, n, m, count, stream, _norm_chunk(n, m)))
+    raise ValueError(f"no pilot for statistic {statistic!r}")
+
+
 def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=None) -> TailCurve:
     """Tail of |eps^T A_JJ eps - (m/n) tr A| over random (J, eps).
 
@@ -321,14 +335,12 @@ def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=No
         raise ValueError("trials must be positive")
     if stream is None:
         raise ValueError("a random stream is required")
-    chunk = _quad_chunk(m)
     center = (m / n) * float(np.trace(a))
     if thresholds is None:
-        pilot = _quad_stats(a, n, m, min(_PILOT, trials), stream, chunk)
-        thresholds = default_thresholds(np.abs(pilot - center))
+        thresholds = pilot_thresholds("quadratic", a, n, m, trials, stream)
     thresholds = np.asarray(thresholds, dtype=float)
 
-    raw = _quad_stats(a, n, m, trials, stream, chunk)
+    raw = _quad_stats(a, n, m, trials, stream, _quad_chunk(m))
     stats = np.abs(raw - center)
     counts = _exceed_counts(stats, thresholds)
 
@@ -385,13 +397,11 @@ def mc_large_deviation(b, n: int, m: int, trials: int, thresholds=None, stream=N
         raise ValueError("trials must be positive")
     if stream is None:
         raise ValueError("a random stream is required")
-    chunk = _norm_chunk(n, m)
     if thresholds is None:
-        pilot = _restricted_norms(b, n, m, min(_PILOT, trials), stream, chunk)
-        thresholds = default_thresholds(pilot)
+        thresholds = pilot_thresholds("large_deviation", b, n, m, trials, stream)
     thresholds = np.asarray(thresholds, dtype=float)
 
-    stats = _restricted_norms(b, n, m, trials, stream, chunk)
+    stats = _restricted_norms(b, n, m, trials, stream, _norm_chunk(n, m))
     counts = _exceed_counts(stats, thresholds)
 
     hs = hs_norm(b)

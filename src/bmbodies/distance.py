@@ -25,7 +25,7 @@ import numpy as np
 from .bodies import Ball, HullBody, SignedPoints, support_many
 from .gauge import gauge
 from .linalg import build_projectors, spectral_interval, spectral_norm, svd
-from .randmodel import ModelParams, sample_body, substream
+from .randmodel import substream
 
 __all__ = [
     "OpNormResult",
@@ -47,6 +47,11 @@ _STREAM_SEED = 0xB0D1E5
 _SIGN_CUTOFF = 16
 _SAMPLED_PATTERNS = 2**14
 _RESTARTS = 32
+_GAUGE_TOL = 1e-6
+_DIAG_SPREAD = 0.75
+_REFINE_MAX_DIM = 8
+_REFINE_SWEEPS = 2
+_REFINE_STEPS = (0.5, 0.25, 0.1)
 
 
 @dataclass
@@ -184,7 +189,7 @@ def _ball2_source_hi(t_mat, sup, radius, k2):
     return radius * spectral_norm(ts) / best
 
 
-def _eval_points_max(t_mat, pts, k2, gauge_tol):
+def _eval_points_max(t_mat, pts, k2):
     """Exact max of gauge_K2(T p) over the finite point list.
 
     When K2 carries a full Ball(2) component, points whose cheap upper
@@ -213,7 +218,7 @@ def _eval_points_max(t_mat, pts, k2, gauge_tol):
     for i in order:
         if hi0 is not None and hi0[i] <= best_lo:
             break
-        g = gauge(k2, t_mat @ pts[i], tol=gauge_tol)
+        g = gauge(k2, t_mat @ pts[i], tol=_GAUGE_TOL)
         if g.lo > best_lo or witness is None:
             best_lo, witness = g.lo, pts[i]
         best_hi = max(best_hi, g.hi)
@@ -246,11 +251,11 @@ def _flip_ascent(t_mat, g_vec, sup, signs, probes):
     return best_vec
 
 
-def _sampled_sign_lo(t_mat, g_vec, sup, k2, samples, gauge_tol, label, notes):
+def _sampled_sign_lo(t_mat, g_vec, sup, k2, label, notes):
     """Sampled sign search over one unconditional generator: certified
     lower bound only, upper bound declared unavailable."""
     rng = substream(_STREAM_SEED, f"distance/signs/{label}")
-    count = min(samples, 2 ** min(sup.size, 62))
+    count = min(_SAMPLED_PATTERNS, 2 ** min(sup.size, 62))
     signs = rng.integers(0, 2, size=(count, sup.size)).astype(float) * 2.0 - 1.0
     pts = np.zeros((count, g_vec.size))
     pts[:, sup] = signs * g_vec[sup]
@@ -258,7 +263,7 @@ def _sampled_sign_lo(t_mat, g_vec, sup, k2, samples, gauge_tol, label, notes):
     scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
     top = int(np.argmax(scores))
     refined = _flip_ascent(t_mat, g_vec, sup, signs[top], probes)
-    g = gauge(k2, t_mat @ refined, tol=gauge_tol)
+    g = gauge(k2, t_mat @ refined, tol=_GAUGE_TOL)
     notes.append(
         f"sign search over {sup.size} coordinates sampled ({label}); "
         "upper bound unavailable for this component"
@@ -266,7 +271,7 @@ def _sampled_sign_lo(t_mat, g_vec, sup, k2, samples, gauge_tol, label, notes):
     return g.lo, refined
 
 
-def _sphere_ascent(t_mat, sup, radius, k2, restarts, gauge_tol):
+def _sphere_ascent(t_mat, sup, radius, k2):
     """Lower bound for a Euclidean source component: iterate the
     alignment map u -> normalize(T_S^T y(Tu)) from many starts, then
     certify the best candidates by full gauge."""
@@ -280,7 +285,7 @@ def _sphere_ascent(t_mat, sup, radius, k2, restarts, gauge_tol):
     sv = np.linalg.svd(ts, compute_uv=True)
     starts.append(sv[2][0])
     rng = substream(_STREAM_SEED, "distance/sphere")
-    raw = rng.standard_normal((max(restarts, 1) - 1, k))
+    raw = rng.standard_normal((_RESTARTS - 1, k))
     for row in raw:
         nrm = float(np.sqrt(row @ row))
         if nrm > 0:
@@ -309,7 +314,7 @@ def _sphere_ascent(t_mat, sup, radius, k2, restarts, gauge_tol):
     for i in order:
         point = np.zeros(t_mat.shape[1])
         point[sup] = radius * finals[i]
-        g = gauge(k2, t_mat @ point, tol=gauge_tol)
+        g = gauge(k2, t_mat @ point, tol=_GAUGE_TOL)
         if g.lo > best_lo:
             best_lo, witness = g.lo, point
     return max(best_lo, 0.0), witness
@@ -321,9 +326,6 @@ def op_norm(
     k2: HullBody,
     mode: str = "exhaustive",
     sign_cutoff: int = _SIGN_CUTOFF,
-    samples: int = _SAMPLED_PATTERNS,
-    restarts: int = _RESTARTS,
-    gauge_tol: float = 1e-6,
 ) -> OpNormResult:
     """Certified bracket of the operator norm of T from K to K2.
 
@@ -357,7 +359,7 @@ def op_norm(
     for ci, comp in enumerate(k.components):
         if isinstance(comp, SignedPoints) and not comp.unconditional:
             pts = np.concatenate([comp.points, -comp.points], axis=0)
-            fold(*_eval_points_max(t_mat, pts, k2, gauge_tol))
+            fold(*_eval_points_max(t_mat, pts, k2))
             continue
         if isinstance(comp, SignedPoints):
             gens = comp.points
@@ -373,11 +375,11 @@ def op_norm(
             pts = np.zeros((2 * sup.size, k.dim))
             pts[np.arange(sup.size), sup] = comp.radius
             pts[sup.size + np.arange(sup.size), sup] = -comp.radius
-            fold(*_eval_points_max(t_mat, pts, k2, gauge_tol))
+            fold(*_eval_points_max(t_mat, pts, k2))
             continue
         else:
             sup = np.arange(k.dim) if comp.support is None else comp.support
-            c_lo, c_wit = _sphere_ascent(t_mat, sup, comp.radius, k2, restarts, gauge_tol)
+            c_lo, c_wit = _sphere_ascent(t_mat, sup, comp.radius, k2)
             c_hi = _ball2_source_hi(t_mat, sup, comp.radius, k2)
             if c_hi is None:
                 c_hi = math.inf
@@ -397,11 +399,9 @@ def op_norm(
                 pats = _sign_patterns(sup.size)
                 pts = np.zeros((pats.shape[0], k.dim))
                 pts[:, sup] = pats * g_vec[sup]
-                fold(*_eval_points_max(t_mat, pts, k2, gauge_tol))
+                fold(*_eval_points_max(t_mat, pts, k2))
             else:
-                c_lo, c_wit = _sampled_sign_lo(
-                    t_mat, g_vec, sup, k2, samples, gauge_tol, f"{ci}/{gi}", notes
-                )
+                c_lo, c_wit = _sampled_sign_lo(t_mat, g_vec, sup, k2, f"{ci}/{gi}", notes)
                 fold(c_lo, math.inf, c_wit)
                 hi = math.inf
 
@@ -479,17 +479,12 @@ class BmOptions:
     """Knobs for the distance upper-bound search."""
 
     n_diag: int = 8
-    diag_spread: float = 0.75
     signed_perm_limit: int = 4
-    include_hadamard: bool = True
     refine: bool = True
-    refine_max_dim: int = 8
-    refine_sweeps: int = 2
-    refine_steps: tuple = (0.5, 0.25, 0.1)
     certify_top: int = 3
 
     def __post_init__(self):
-        if self.n_diag < 0 or self.refine_sweeps < 0 or self.certify_top < 1:
+        if self.n_diag < 0 or self.certify_top < 1:
             raise ValueError("invalid search options")
 
 
@@ -541,15 +536,14 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     add("identity", np.eye(n))
     rng = substream(_STREAM_SEED, "distance/bm/diag")
     for i in range(opts.n_diag):
-        d = np.exp(rng.uniform(-opts.diag_spread, opts.diag_spread, size=n))
+        d = np.exp(rng.uniform(-_DIAG_SPREAD, _DIAG_SPREAD, size=n))
         add(f"diag{i}", np.diag(d))
     if n <= opts.signed_perm_limit:
         for i, mat in enumerate(_signed_perm_maps(n)):
             add(f"sperm{i}", mat)
-    if opts.include_hadamard:
-        had = _hadamard(n)
-        if had is not None:
-            add("hadamard", had)
+    had = _hadamard(n)
+    if had is not None:
+        add("hadamard", had)
 
     scored = []
     for name, mat, inv in cands:
@@ -558,15 +552,15 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
         log.append({"name": name, "surrogate": s})
     scored.sort(key=lambda item: item[0])
 
-    if opts.refine and n <= opts.refine_max_dim and scored:
+    if opts.refine and n <= _REFINE_MAX_DIM and scored:
         base = scored[0][2].copy()
         base_s = scored[0][0]
         scale = float(np.abs(base).max()) or 1.0
-        for _ in range(opts.refine_sweeps):
+        for _ in range(_REFINE_SWEEPS):
             improved = False
             for i in range(n):
                 for j in range(n):
-                    for step in opts.refine_steps:
+                    for step in _REFINE_STEPS:
                         for sgn in (1.0, -1.0):
                             trial = base.copy()
                             trial[i, j] += sgn * step * scale
@@ -582,7 +576,7 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
             rng2 = substream(_STREAM_SEED, "distance/bm/refine")
             for _ in range(4):
                 direction = rng2.standard_normal((n, n))
-                for step in opts.refine_steps:
+                for step in _REFINE_STEPS:
                     trial = base + step * scale * direction
                     sv = np.linalg.svd(trial, compute_uv=False)
                     if sv[-1] <= 1e-12 * max(1.0, sv[0]):
@@ -746,7 +740,6 @@ class SeparationOptions:
     """Budget and reporting knobs for the pairwise distance run."""
 
     threshold: float = 2.0
-    c1: float = 1.0
     bins: int = 16
     max_pairs: int | None = None
     bm: BmOptions = field(default_factory=BmOptions)
@@ -760,51 +753,50 @@ class SeparationOptions:
 
 @dataclass
 class SeparationReport:
-    """Pairwise distance upper bounds for sampled bodies."""
+    """Pairwise distance upper bounds for a body family; estimates maps
+    each finished pair (i, j), in pair order, to its BmEstimate."""
 
     matrix: np.ndarray
     hist_counts: np.ndarray
     hist_edges: np.ndarray
     threshold: float
     n_below_threshold: int
-    predicted_scale: float
     missing_pairs: list = field(default_factory=list)
+    estimates: dict = field(default_factory=dict)
 
 
-def run_separation(
-    params: ModelParams, m_bodies: int, opts: SeparationOptions | None = None, stream=None
-) -> SeparationReport:
-    """Sample bodies from the model and upper-bound all pairwise
-    distances (or the first max_pairs of them; the rest are marked
-    missing)."""
-    if m_bodies < 2:
-        raise ValueError("need at least two bodies")
-    if stream is None:
-        raise ValueError("a random stream is required")
+def _pair_upper(job):
+    body_i, body_j, opts = job
+    return bm_upper(body_i, body_j, opts)
+
+
+def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) -> SeparationReport:
+    """Upper-bound all pairwise distances of the bodies (or the first
+    max_pairs pairs in row order; the rest are marked missing).
+
+    map_fn(fn, jobs) runs the pair jobs and yields their results in job
+    order; jobs and results pickle, so a process pool's map will do.
+    """
+    bodies = list(bodies)
     opts = opts or SeparationOptions()
-    bodies = [sample_body(params, stream).body for _ in range(m_bodies)]
+    m_bodies = len(bodies)
+    pairs = [(i, j) for i in range(m_bodies) for j in range(i + 1, m_bodies)]
+    budget = len(pairs) if opts.max_pairs is None else min(opts.max_pairs, len(pairs))
+    jobs = [(bodies[i], bodies[j], opts.bm) for i, j in pairs[:budget]]
+    estimates = dict(zip(pairs[:budget], map_fn(_pair_upper, jobs)))
     matrix = np.full((m_bodies, m_bodies), math.nan)
     np.fill_diagonal(matrix, 1.0)
-    missing = []
-    done = 0
-    for i in range(m_bodies):
-        for j in range(i + 1, m_bodies):
-            if opts.max_pairs is not None and done >= opts.max_pairs:
-                missing.append((i, j))
-                continue
-            est = bm_upper(bodies[i], bodies[j], opts.bm)
-            matrix[i, j] = matrix[j, i] = est.upper
-            done += 1
-    vals = matrix[np.triu_indices(m_bodies, k=1)]
-    finite = vals[np.isfinite(vals)]
-    if finite.size:
-        lo, hi = float(finite.min()), float(finite.max())
+    for (i, j), est in estimates.items():
+        matrix[i, j] = matrix[j, i] = est.upper
+    vals = np.array([est.upper for est in estimates.values()], dtype=float)
+    if vals.size:
+        lo, hi = float(vals.min()), float(vals.max())
         if hi - lo <= max(abs(lo), abs(hi), 1.0) * 1e-9:
             # all observed distances coincide up to rounding; pad the
             # range so the requested bin count stays representable
-            counts, edges = np.histogram(finite, bins=opts.bins, range=(lo - 0.5, hi + 0.5))
+            counts, edges = np.histogram(vals, bins=opts.bins, range=(lo - 0.5, hi + 0.5))
         else:
-            counts, edges = np.histogram(finite, bins=opts.bins)
+            counts, edges = np.histogram(vals, bins=opts.bins)
     else:
         counts, edges = np.zeros(opts.bins, dtype=np.int64), np.linspace(1.0, 2.0, opts.bins + 1)
     return SeparationReport(
@@ -812,7 +804,7 @@ def run_separation(
         hist_counts=counts,
         hist_edges=edges,
         threshold=opts.threshold,
-        n_below_threshold=int(np.count_nonzero(finite < opts.threshold)),
-        predicted_scale=separation_scale(opts.c1, params.delta),
-        missing_pairs=missing,
+        n_below_threshold=int(np.count_nonzero(vals < opts.threshold)),
+        missing_pairs=pairs[budget:],
+        estimates=estimates,
     )

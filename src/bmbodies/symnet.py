@@ -284,16 +284,11 @@ class SymmetricNet:
     members: dict  # cell tuple -> input positions, empty for parsed nets
     cell_bound: float
     separation_annotation: float
+    family: StepFamily | None = None  # the profiled step family; None for parsed nets
 
     @property
     def cell_count(self) -> int:
         return len(self.cell_reps)
-
-    def rep_for_cell(self, cell: tuple):
-        for c, body in self.cell_reps:
-            if c == cell:
-                return body
-        return None
 
 
 def _cell_count_bound(n: int, tau: float, profiles: int) -> float:
@@ -353,6 +348,7 @@ def build_net(
         members=members,
         cell_bound=_cell_count_bound(n, tau_f, family.count),
         separation_annotation=_separation_annotation(n, tau_f, c_const),
+        family=family,
     )
 
 

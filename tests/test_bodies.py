@@ -1,6 +1,7 @@
 """Hull bodies: supports, constructors, radii, and serialization."""
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -148,9 +149,13 @@ def test_dict_round_trip_preserves_supports():
     ):
         doc = body_to_dict(body)
         json.dumps(doc)  # must already be plain data
-        back = body_from_dict(doc)
+        inradius_lower(body)  # fills the cache, which pickling must not carry
         ys = substream(4, "dirs").normal(size=(20, 7))
-        np.testing.assert_allclose(support_many(back, ys), support_many(body, ys), rtol=0, atol=0)
+        for back in (body_from_dict(doc), pickle.loads(pickle.dumps(body))):
+            assert back._cache == {}
+            np.testing.assert_allclose(
+                support_many(back, ys), support_many(body, ys), rtol=0, atol=0
+            )
 
 
 def test_file_round_trip(tmp_path):

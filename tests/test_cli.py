@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from bmbodies import cli
+from bmbodies.distance import separation_scale
 from bmbodies.linalg import PigeonholeError
 
 
@@ -83,20 +84,24 @@ def test_missing_config_file_is_a_validation_error(tmp_path, capsys):
 
 
 def test_conc_payloads_identical_across_worker_counts(tmp_path):
-    cfg = _cfg(tmp_path, _CONC_DOC)
-    outs = []
-    for workers in (1, 2):
-        out = str(tmp_path / f"w{workers}")
-        assert (
-            cli.main(
-                ["conc", "--config", cfg, "--workers", str(workers), "--out", out, "--seed", "9"]
+    # the second config leaves thresholds to the pilot draw
+    unset = dict(_CONC_DOC["params"], matrix="gaussian", trials=9000, thresholds=None)
+    for k, doc in enumerate((_CONC_DOC, dict(_CONC_DOC, params=unset))):
+        cfg = _cfg(tmp_path, doc, name=f"cfg{k}.yaml")
+        outs = []
+        for workers in (1, 2):
+            out = str(tmp_path / f"c{k}-w{workers}")
+            assert (
+                cli.main(
+                    ["conc", "--config", cfg, "--workers", str(workers), "--out", out,
+                     "--seed", "9"]
+                )
+                == cli.EXIT_OK
             )
-            == cli.EXIT_OK
-        )
-        outs.append(_read_records(out, "conc"))
-    a, b = outs
-    assert len(a) == len(b) > 0
-    assert [r["payload"] for r in a] == [r["payload"] for r in b]
+            outs.append(_read_records(out, "conc"))
+        a, b = outs
+        assert len(a) == len(b) > 0
+        assert [r["payload"] for r in a] == [r["payload"] for r in b]
 
 
 def test_record_envelope_fields(tmp_path):
@@ -207,6 +212,52 @@ def test_separate_csv_is_a_symmetric_matrix(tmp_path):
     mat = np.array([[float(x) for x in row] for row in rows])
     np.testing.assert_allclose(mat, mat.T)
     np.testing.assert_allclose(np.diag(mat), 1.0)
+
+
+def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
+    cfg = _cfg(
+        tmp_path,
+        {
+            "command": "separate",
+            "params": {"n": 6, "delta": 0.5, "n_subsets": 2, "bodies": 3, "kind": "cap",
+                       "refine": False, "n_diag": 2},
+        },
+    )
+    runs = []
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}")
+        assert cli.main(
+            ["separate", "--config", cfg, "--workers", str(workers), "--out", out]
+        ) == cli.EXIT_OK
+        runs.append([(r["stream"], r["kind"], r["payload"])
+                     for r in _read_records(out, "separate")])
+    assert runs[0] == runs[1]
+    summary = runs[0][0][2]
+    assert summary["pairs_done"] == 3 and summary["missing_pairs"] == []
+    assert summary["predicted_scale"] == separation_scale(1.0, 0.5)
+    pairs = {(p["i"], p["j"]): p["upper"] for _, kind, p in runs[0] if kind == "pair"}
+    assert list(pairs) == [(0, 1), (0, 2), (1, 2)]
+    for (i, j), upper in pairs.items():
+        assert summary["matrix"][i][j] == summary["matrix"][j][i] == upper >= 1.0
+
+
+@pytest.mark.parametrize(
+    "command, params, flags, needle",
+    [
+        ("separate", {"n": 6, "delta": 0.5, "n_subsets": 2, "bodies": 2, "sign_cutoff": 4},
+         [], "params.sign_cutoff"),
+        ("gauge", {"n": 6, "delta": 0.5, "n_subsets": 2, "count": 1, "points": 1},
+         ["--cap-enumeration", "5"], "--cap-enumeration"),
+    ],
+)
+def test_settings_that_reach_no_code_are_rejected(tmp_path, capsys, command, params, flags,
+                                                   needle):
+    cfg = _cfg(tmp_path, {"command": command, "params": params})
+    out = str(tmp_path / "out")
+    code = cli.main([command, "--config", cfg, "--out", out] + flags)
+    assert code == cli.EXIT_VALIDATION
+    assert needle in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_net_enumeration_cap_refusal(tmp_path, capsys):

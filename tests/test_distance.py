@@ -29,6 +29,7 @@ from bmbodies.distance import (
 from bmbodies.linalg import PigeonholeError
 from bmbodies.randmodel import (
     ModelParams,
+    sample_body,
     sample_subsets,
     sample_test_vector,
     substream,
@@ -233,9 +234,13 @@ _LIGHT = SeparationOptions(
 )
 
 
-def test_run_separation_report_shape():
+def _model_bodies(count, stream):
     params = ModelParams(n=8, delta=0.5, n_subsets=3)
-    rep = run_separation(params, 3, opts=_LIGHT, stream=substream(11, "sep"))
+    return [sample_body(params, stream).body for _ in range(count)]
+
+
+def test_run_separation_report_shape():
+    rep = run_separation(_model_bodies(3, substream(11, "sep")), opts=_LIGHT)
     m = rep.matrix
     assert m.shape == (3, 3)
     np.testing.assert_allclose(np.diag(m), 1.0)
@@ -243,27 +248,24 @@ def test_run_separation_report_shape():
     assert rep.hist_counts.sum() == 3  # three off-diagonal pairs
     assert len(rep.hist_edges) == len(rep.hist_counts) + 1
     assert rep.missing_pairs == []
-    assert math.isclose(
-        rep.predicted_scale, separation_scale(1.0, params.delta), rel_tol=1e-12
-    )
+    assert list(rep.estimates) == [(0, 1), (0, 2), (1, 2)]
+    for (i, j), est in rep.estimates.items():
+        assert m[i, j] == est.upper == est.norm_fwd * est.norm_inv
     assert rep.n_below_threshold == int((m[np.triu_indices(3, 1)] < rep.threshold).sum())
 
 
 def test_run_separation_budget_marks_missing_pairs():
-    params = ModelParams(n=8, delta=0.5, n_subsets=3)
     rep = run_separation(
-        params,
-        3,
+        _model_bodies(3, substream(11, "sep")),
         opts=SeparationOptions(max_pairs=1, bm=_LIGHT.bm),
-        stream=substream(11, "sep"),
     )
     assert rep.missing_pairs == [(0, 2), (1, 2)]
+    assert list(rep.estimates) == [(0, 1)]
     assert int(np.sum(np.isnan(rep.matrix))) == 4
     assert rep.hist_counts.sum() == 1
 
 
 def test_run_separation_is_reproducible():
-    params = ModelParams(n=8, delta=0.5, n_subsets=3)
-    a = run_separation(params, 3, opts=_LIGHT, stream=substream(14, "sep"))
-    b = run_separation(params, 3, opts=_LIGHT, stream=substream(14, "sep"))
+    a = run_separation(_model_bodies(3, substream(14, "sep")), opts=_LIGHT)
+    b = run_separation(_model_bodies(3, substream(14, "sep")), opts=_LIGHT)
     np.testing.assert_array_equal(a.matrix, b.matrix)

@@ -1,9 +1,11 @@
 """Certified gauge brackets against closed forms and a membership oracle."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import bmbodies
 from bmbodies.bodies import Ball, HullBody, SignedPoints, ball_body, subset_body
 from bmbodies.gauge import GaugeToleranceError, gauge
 from bmbodies.randmodel import ModelParams, sample_subsets, substream
@@ -19,6 +21,13 @@ def test_ball_gauges_are_exact():
         truth = float(norm) / 1.5
         assert r.lo * (1 - 1e-12) <= truth <= r.hi * (1 + 1e-12)
         assert r.hi - r.lo <= 1e-9 * truth
+
+
+def test_package_attribute_gauge_is_the_module():
+    import bmbodies.gauge as G
+
+    assert G is sys.modules["bmbodies.gauge"] is bmbodies.gauge
+    assert G.gauge is gauge
 
 
 def test_gauge_of_zero_is_zero():
