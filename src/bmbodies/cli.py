@@ -45,7 +45,7 @@ from .distance import (
     run_separation,
     separation_scale,
 )
-from .gauge import GaugeToleranceError, gauge
+from .gauge import GaugeSolverError, GaugeToleranceError, gauge
 from .linalg import PigeonholeError
 from .randmodel import ModelParams, round_half_up, sample_body, substream
 from .symnet import build_net, certify_pair, lp_body, net_to_text, tau_for_separation
@@ -891,8 +891,8 @@ def run(cfg: ExperimentConfig) -> int:
             with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(content)
         emit_report(records, cfg.fmt, cfg.out_dir, cfg.command)
-    except (GaugeToleranceError, PigeonholeError) as exc:
-        print(f"numeric tolerance failure: {exc}", file=sys.stderr)
+    except (GaugeToleranceError, GaugeSolverError, PigeonholeError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, RuntimeError) as exc:
         # budget refusals and infeasible run shapes, found only at run time

@@ -7,12 +7,15 @@ explicit decomposition of x into weighted component points, so both
 certificates can be rechecked independently of the solver that found
 them.
 
-Polyhedral bodies reduce to a single linear program.  Euclidean ball
-components make the dual body smooth, so the dual maximum is found by a
-small nonlinear solve first; its ball directions are exactly the sphere
-atoms the decomposition LP needs, and a short column-generation loop
-remains as a safety net.  Both bounds are recomputed from closed forms
-after the solvers finish, so solver inaccuracy cannot leak into them.
+Every body reduces to one covering LP with a row per coordinate: all
+components but conditional segments are solid, so they enter as
+nonnegative columns whose weighted sum must cover |x| coordinatewise
+(see _covering_lp).  Euclidean ball components make the dual body
+smooth, so the dual maximum is found by a small nonlinear solve first;
+its directions on the active balls are the sphere atoms the LP needs,
+and a short column-generation loop remains as a safety net.  Both
+bounds are recomputed from closed forms after the solvers finish, so
+solver inaccuracy cannot leak into them.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog, minimize
 
 from .bodies import (
@@ -34,7 +36,13 @@ from .bodies import (
     support_many,
 )
 
-__all__ = ["GaugeResult", "GaugeToleranceError", "gauge", "component_value"]
+__all__ = [
+    "GaugeResult",
+    "GaugeSolverError",
+    "GaugeToleranceError",
+    "gauge",
+    "component_value",
+]
 
 
 class GaugeToleranceError(RuntimeError):
@@ -43,6 +51,17 @@ class GaugeToleranceError(RuntimeError):
 
     def __init__(self, message: str, lo: float, hi: float):
         super().__init__(message)
+        self.lo = lo
+        self.hi = hi
+
+
+class GaugeSolverError(RuntimeError):
+    """The LP solver returned a non-optimal status; carries that status
+    and the best certified bounds found before it."""
+
+    def __init__(self, message: str, status: int, lo: float, hi: float):
+        super().__init__(message)
+        self.status = status
         self.lo = lo
         self.hi = hi
 
@@ -80,21 +99,18 @@ def component_value(comp, z: np.ndarray, n: int) -> float:
         if comp.p == 2.0:
             return float(np.sqrt((sub * sub).sum())) / comp.radius
         return float(np.abs(sub).max()) / comp.radius
-    best = math.inf
     if comp.unconditional:
-        for g in comp.points:
-            ag = np.abs(g)
-            bad = (ag == 0.0) & (z != 0.0)
-            if np.any(bad):
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(ag > 0.0, np.abs(z) / ag, 0.0)
-            best = min(best, float(ratio.max()))
-        return best
+        ag, az = np.abs(comp.points), np.abs(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(ag > 0.0, az / ag, np.where(az > 0.0, math.inf, 0.0))
+        return float(ratio.max(axis=1).min())
+    best = math.inf
+    # a segment's multiple c g counts as on its line up to the rounding
+    # of the product and of recomputing c
+    slack = (n + 4) * np.finfo(float).eps * float(np.abs(z).max(initial=0.0))
     for g in comp.points:
-        denom = float(g @ g)
-        cw = float(z @ g) / denom
-        if np.all(z == cw * g):
+        cw = float(z @ g) / float(g @ g)
+        if np.abs(z - cw * g).max() <= slack:
             best = min(best, abs(cw))
     return best
 
@@ -130,146 +146,115 @@ def _dual_candidates(body: HullBody, z: np.ndarray):
     return lo, best
 
 
-def _static_lp(body: HullBody):
+def _covering_lp(body: HullBody):
+    """Static part of the gauge LP, cached on the body.
+
+    Every component except a conditional point family is solid: with w
+    in K_j, any v with |v| <= |w| coordinatewise lies in K_j too.  Solid
+    components therefore enter as nonnegative columns v whose weighted
+    sum must cover |u| coordinatewise: |g| per box generator, r 1_S per
+    Ball(inf), and one coordinate atom r_i e_i per coordinate, with the
+    largest Ball(1)/Ball(2) radius that covers i (a Ball(1) is the hull
+    of its coordinate atoms; Ball(2) atoms r d, d >= 0 on the support,
+    are added later by column generation).  Conditional generators g
+    enter as segments c g.  The LP is
+
+        min sum|c| + sum(lam)  s.t.  |z - G c| <= V lam,  lam >= 0,
+
+    with c split as c+ - c-.  A coordinate no segment touches needs only
+    the row (V lam)_i >= |z_i|, so segment-free bodies give the covering
+    LP with one row per nonzero coordinate.
+    """
     cached = body._cache.get("gauge_lp")
     if cached is not None:
         return cached
     n = body.dim
-    nv = 0
-    nub = 0
-    cvec = []
-    eq_r, eq_c, eq_v = [], [], []
-    ub_r, ub_c, ub_v = [], [], []
-    blocks = []
-    ball2 = []
-
-    def add_box(j, sup, w):
-        nonlocal nv, nub
-        k = sup.size
-        p0, m0, t0 = nv, nv + k, nv + 2 * k
-        eq_r.extend(sup.tolist() * 2)
-        eq_c.extend(range(p0, p0 + k))
-        eq_c.extend(range(m0, m0 + k))
-        eq_v.extend([1.0] * k + [-1.0] * k)
-        cvec.extend([0.0] * (2 * k) + [1.0])
-        for i in range(k):
-            ub_r.extend([nub, nub, nub])
-            ub_c.extend([p0 + i, m0 + i, t0])
-            ub_v.extend([1.0, 1.0, -w[i]])
-            nub += 1
-        blocks.append(("box", j, sup, w, p0, m0, t0))
-        nv += 2 * k + 1
-
+    segs, seg_owner, cols, owner = [], [], [], []
+    atom_r = np.zeros(n)
+    atom_owner = np.full(n, -1)
+    b2_owner, b2_mask, b2_radius = [], [], []
     for j, comp in enumerate(body.components):
         if isinstance(comp, SignedPoints):
+            k = comp.points.shape[0]
             if comp.unconditional:
-                for g in comp.points:
-                    sup = np.nonzero(g)[0]
-                    add_box(j, sup, np.abs(g[sup]))
+                cols.extend(np.abs(comp.points))
+                owner.extend([j] * k)
             else:
-                for g in comp.points:
-                    sup = np.nonzero(g)[0]
-                    eq_r.extend(sup.tolist() * 2)
-                    eq_c.extend([nv] * sup.size + [nv + 1] * sup.size)
-                    eq_v.extend(g[sup].tolist() + (-g[sup]).tolist())
-                    cvec.extend([1.0, 1.0])
-                    blocks.append(("seg", j, g, nv))
-                    nv += 2
-        else:
-            sup = np.arange(n) if comp.support is None else comp.support
-            if comp.p == 1.0:
-                start = nv
-                for i in sup:
-                    eq_r.extend([int(i), int(i)])
-                    eq_c.extend([nv, nv + 1])
-                    eq_v.extend([comp.radius, -comp.radius])
-                    cvec.extend([1.0, 1.0])
-                    nv += 2
-                blocks.append(("ball1", j, sup, comp.radius, start))
-            elif comp.p == math.inf:
-                add_box(j, sup, np.full(sup.size, comp.radius))
-            else:
-                # static coordinate atoms +-r e_i inscribe the cross-polytope;
-                # they pin the LP dual coordinatewise (|y_i| <= 1/r) so column
-                # generation only has to resolve the remaining round part
-                start = nv
-                for i in sup:
-                    eq_r.extend([int(i), int(i)])
-                    eq_c.extend([nv, nv + 1])
-                    eq_v.extend([comp.radius, -comp.radius])
-                    cvec.extend([1.0, 1.0])
-                    nv += 2
-                ball2.append((j, sup, comp.radius, start))
-                blocks.append(("ball2", j, sup, comp.radius, start))
-
+                segs.extend(comp.points)
+                seg_owner.extend([j] * k)
+            continue
+        sup = np.arange(n) if comp.support is None else comp.support
+        if comp.p == math.inf:
+            v = np.zeros(n)
+            v[sup] = comp.radius
+            cols.append(v)
+            owner.append(j)
+            continue
+        wins = comp.radius > atom_r[sup]
+        atom_r[sup[wins]] = comp.radius
+        atom_owner[sup[wins]] = j
+        if comp.p == 2.0:
+            b2_owner.append(j)
+            b2_mask.append(np.zeros(n))
+            b2_mask[-1][sup] = 1.0
+            b2_radius.append(comp.radius)
+    n_box = len(cols)
+    for i in np.nonzero(atom_owner >= 0)[0]:
+        v = np.zeros(n)
+        v[i] = atom_r[i]
+        cols.append(v)
+        owner.append(int(atom_owner[i]))
+    g_mat = np.stack(segs, axis=1) if segs else np.zeros((n, 0))
     static = {
-        "nv": nv,
-        "nub": nub,
-        "c": np.asarray(cvec),
-        "A_eq": sparse.coo_matrix(
-            (eq_v, (eq_r, eq_c)), shape=(n, nv)
-        ).tocsc(),
-        "A_ub": sparse.coo_matrix(
-            (ub_v, (ub_r, ub_c)), shape=(nub, nv)
-        ).tocsc()
-        if nub
-        else None,
-        "blocks": blocks,
-        "ball2": ball2,
+        "G": g_mat,
+        "seg_owner": seg_owner,
+        "touched": np.any(g_mat != 0.0, axis=1),
+        "V": np.stack(cols, axis=1) if cols else np.zeros((n, 0)),
+        "owner": owner,
+        "n_box": n_box,
+        "b2_owner": b2_owner,
+        "b2_mask": np.array(b2_mask).reshape(len(b2_owner), n),
+        "b2_radius": np.array(b2_radius),
     }
     body._cache["gauge_lp"] = static
     return static
 
 
-def _extract(body, static, atom_dirs, xsol, z):
-    """Rebuild the decomposition from an LP solution; returns (hi, pieces)
-    with component values recomputed from exact closed forms."""
+def _split(body, static, v_mat, owner, sol, z):
+    """Decomposition from an LP solution; returns (hi, pieces).
+
+    u = z - G c is split over the solid columns in proportion to their
+    coverage: column j takes u * lam_j v_j / (V lam), which lies in
+    lam_j K_j by solidity.  Piece values are recomputed from exact closed
+    forms: max|piece| / v over a box column's support, and the ball norm
+    of each Ball(1)/Ball(2) component's summed atom pieces.
+    """
     n = body.dim
-    nv = static["nv"]
+    k = static["G"].shape[1]
+    c = sol[:k] - sol[k : 2 * k]
+    lam = sol[2 * k :]
     pieces = []
-    assembled = np.zeros(n)
-    for blk in static["blocks"]:
-        if blk[0] == "box":
-            _, j, sup, w, p0, m0, _ = blk
-            diff = xsol[p0 : p0 + sup.size] - xsol[m0 : m0 + sup.size]
-            if np.abs(diff).max(initial=0.0) <= 1e-15:
-                continue
-            vec = np.zeros(n)
-            vec[sup] = diff
-            val = float((np.abs(diff) / w).max())
-            pieces.append([j, vec, val])
-            assembled += vec
-        elif blk[0] == "seg":
-            _, j, g, a0 = blk
-            cw = xsol[a0] - xsol[a0 + 1]
-            if abs(cw) <= 1e-15:
-                continue
-            vec = cw * g
-            pieces.append([j, vec, abs(cw)])
-            assembled += vec
-        elif blk[0] == "ball1":
-            _, j, sup, radius, start = blk
-            w = xsol[start : start + 2 * sup.size]
-            diff = radius * (w[0::2] - w[1::2])
-            if np.abs(diff).max(initial=0.0) <= 1e-15:
-                continue
-            vec = np.zeros(n)
-            vec[sup] = diff
-            pieces.append([j, vec, float(np.abs(diff).sum()) / radius])
-            assembled += vec
-    pos = nv
-    for (j, sup, radius, start), dirs in zip(static["ball2"], atom_dirs):
-        w = xsol[start : start + 2 * sup.size]
-        acc = radius * (w[0::2] - w[1::2])
-        for d in dirs:
-            acc += radius * xsol[pos] * d
-            pos += 1
-        if np.abs(acc).max(initial=0.0) > 1e-15:
-            vec = np.zeros(n)
-            vec[sup] = acc
-            pieces.append([j, vec, float(np.sqrt(acc @ acc)) / radius])
-            assembled += vec
-    resid = z - assembled
+    for g, cw, j in zip(static["G"].T, c, static["seg_owner"]):
+        if cw != 0.0:
+            pieces.append([j, cw * g, abs(cw)])
+    u = z - static["G"] @ c
+    cover = v_mat @ lam
+    share = np.divide(u, cover, out=np.zeros(n), where=cover > 0.0)
+    balls = {}
+    for col in np.nonzero(lam > 0.0)[0]:
+        v = v_mat[:, col]
+        vec = lam[col] * v * share
+        if not np.any(vec != 0.0):
+            continue
+        j = owner[col]
+        if col >= static["n_box"]:
+            balls[j] = balls.get(j, 0.0) + vec
+        else:
+            sup = v > 0.0
+            pieces.append([j, vec, float((np.abs(vec[sup]) / v[sup]).max())])
+    for j in sorted(balls):
+        pieces.append([j, balls[j], component_value(body.components[j], balls[j], n)])
+    resid = z - sum((p[1] for p in pieces), np.zeros(n))
     rnorm = float(np.sqrt(resid @ resid))
     hi = sum(p[2] for p in pieces)
     if rnorm > 0.0:
@@ -393,7 +378,9 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
     """Certified gauge bracket of x with respect to body.
 
     Raises GaugeToleranceError (carrying the best lo/hi) if the relative
-    gap cannot be closed within max_rounds column-generation rounds.
+    gap cannot be closed within max_rounds column-generation rounds, and
+    GaugeSolverError (carrying the solver status and the best lo/hi) if
+    the LP solver stops without an optimum.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (body.dim,):
@@ -429,26 +416,34 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
     if math.isfinite(hi_best) and gap_ok():
         return finish(0)
 
-    static = _static_lp(body)
-    atom_dirs = [[] for _ in static["ball2"]]
-    seen = [set() for _ in static["ball2"]]
+    static = _covering_lp(body)
+    b2_owner = static["b2_owner"]
+    b2_index = {j: b for b, j in enumerate(b2_owner)}
+    atoms, atom_owner, seen = [], [], set()
 
-    def push_atom(which, vec):
-        nrm = float(np.sqrt(vec @ vec))
+    def ball2_norms(y):
+        return static["b2_radius"] * np.sqrt(static["b2_mask"] @ (y * y))
+
+    def push_atom(b, y_src):
+        # the atom r |y_S| / ||y_S|| of the b-th Ball(2): the column whose
+        # dual constraint r <|y|, d> <= 1 is most violated by y
+        d = np.abs(y_src) * static["b2_mask"][b]
+        nrm = float(np.sqrt(d @ d))
         if nrm <= 0.0:
             return False
-        d = vec / nrm
-        key = tuple(np.round(d, 12))
-        if key in seen[which]:
+        d /= nrm
+        key = (b, tuple(np.round(d, 12)))
+        if key in seen:
             return False
-        seen[which].add(key)
-        atom_dirs[which].append(d)
+        seen.add(key)
+        atoms.append(static["b2_radius"][b] * d)
+        atom_owner.append(b2_owner[b])
         return True
 
-    for which, (j, sup, _r, _s) in enumerate(static["ball2"]):
-        push_atom(which, z[sup])
-
-    if static["ball2"]:
+    if b2_owner:
+        # seed atoms only for the balls active at the dual optimum: seeding
+        # every ball of a cap body bloats the LP and can stall the solver
+        active = []
         y0 = y_best if np.any(y_best != 0.0) else z
         y_nlp = _dual_nlp(body, z, y0)
         if y_nlp is not None and np.all(np.isfinite(y_nlp)):
@@ -457,59 +452,61 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
                 cand = float(x @ y_nlp) / h
                 if cand > lo_best:
                     lo_best, y_best = cand, y_nlp / h
-            for which, (j, sup, _r, _s) in enumerate(static["ball2"]):
-                push_atom(which, y_nlp[sup])
+                active = np.nonzero(ball2_norms(y_nlp / h) >= 1.0 - 1e-3)[0]
+        if len(active):
+            for b in active:
+                push_atom(b, y_nlp)
+        else:
+            for b in range(len(b2_owner)):
+                push_atom(b, z)
 
     n = body.dim
+    g_mat, touched = static["G"], static["touched"]
+    rows_a, rows_b = touched | (z > 0.0), touched | (z < 0.0)
+    n_a = int(rows_a.sum())
+    b_ub = np.concatenate([-z[rows_a], z[rows_b]])
     y_hist = deque(maxlen=4)
     for rounds in range(1, max_rounds + 1):
-        cols_r, cols_c, cols_v = [], [], []
-        natoms = 0
-        for (j, sup, radius, _s), dirs in zip(static["ball2"], atom_dirs):
-            for d in dirs:
-                cols_r.extend(sup.tolist())
-                cols_c.extend([natoms] * sup.size)
-                cols_v.extend((radius * d).tolist())
-                natoms += 1
-        if natoms:
-            atom_mat = sparse.coo_matrix(
-                (cols_v, (cols_r, cols_c)), shape=(n, natoms)
-            ).tocsc()
-            a_eq = sparse.hstack([static["A_eq"], atom_mat], format="csc")
-            cvec = np.concatenate([static["c"], np.ones(natoms)])
-            a_ub = static["A_ub"]
-            if a_ub is not None:
-                a_ub = sparse.hstack(
-                    [a_ub, sparse.csc_matrix((a_ub.shape[0], natoms))], format="csc"
-                )
-        else:
-            a_eq, cvec, a_ub = static["A_eq"], static["c"], static["A_ub"]
-
+        v_mat = np.hstack([static["V"], np.stack(atoms, axis=1)]) if atoms else static["V"]
+        a_ub = np.vstack(
+            [
+                np.hstack([-g_mat[rows_a], g_mat[rows_a], -v_mat[rows_a]]),
+                np.hstack([g_mat[rows_b], -g_mat[rows_b], -v_mat[rows_b]]),
+            ]
+        )
         res = linprog(
-            cvec,
+            np.ones(a_ub.shape[1]),
             A_ub=a_ub,
-            b_ub=np.zeros(a_ub.shape[0]) if a_ub is not None else None,
-            A_eq=a_eq,
-            b_eq=z,
+            b_ub=b_ub,
             bounds=(0, None),
             method="highs",
         )
         if res.status != 0:
-            raise RuntimeError(f"gauge LP failed (status {res.status}): {res.message}")
+            raise GaugeSolverError(
+                f"gauge LP failed (status {res.status}): {res.message}",
+                res.status,
+                lo_best,
+                hi_best,
+            )
 
-        hi_lp, pieces_lp = _extract(body, static, atom_dirs, res.x, z)
+        hi_lp, pieces_lp = _split(
+            body, static, v_mat, static["owner"] + atom_owner, res.x, z
+        )
         if hi_lp * scale < hi_best:
             hi_best = hi_lp * scale
             pieces_best = [[j, vec * scale, val * scale] for j, vec, val in pieces_lp]
 
-        y_raw = np.asarray(res.eqlin.marginals, dtype=float)
+        # y = dual of z in  -Gc - V lam <= -z  and  Gc - V lam <= z
+        marg = np.asarray(res.ineqlin.marginals, dtype=float)
+        y_raw = np.zeros(n)
+        y_raw[rows_a] -= marg[:n_a]
+        y_raw[rows_b] += marg[n_a:]
         y_hist.append(y_raw)
         # the marginals of successive restricted LPs oscillate around the
         # true dual optimum; their running mean settles much faster
-        y_avg = np.mean(y_hist, axis=0) if len(y_hist) > 1 else None
-        cand_ys = [y_raw, -y_raw]
-        if y_avg is not None:
-            cand_ys.extend([y_avg, -y_avg])
+        cand_ys = [y_raw]
+        if len(y_hist) > 1:
+            cand_ys.append(np.mean(y_hist, axis=0))
         hs = support_many(body, np.stack(cand_ys))
         for y_try, h in zip(cand_ys, hs):
             if h > 0.0:
@@ -521,17 +518,14 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
             break
 
         added = False
-        for which, (j, sup, radius, _s) in enumerate(static["ball2"]):
-            for y_src in cand_ys:
-                ysub = y_src[sup]
-                if radius * float(np.sqrt(ysub @ ysub)) > 1.0 + 1e-12:
-                    added |= push_atom(which, ysub)
+        for y_src in cand_ys:
+            for b in np.nonzero(ball2_norms(y_src) > 1.0 + 1e-12)[0]:
+                added |= push_atom(b, y_src)
         # the mixture direction of the Euclidean piece in the current
         # decomposition is the exact column the restricted LP is missing
-        for piece in pieces_lp:
-            for which, (j, sup, _r, _s) in enumerate(static["ball2"]):
-                if piece[0] == j and piece[2] > 1e-15:
-                    added |= push_atom(which, piece[1][sup])
+        for j, vec, val in pieces_lp:
+            if j in b2_index and val > 1e-15:
+                added |= push_atom(b2_index[j], vec)
         if not added:
             break
     else:

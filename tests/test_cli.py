@@ -293,6 +293,28 @@ def test_numeric_failures_use_their_own_exit_code(tmp_path, monkeypatch):
     assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
 
 
+def test_gauge_solver_failure_exits_numeric_and_names_the_status(tmp_path, monkeypatch,
+                                                                 capsys):
+    import bmbodies.gauge
+
+    class Stalled:
+        status = 4
+        message = "model_status is Unknown"
+
+    monkeypatch.setattr(bmbodies.gauge, "linprog", lambda *a, **k: Stalled())
+    cfg = _cfg(
+        tmp_path,
+        {
+            "command": "gauge",
+            "workers": 1,
+            "params": {"n": 12, "delta": 0.25, "n_subsets": 24, "count": 1, "points": 2},
+        },
+    )
+    out = str(tmp_path / "stall")
+    assert cli.main(["gauge", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+    assert "status 4" in capsys.readouterr().err
+
+
 def test_unusable_out_path_is_validation(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a plain file")

@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 
 import bmbodies
-from bmbodies.bodies import Ball, HullBody, SignedPoints, ball_body, subset_body
-from bmbodies.gauge import GaugeToleranceError, gauge
+from bmbodies import cli
+from bmbodies.bodies import (
+    Ball,
+    HullBody,
+    SignedPoints,
+    ball_body,
+    cap_body,
+    inradius_lower,
+    subset_body,
+    support_many,
+)
+from bmbodies.gauge import GaugeSolverError, GaugeToleranceError, component_value, gauge
 from bmbodies.randmodel import ModelParams, sample_subsets, substream
 
 from _oracles import OracleGauge
@@ -28,6 +38,22 @@ def test_package_attribute_gauge_is_the_module():
 
     assert G is sys.modules["bmbodies.gauge"] is bmbodies.gauge
     assert G.gauge is gauge
+
+
+def test_box_component_value_matches_the_generator_loop():
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.6)
+    pts[:, 0] = 1.0
+    comp = SignedPoints(pts, unconditional=True)
+    for _ in range(20):
+        z = rng.normal(size=5) * (rng.random(5) < 0.7)
+        ref = math.inf
+        for g in pts:
+            if np.any((g == 0.0) & (z != 0.0)):
+                continue
+            ratio = [abs(zi) / abs(gi) for zi, gi in zip(z, g) if gi != 0.0]
+            ref = min(ref, max(ratio))
+        assert component_value(comp, z, 5) == ref
 
 
 def test_gauge_of_zero_is_zero():
@@ -117,3 +143,67 @@ def test_gauge_matches_membership_oracle_on_random_hulls():
         assert r.lo - est <= 1e-4 * scale
         assert est - r.hi <= 1e-4 * scale
         assert oracle.queries <= 10**4
+
+
+def _recheck(body, x, r):
+    """Both certificates of r, rechecked from closed forms alone."""
+    for j, vec, val in r.pieces:
+        assert component_value(body.components[j], vec, body.dim) <= val * (1 + 1e-9)
+    resid = x - sum((vec for _, vec, _ in r.pieces), np.zeros(body.dim))
+    cover = sum(val for _, _, val in r.pieces)
+    assert cover + np.linalg.norm(resid) / inradius_lower(body) <= r.hi * (1 + 1e-9)
+    assert support_many(body, r.dual_witness[None, :])[0] <= 1 + 1e-9
+    assert float(x @ r.dual_witness) >= r.lo - 1e-9 * max(1.0, r.hi)
+
+
+def test_decomposition_and_witness_recheck_without_the_solver():
+    rng = np.random.default_rng(41)
+    params = ModelParams(n=16, delta=0.25, n_subsets=40)
+    subsets = sample_subsets(16, params.m, 40, substream(41, "recheck/subsets"))
+    bodies = [
+        subset_body(params, subsets),
+        cap_body(params, subsets),
+        ball_body(12, 1.0, 1.3),
+        ball_body(12, math.inf, 0.7),
+        HullBody(6, (SignedPoints(rng.normal(size=(4, 6))), Ball(2.0, 0.5))),
+    ]
+    lp_runs = 0
+    for body in bodies:
+        for _ in range(4):
+            x = rng.normal(size=body.dim) * rng.uniform(0.2, 3.0)
+            r = gauge(body, x, tol=1e-8)
+            _recheck(body, x, r)
+            lp_runs += r.rounds > 0
+    assert lp_runs >= 12
+
+
+def test_solver_failure_raises_typed_error_with_status(monkeypatch):
+    class Stalled:
+        status = 4
+        message = "model_status is Unknown"
+
+    monkeypatch.setattr(bmbodies.gauge, "linprog", lambda *a, **k: Stalled())
+    params = ModelParams(n=12, delta=0.25, n_subsets=24)
+    body = subset_body(params, sample_subsets(12, params.m, 24, substream(5, "stall")))
+    x = np.random.default_rng(5).normal(size=12)
+    with pytest.raises(GaugeSolverError, match="status 4") as info:
+        gauge(body, x)
+    assert info.value.status == 4
+    assert 0.0 < info.value.lo <= info.value.hi < math.inf
+
+
+def test_cap_point_that_stalled_the_solver_closes():
+    params = ModelParams(n=80, delta=0.25, n_subsets=320)
+    body, _ = cli._build_body("cap", params, substream(2, "capfail/body"))
+    x = substream(2, "capfail/pts").standard_normal(80)
+    r = gauge(body, x, tol=1e-6)
+    assert r.hi - r.lo <= 1e-6 * r.hi
+    _recheck(body, x, r)
+
+
+def test_subset_body_at_n160_closes():
+    params = ModelParams(n=160, delta=0.25, n_subsets=640)
+    body = subset_body(params, sample_subsets(160, params.m, 640, substream(3, "n160/body")))
+    x = substream(3, "n160/pts").standard_normal(160)
+    r = gauge(body, x, tol=1e-6)
+    assert 0.0 < r.lo <= r.hi <= r.lo * (1 + 1e-6)
