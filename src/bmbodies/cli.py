@@ -98,8 +98,7 @@ _SCHEMAS = {
     ),
     "dist": (
         {"n", "delta", "n_subsets"},
-        {"kind": "subset", "mode": "exhaustive", "n_diag": 8, "refine": True,
-         "sign_cutoff": 16},
+        {"kind": "subset", "n_diag": 8, "refine": True},
     ),
     "separate": (
         {"n", "delta", "n_subsets", "bodies"},
@@ -191,10 +190,6 @@ def _validate_params(command: str, params: dict, errors: list) -> dict:
         need("n_diag", lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
         if not isinstance(merged.get("refine"), bool):
             errors.append(f"params.refine: needs a boolean, got {merged.get('refine')!r}")
-    if command == "dist":
-        need("mode", lambda v: v in ("exhaustive", "sampled"),
-             "must be 'exhaustive' or 'sampled'")
-        need("sign_cutoff", lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
     if command == "separate":
         need("threshold", lambda v: _is_num(v) and v > 0, "needs a positive number")
         need("bins", lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
@@ -295,11 +290,9 @@ def load_config(path: str, command: str, overrides: dict | None = None):
     if cap is not None:
         if command == "net":
             params["cap"] = cap
-        elif command == "dist":
-            params["sign_cutoff"] = cap
         else:
             errors.append(f"--cap-enumeration: command {command!r} reads no "
-                          "enumeration budget (only net and dist do)")
+                          "enumeration budget (only net does)")
 
     # cross checks that need several fields at once
     if command == "conc" and not errors:
@@ -549,8 +542,7 @@ def _cmd_dist(cfg: ExperimentConfig):
     params = _model_params(p)
     body_a, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/0"))
     body_b, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/1"))
-    fwd = op_norm(np.eye(p["n"]), body_a, body_b, mode=p["mode"],
-                  sign_cutoff=p["sign_cutoff"])
+    fwd = op_norm(np.eye(p["n"]), body_a, body_b)
     est = bm_upper(body_a, body_b, BmOptions(n_diag=p["n_diag"], refine=p["refine"]))
     records = [
         _mk_record(
@@ -918,7 +910,7 @@ def main(argv=None) -> int:
             "--cap-enumeration",
             type=int,
             default=None,
-            help="override the enumeration budget (net: profile cap; dist: sign cutoff)",
+            help="override the net profile cap",
         )
     args = parser.parse_args(argv)
     overrides = {}

@@ -45,7 +45,7 @@ __all__ = [
 
 _STREAM_SEED = 0xB0D1E5
 _SIGN_CUTOFF = 16
-_SAMPLED_PATTERNS = 2**14
+_GUIDED_GAUGES = 4
 _RESTARTS = 32
 _GAUGE_TOL = 1e-6
 _DIAG_SPREAD = 0.75
@@ -126,6 +126,43 @@ def _sign_patterns(k: int) -> np.ndarray:
     """All 2^k sign vectors, deterministic order."""
     out = np.array(list(product((1.0, -1.0), repeat=k)))
     return out.reshape(-1, k)
+
+
+def _box_vertices(gen: np.ndarray) -> np.ndarray:
+    """All 2^k sign vertices s * g of a box generator g with k nonzero
+    coordinates, in _sign_patterns order."""
+    sup = np.nonzero(gen)[0]
+    pats = _sign_patterns(sup.size)
+    pts = np.zeros((pats.shape[0], gen.size))
+    pts[:, sup] = pats * gen[sup]
+    return pts
+
+
+def _guided_points(t_mat, gen: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """One sign vertex of the box generator g per dual probe y.
+
+    The vertex is sign(T^T y) * |g| on the support of g (a zero sign
+    counts as +).  Since <y, T v> = sum_i (T^T y)_i v_i, it maximizes
+    |<y, T v>| over all 2^k sign vertices v of the box.
+    """
+    sup = np.nonzero(gen)[0]
+    spr = np.sign(t_mat[:, sup].T @ probes.T)
+    spr[spr == 0.0] = 1.0
+    pts = np.zeros((spr.shape[1], gen.size))
+    pts[:, sup] = spr.T * np.abs(gen[sup])
+    return pts
+
+
+def _segment_points(comp, n: int) -> np.ndarray:
+    """The extreme points +-p of a conditional point family, or the
+    +-r e_i of a Ball(1) over its support."""
+    if isinstance(comp, SignedPoints):
+        return np.concatenate([comp.points, -comp.points], axis=0)
+    sup = np.arange(n) if comp.support is None else comp.support
+    pts = np.zeros((2 * sup.size, n))
+    pts[np.arange(sup.size), sup] = comp.radius
+    pts[sup.size + np.arange(sup.size), sup] = -comp.radius
+    return pts
 
 
 def _dual_probes(body: HullBody) -> np.ndarray:
@@ -225,52 +262,6 @@ def _eval_points_max(t_mat, pts, k2):
     return max(best_lo, 0.0), best_hi, witness
 
 
-def _flip_ascent(t_mat, g_vec, sup, signs, probes):
-    """Greedy single-coordinate sign flips on the cheap probe value."""
-    base = np.zeros(g_vec.size)
-    base[sup] = g_vec[sup]
-
-    def probe_val(s):
-        vec = base.copy()
-        vec[sup] *= s
-        return float(np.abs(probes @ (t_mat @ vec)).max()), vec
-
-    best_val, best_vec = probe_val(signs)
-    improved = True
-    sweeps = 0
-    while improved and sweeps < 4 * sup.size:
-        improved = False
-        for k in range(sup.size):
-            trial = signs.copy()
-            trial[k] = -trial[k]
-            val, vec = probe_val(trial)
-            if val > best_val * (1.0 + 1e-12):
-                best_val, best_vec, signs = val, vec, trial
-                improved = True
-        sweeps += 1
-    return best_vec
-
-
-def _sampled_sign_lo(t_mat, g_vec, sup, k2, label, notes):
-    """Sampled sign search over one unconditional generator: certified
-    lower bound only, upper bound declared unavailable."""
-    rng = substream(_STREAM_SEED, f"distance/signs/{label}")
-    count = min(_SAMPLED_PATTERNS, 2 ** min(sup.size, 62))
-    signs = rng.integers(0, 2, size=(count, sup.size)).astype(float) * 2.0 - 1.0
-    pts = np.zeros((count, g_vec.size))
-    pts[:, sup] = signs * g_vec[sup]
-    probes = _dual_probes(k2)
-    scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
-    top = int(np.argmax(scores))
-    refined = _flip_ascent(t_mat, g_vec, sup, signs[top], probes)
-    g = gauge(k2, t_mat @ refined, tol=_GAUGE_TOL)
-    notes.append(
-        f"sign search over {sup.size} coordinates sampled ({label}); "
-        "upper bound unavailable for this component"
-    )
-    return g.lo, refined
-
-
 def _sphere_ascent(t_mat, sup, radius, k2):
     """Lower bound for a Euclidean source component: iterate the
     alignment map u -> normalize(T_S^T y(Tu)) from many starts, then
@@ -320,22 +311,17 @@ def _sphere_ascent(t_mat, sup, radius, k2):
     return max(best_lo, 0.0), witness
 
 
-def op_norm(
-    t_mat,
-    k: HullBody,
-    k2: HullBody,
-    mode: str = "exhaustive",
-    sign_cutoff: int = _SIGN_CUTOFF,
-) -> OpNormResult:
+def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
     """Certified bracket of the operator norm of T from K to K2.
 
-    exhaustive mode enumerates the extreme points of polytopal
-    components exactly (sign enumeration capped at sign_cutoff
-    coordinates per generator, beyond which that generator falls back
-    to sampling and contributes a lower bound only).  sampled mode
-    always samples sign patterns.  Euclidean components use sphere
-    ascent for the lower bound and the target's Ball(2) inradius for
-    the certified upper bound.
+    Polytopal components are enumerated exactly: every extreme point of
+    segment families and Ball(1) components, and every sign vertex of a
+    box generator (Ball(inf) included) with at most _SIGN_CUTOFF
+    coordinates.  A larger box contributes a lower bound only, from full
+    gauges of its highest-scoring probe-guided vertices; its upper bound
+    is unavailable, and mode is then "guided" instead of "exhaustive".
+    Euclidean components use sphere ascent for the lower bound and the
+    target's Ball(2) inradius for the certified upper bound.
     """
     t_mat = np.asarray(t_mat, dtype=float)
     if t_mat.shape != (k2.dim, k.dim):
@@ -344,10 +330,9 @@ def op_norm(
         )
     if not np.all(np.isfinite(t_mat)):
         raise ValueError("map entries must be finite")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     notes: list = []
+    mode = "exhaustive"
     lo, hi, witness = 0.0, 0.0, np.zeros(k.dim)
 
     def fold(c_lo, c_hi, c_wit):
@@ -357,26 +342,16 @@ def op_norm(
         hi = max(hi, c_hi)
 
     for ci, comp in enumerate(k.components):
-        if isinstance(comp, SignedPoints) and not comp.unconditional:
-            pts = np.concatenate([comp.points, -comp.points], axis=0)
-            fold(*_eval_points_max(t_mat, pts, k2))
-            continue
-        if isinstance(comp, SignedPoints):
+        if isinstance(comp, SignedPoints) and comp.unconditional:
             gens = comp.points
-            radius = None
+        elif isinstance(comp, SignedPoints) or comp.p == 1.0:
+            fold(*_eval_points_max(t_mat, _segment_points(comp, k.dim), k2))
+            continue
         elif comp.p == math.inf:
             sup = np.arange(k.dim) if comp.support is None else comp.support
             gen = np.zeros(k.dim)
             gen[sup] = comp.radius
             gens = gen[None, :]
-            radius = None
-        elif comp.p == 1.0:
-            sup = np.arange(k.dim) if comp.support is None else comp.support
-            pts = np.zeros((2 * sup.size, k.dim))
-            pts[np.arange(sup.size), sup] = comp.radius
-            pts[sup.size + np.arange(sup.size), sup] = -comp.radius
-            fold(*_eval_points_max(t_mat, pts, k2))
-            continue
         else:
             sup = np.arange(k.dim) if comp.support is None else comp.support
             c_lo, c_wit = _sphere_ascent(t_mat, sup, comp.radius, k2)
@@ -392,26 +367,33 @@ def op_norm(
 
         # unconditional generators (includes the inf-ball vertex box)
         for gi, g_vec in enumerate(gens):
-            sup = np.nonzero(g_vec)[0]
-            if sup.size == 0:
+            size = np.count_nonzero(g_vec)
+            if size == 0:
                 continue
-            if mode == "exhaustive" and sup.size <= sign_cutoff:
-                pats = _sign_patterns(sup.size)
-                pts = np.zeros((pats.shape[0], k.dim))
-                pts[:, sup] = pats * g_vec[sup]
-                fold(*_eval_points_max(t_mat, pts, k2))
-            else:
-                c_lo, c_wit = _sampled_sign_lo(t_mat, g_vec, sup, k2, f"{ci}/{gi}", notes)
-                fold(c_lo, math.inf, c_wit)
-                hi = math.inf
+            if size <= _SIGN_CUTOFF:
+                fold(*_eval_points_max(t_mat, _box_vertices(g_vec), k2))
+                continue
+            probes = _dual_probes(k2)
+            pts = np.unique(_guided_points(t_mat, g_vec, probes), axis=0)
+            scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
+            top = np.argsort(-scores, kind="stable")[:_GUIDED_GAUGES]
+            c_lo, _, c_wit = _eval_points_max(t_mat, pts[top], k2)
+            fold(c_lo, math.inf, c_wit)
+            mode = "guided"
+            notes.append(
+                f"sign search over {size} coordinates probe-guided (component "
+                f"{ci}, generator {gi}); upper bound unavailable for this generator"
+            )
 
     return OpNormResult(lo=lo, hi=hi, witness=witness, mode=mode, notes=notes)
 
 
 def _fast_lo(t_mat, k: HullBody, k2: HullBody) -> float:
     """Cheap lower-bound surrogate for candidate ranking: probe every
-    polytopal extreme-point family plus a couple of sphere directions,
-    full gauge only on the single best probe."""
+    polytopal extreme-point family (all sign vertices of boxes with at
+    most 10 coordinates, probe-guided ones beyond that and for Ball(inf))
+    plus a couple of sphere directions, full gauge only on the single
+    best probe."""
     probes = _dual_probes(k2)
     best_vec, best_score = None, -math.inf
 
@@ -425,37 +407,22 @@ def _fast_lo(t_mat, k: HullBody, k2: HullBody) -> float:
             best_score, best_vec = scores[i], pts[i]
 
     for comp in k.components:
-        if isinstance(comp, SignedPoints):
-            if comp.unconditional:
-                for g_vec in comp.points:
-                    sup = np.nonzero(g_vec)[0]
-                    if sup.size == 0:
-                        continue
-                    if sup.size <= 10:
-                        pats = _sign_patterns(sup.size)
-                        pts = np.zeros((pats.shape[0], k.dim))
-                        pts[:, sup] = pats * g_vec[sup]
-                    else:
-                        spr = np.sign(t_mat[:, sup].T @ probes.T)
-                        spr[spr == 0.0] = 1.0
-                        pts = np.zeros((spr.shape[1], k.dim))
-                        pts[:, sup] = spr.T * g_vec[sup]
-                    consider(pts)
-            else:
-                consider(np.concatenate([comp.points, -comp.points], axis=0))
-        elif comp.p == 1.0:
-            sup = np.arange(k.dim) if comp.support is None else comp.support
-            pts = np.zeros((2 * sup.size, k.dim))
-            pts[np.arange(sup.size), sup] = comp.radius
-            pts[sup.size + np.arange(sup.size), sup] = -comp.radius
-            consider(pts)
+        if isinstance(comp, SignedPoints) and comp.unconditional:
+            for g_vec in comp.points:
+                size = np.count_nonzero(g_vec)
+                if size == 0:
+                    continue
+                if size <= 10:
+                    consider(_box_vertices(g_vec))
+                else:
+                    consider(_guided_points(t_mat, g_vec, probes))
+        elif isinstance(comp, SignedPoints) or comp.p == 1.0:
+            consider(_segment_points(comp, k.dim))
         elif comp.p == math.inf:
             sup = np.arange(k.dim) if comp.support is None else comp.support
-            spr = np.sign(t_mat[:, sup].T @ probes.T)
-            spr[spr == 0.0] = 1.0
-            pts = np.zeros((spr.shape[1], k.dim))
-            pts[:, sup] = spr.T * comp.radius
-            consider(pts)
+            gen = np.zeros(k.dim)
+            gen[sup] = comp.radius
+            consider(_guided_points(t_mat, gen, probes))
         else:
             sup = np.arange(k.dim) if comp.support is None else comp.support
             ts = t_mat[:, sup]
@@ -525,13 +492,19 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     log: list = []
     cands: list = []
 
+    def invertible(mat):
+        sv = np.linalg.svd(mat, compute_uv=False)
+        return sv[-1] > 1e-12 * max(1.0, sv[0])
+
+    def score(mat):
+        return _fast_lo(mat, k, k2) * _fast_lo(np.linalg.inv(mat), k2, k)
+
     def add(name, mat):
         mat = np.asarray(mat, dtype=float)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        if invertible(mat):
+            cands.append((name, mat))
+        else:
             log.append({"name": name, "skipped": "singular"})
-            return
-        cands.append((name, mat, np.linalg.inv(mat)))
 
     add("identity", np.eye(n))
     rng = substream(_STREAM_SEED, "distance/bm/diag")
@@ -546,15 +519,14 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
         add("hadamard", had)
 
     scored = []
-    for name, mat, inv in cands:
-        s = _fast_lo(mat, k, k2) * _fast_lo(inv, k2, k)
-        scored.append((s, name, mat, inv))
+    for name, mat in cands:
+        s = score(mat)
+        scored.append((s, name, mat))
         log.append({"name": name, "surrogate": s})
     scored.sort(key=lambda item: item[0])
 
     if opts.refine and n <= _REFINE_MAX_DIM and scored:
-        base = scored[0][2].copy()
-        base_s = scored[0][0]
+        base_s, _, base = scored[0]
         scale = float(np.abs(base).max()) or 1.0
         for _ in range(_REFINE_SWEEPS):
             improved = False
@@ -564,12 +536,9 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
                         for sgn in (1.0, -1.0):
                             trial = base.copy()
                             trial[i, j] += sgn * step * scale
-                            sv = np.linalg.svd(trial, compute_uv=False)
-                            if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+                            if not invertible(trial):
                                 continue
-                            s = _fast_lo(trial, k, k2) * _fast_lo(
-                                np.linalg.inv(trial), k2, k
-                            )
+                            s = score(trial)
                             if s < base_s * (1.0 - 1e-9):
                                 base, base_s = trial, s
                                 improved = True
@@ -578,23 +547,22 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
                 direction = rng2.standard_normal((n, n))
                 for step in _REFINE_STEPS:
                     trial = base + step * scale * direction
-                    sv = np.linalg.svd(trial, compute_uv=False)
-                    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+                    if not invertible(trial):
                         continue
-                    s = _fast_lo(trial, k, k2) * _fast_lo(np.linalg.inv(trial), k2, k)
+                    s = score(trial)
                     if s < base_s * (1.0 - 1e-9):
                         base, base_s = trial, s
                         improved = True
             if not improved:
                 break
-        scored.append((base_s, "refined", base, np.linalg.inv(base)))
+        scored.append((base_s, "refined", base))
         log.append({"name": "refined", "surrogate": base_s})
         scored.sort(key=lambda item: item[0])
 
     best = None
-    for s, name, mat, inv in scored[: opts.certify_top]:
+    for s, name, mat in scored[: opts.certify_top]:
         fwd = op_norm(mat, k, k2).hi
-        bwd = op_norm(inv, k2, k).hi
+        bwd = op_norm(np.linalg.inv(mat), k2, k).hi
         upper = fwd * bwd
         log.append({"name": name, "certified": upper})
         if math.isfinite(upper) and (best is None or upper < best[0]):

@@ -20,7 +20,6 @@ solver inaccuracy cannot leak into them.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,8 +287,9 @@ def _dual_nlp(body: HullBody, z: np.ndarray, y0: np.ndarray):
             if comp.p == 1.0:
                 ub_abs[sup] = np.minimum(ub_abs[sup], 1.0 / comp.radius)
             elif comp.p == math.inf:
+                # h(y) = r * sum_S |y_i| for the radius-r inf-ball
                 row = np.zeros(n)
-                row[sup] = 1.0
+                row[sup] = comp.radius
                 lin_rows.append(row)
             else:
                 quads.append((sup, 1.0 / comp.radius**2))
@@ -465,7 +465,6 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
     rows_a, rows_b = touched | (z > 0.0), touched | (z < 0.0)
     n_a = int(rows_a.sum())
     b_ub = np.concatenate([-z[rows_a], z[rows_b]])
-    y_hist = deque(maxlen=4)
     for rounds in range(1, max_rounds + 1):
         v_mat = np.hstack([static["V"], np.stack(atoms, axis=1)]) if atoms else static["V"]
         a_ub = np.vstack(
@@ -501,26 +500,18 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
         y_raw = np.zeros(n)
         y_raw[rows_a] -= marg[:n_a]
         y_raw[rows_b] += marg[n_a:]
-        y_hist.append(y_raw)
-        # the marginals of successive restricted LPs oscillate around the
-        # true dual optimum; their running mean settles much faster
-        cand_ys = [y_raw]
-        if len(y_hist) > 1:
-            cand_ys.append(np.mean(y_hist, axis=0))
-        hs = support_many(body, np.stack(cand_ys))
-        for y_try, h in zip(cand_ys, hs):
-            if h > 0.0:
-                cand = float(x @ y_try) / h
-                if cand > lo_best:
-                    lo_best, y_best = cand, y_try / h
+        h = support_function(body, y_raw)
+        if h > 0.0:
+            cand = float(x @ y_raw) / h
+            if cand > lo_best:
+                lo_best, y_best = cand, y_raw / h
 
         if gap_ok():
             break
 
         added = False
-        for y_src in cand_ys:
-            for b in np.nonzero(ball2_norms(y_src) > 1.0 + 1e-12)[0]:
-                added |= push_atom(b, y_src)
+        for b in np.nonzero(ball2_norms(y_raw) > 1.0 + 1e-12)[0]:
+            added |= push_atom(b, y_raw)
         # the mixture direction of the Euclidean piece in the current
         # decomposition is the exact column the restricted LP is missing
         for j, vec, val in pieces_lp:

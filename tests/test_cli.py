@@ -248,6 +248,12 @@ def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
          [], "params.sign_cutoff"),
         ("gauge", {"n": 6, "delta": 0.5, "n_subsets": 2, "count": 1, "points": 1},
          ["--cap-enumeration", "5"], "--cap-enumeration"),
+        ("dist", {"n": 4, "delta": 0.5, "n_subsets": 2, "mode": "exhaustive"},
+         [], "params.mode"),
+        ("dist", {"n": 4, "delta": 0.5, "n_subsets": 2, "sign_cutoff": 16},
+         [], "params.sign_cutoff"),
+        ("dist", {"n": 4, "delta": 0.5, "n_subsets": 2},
+         ["--cap-enumeration", "5"], "--cap-enumeration"),
     ],
 )
 def test_settings_that_reach_no_code_are_rejected(tmp_path, capsys, command, params, flags,

@@ -17,6 +17,8 @@ from bmbodies.distance import (
     BmOptions,
     OpNormResult,
     SeparationOptions,
+    _dual_probes,
+    _guided_points,
     bm_upper,
     cap_projection_norms,
     check_one_body,
@@ -121,20 +123,41 @@ def test_op_norm_bracket_contract():
         OpNormResult(lo=2.0, hi=1.0, witness=None, mode="exhaustive", notes=[])
 
 
-def test_op_norm_sign_cutoff_falls_back_to_sampling():
+def test_op_norm_falls_back_to_guided_signs_above_the_cutoff():
     rng = np.random.default_rng(3)
-    wide = HullBody(
-        20,
-        (SignedPoints(rng.normal(size=(2, 20)), unconditional=True), Ball(math.inf, 0.3)),
-    )
-    dst = ball_body(20, 1.0, 1.0)
-    r = op_norm(rng.normal(size=(20, 20)), wide, dst, sign_cutoff=8)
+    n = 17
+    g = rng.uniform(0.2, 1.0, size=n) * np.where(rng.random(n) < 0.4, -1.0, 1.0)
+    wide = HullBody(n, (SignedPoints(g[None, :], unconditional=True),))
+    dst = ball_body(n, 1.0, 1.5)
+    t = rng.normal(size=(n, n))
+    r = op_norm(t, wide, dst)
+    # the l1-ball gauge is |Tv|_1 / 1.5, maximized over all 2^17 vertices
+    verts = np.array(list(itertools.product((1.0, -1.0), repeat=n))) * g
+    brute = float(np.abs(verts @ t.T).sum(axis=1).max()) / 1.5
+    assert 0.0 < r.lo <= brute * (1 + 1e-12)
+    assert np.array_equal(np.abs(r.witness), np.abs(g))
+    assert math.isclose(r.lo, float(np.abs(t @ r.witness).sum()) / 1.5, rel_tol=1e-9)
     assert not r.hi_available
-    assert r.lo > 0
-    assert any("sampled" in note for note in r.notes)
-    # sampling can only see a subset of the sign patterns
-    full = op_norm(rng.normal(size=(20, 20)), wide, dst, mode="sampled")
-    assert full.lo > 0
+    assert r.mode == "guided"
+    assert any("component 0, generator 0" in note for note in r.notes)
+
+
+def test_guided_points_attain_the_best_probe_score_over_all_vertices():
+    rng = np.random.default_rng(5)
+    n = 10
+    g = rng.normal(size=n)
+    assert np.any(g < 0.0)
+    t = rng.normal(size=(n, n))
+    probes = _dual_probes(ball_body(n, 1.0, 1.0))
+    verts = np.array(list(itertools.product((1.0, -1.0), repeat=n))) * g
+    best_all = float(np.abs((verts @ t.T) @ probes.T).max())
+    guided = _guided_points(t, g, probes)
+    assert np.array_equal(np.abs(guided), np.tile(np.abs(g), (len(probes), 1)))
+    # the i-th guided vertex attains the i-th probe's maximum
+    per_probe = np.abs((verts @ t.T) @ probes.T).max(axis=0)
+    own = np.abs(np.einsum("ij,ij->i", guided @ t.T, probes))
+    assert np.allclose(own, per_probe, rtol=1e-12, atol=0.0)
+    assert math.isclose(float(own.max()), best_all, rel_tol=1e-12)
 
 
 def test_bm_upper_identity_and_structure():

@@ -207,3 +207,15 @@ def test_subset_body_at_n160_closes():
     x = substream(3, "n160/pts").standard_normal(160)
     r = gauge(body, x, tol=1e-6)
     assert 0.0 < r.lo <= r.hi <= r.lo * (1 + 1e-6)
+
+
+def test_inf_ball_dual_row_carries_the_radius():
+    # the dual row of a radius-r inf-ball is r * sum_S |y_i| <= 1; with the
+    # radius left out, the dual solve lands outside the dual body and
+    # column generation needs many rounds to recover
+    body = HullBody(6, (Ball(math.inf, 3.0, support=[0, 1, 2]), Ball(2.0, 1.0)))
+    x = np.array([1.0, 0.8, 0.6, 0.1, 0.05, 0.02])
+    r = gauge(body, x, tol=1e-6)
+    assert r.rounds == 1
+    assert r.hi - r.lo <= 1e-6 * r.hi
+    _recheck(body, x, r)
