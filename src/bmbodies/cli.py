@@ -39,6 +39,7 @@ from .concentration import (
 )
 from .distance import (
     BmOptions,
+    CertificationError,
     SeparationOptions,
     bm_upper,
     op_norm,
@@ -883,7 +884,7 @@ def run(cfg: ExperimentConfig) -> int:
             with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(content)
         emit_report(records, cfg.fmt, cfg.out_dir, cfg.command)
-    except (GaugeToleranceError, GaugeSolverError, PigeonholeError) as exc:
+    except (GaugeToleranceError, GaugeSolverError, PigeonholeError, CertificationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, RuntimeError) as exc:

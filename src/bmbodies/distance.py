@@ -6,7 +6,9 @@ of a mapped extreme point that was actually found, the upper bound is a
 maximum of per-component certificates.  Euclidean components certify
 their upper bound through the target's Ball(2) inradius; a target with
 no full-dimensional Ball(2) component leaves that bound unavailable and
-the result says so instead of guessing.
+the result says so instead of guessing.  Boxes mapped into a solid
+target are bounded by domination: the gauge of |T||g| bounds every sign
+vertex of the box spanned by g.
 
 Distance search only ever reports upper bounds: it minimizes the
 product of the two certified operator norms over a finite candidate
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -30,6 +33,7 @@ from .randmodel import substream
 __all__ = [
     "OpNormResult",
     "BmEstimate",
+    "CertificationError",
     "EventReport",
     "BmOptions",
     "SeparationOptions",
@@ -58,9 +62,9 @@ _REFINE_STEPS = (0.5, 0.25, 0.1)
 class OpNormResult:
     """Certified bracket of sup_{x in K} gauge_K2(Tx).
 
-    witness is an input point inside K attaining lo; notes explain any
-    component whose upper bound could not be certified (hi is infinite
-    in that case).
+    witness is an input point inside K attaining lo; notes name every
+    box searched by probe-guided signs and explain any component whose
+    upper bound could not be certified (hi is infinite in that case).
     """
 
     lo: float
@@ -78,6 +82,12 @@ class OpNormResult:
     @property
     def hi_available(self) -> bool:
         return math.isfinite(self.hi)
+
+
+class CertificationError(RuntimeError):
+    """No candidate map got a finite certified operator-norm upper bound;
+    the message carries the note naming the component (and generator)
+    whose bound is unavailable."""
 
 
 @dataclass
@@ -122,6 +132,28 @@ class EventReport:
             raise ValueError("outcome inconsistent with stored gauge value")
 
 
+def _gauge(k2: HullBody, x: np.ndarray, tol: float):
+    """(lo, hi) of gauge_K2(x), memoized on K2 by the point's bytes and
+    tol; gauge is a pure function of (body, point, tol)."""
+    memo = k2._cache.setdefault("gauge_memo", {})
+    key = (x.tobytes(), tol)
+    hit = memo.get(key)
+    if hit is None:
+        g = gauge(k2, x, tol=tol)
+        hit = memo[key] = (g.lo, g.hi)
+    return hit
+
+
+def _solid(body: HullBody) -> bool:
+    """Every component is unconditional, so |z| <= |v| coordinatewise
+    with v in the body puts z in the body too."""
+    return all(isinstance(c, Ball) or c.unconditional for c in body.components)
+
+
+def _support(comp: Ball, n: int) -> np.ndarray:
+    return np.arange(n) if comp.support is None else comp.support
+
+
 def _sign_patterns(k: int) -> np.ndarray:
     """All 2^k sign vectors, deterministic order."""
     out = np.array(list(product((1.0, -1.0), repeat=k)))
@@ -158,7 +190,7 @@ def _segment_points(comp, n: int) -> np.ndarray:
     +-r e_i of a Ball(1) over its support."""
     if isinstance(comp, SignedPoints):
         return np.concatenate([comp.points, -comp.points], axis=0)
-    sup = np.arange(n) if comp.support is None else comp.support
+    sup = _support(comp, n)
     pts = np.zeros((2 * sup.size, n))
     pts[np.arange(sup.size), sup] = comp.radius
     pts[sup.size + np.arange(sup.size), sup] = -comp.radius
@@ -255,10 +287,10 @@ def _eval_points_max(t_mat, pts, k2):
     for i in order:
         if hi0 is not None and hi0[i] <= best_lo:
             break
-        g = gauge(k2, t_mat @ pts[i], tol=_GAUGE_TOL)
-        if g.lo > best_lo or witness is None:
-            best_lo, witness = g.lo, pts[i]
-        best_hi = max(best_hi, g.hi)
+        g_lo, g_hi = _gauge(k2, t_mat @ pts[i], _GAUGE_TOL)
+        if g_lo > best_lo or witness is None:
+            best_lo, witness = g_lo, pts[i]
+        best_hi = max(best_hi, g_hi)
     return max(best_lo, 0.0), best_hi, witness
 
 
@@ -305,9 +337,9 @@ def _sphere_ascent(t_mat, sup, radius, k2):
     for i in order:
         point = np.zeros(t_mat.shape[1])
         point[sup] = radius * finals[i]
-        g = gauge(k2, t_mat @ point, tol=_GAUGE_TOL)
-        if g.lo > best_lo:
-            best_lo, witness = g.lo, point
+        g_lo = _gauge(k2, t_mat @ point, _GAUGE_TOL)[0]
+        if g_lo > best_lo:
+            best_lo, witness = g_lo, point
     return max(best_lo, 0.0), witness
 
 
@@ -317,9 +349,19 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
     Polytopal components are enumerated exactly: every extreme point of
     segment families and Ball(1) components, and every sign vertex of a
     box generator (Ball(inf) included) with at most _SIGN_CUTOFF
-    coordinates.  A larger box contributes a lower bound only, from full
-    gauges of its highest-scoring probe-guided vertices; its upper bound
-    is unavailable, and mode is then "guided" instead of "exhaustive".
+    coordinates.  A larger box contributes a lower bound from full
+    gauges of its highest-scoring probe-guided vertices, and mode is
+    then "guided" instead of "exhaustive".
+
+    When K2 is solid, a box generator g first gets one gauge of the
+    dominating point d = |T||g|: |T(s*g)| <= d coordinatewise for every
+    sign vector s, so gauge(d) bounds the whole box from above.  A map
+    with at most one nonzero per row on the support of g has
+    |T(s*g)| = d exactly, and that one gauge is the box's value; a box
+    whose bound cannot beat the lower bound found so far is skipped, and
+    a guided box keeps the bound as its upper bound.  Without a solid
+    target a guided box has no upper bound.
+
     Euclidean components use sphere ascent for the lower bound and the
     target's Ball(2) inradius for the certified upper bound.
     """
@@ -334,6 +376,7 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
     notes: list = []
     mode = "exhaustive"
     lo, hi, witness = 0.0, 0.0, np.zeros(k.dim)
+    solid = _solid(k2)
 
     def fold(c_lo, c_hi, c_wit):
         nonlocal lo, hi, witness
@@ -348,12 +391,9 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
             fold(*_eval_points_max(t_mat, _segment_points(comp, k.dim), k2))
             continue
         elif comp.p == math.inf:
-            sup = np.arange(k.dim) if comp.support is None else comp.support
-            gen = np.zeros(k.dim)
-            gen[sup] = comp.radius
-            gens = gen[None, :]
+            gens = _inf_box(comp, k.dim)[None, :]
         else:
-            sup = np.arange(k.dim) if comp.support is None else comp.support
+            sup = _support(comp, k.dim)
             c_lo, c_wit = _sphere_ascent(t_mat, sup, comp.radius, k2)
             c_hi = _ball2_source_hi(t_mat, sup, comp.radius, k2)
             if c_hi is None:
@@ -367,10 +407,17 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
 
         # unconditional generators (includes the inf-ball vertex box)
         for gi, g_vec in enumerate(gens):
-            size = np.count_nonzero(g_vec)
-            if size == 0:
-                continue
-            if size <= _SIGN_CUTOFF:
+            sup = np.nonzero(g_vec)[0]
+            dom_hi = math.inf
+            if solid:
+                t_abs = np.abs(t_mat[:, sup])
+                d_lo, dom_hi = _gauge(k2, t_abs @ np.abs(g_vec[sup]), _GAUGE_TOL)
+                if np.all(np.count_nonzero(t_abs, axis=1) <= 1):
+                    fold(d_lo, dom_hi, np.abs(g_vec))
+                    continue
+                if dom_hi <= lo:
+                    continue
+            if sup.size <= _SIGN_CUTOFF:
                 fold(*_eval_points_max(t_mat, _box_vertices(g_vec), k2))
                 continue
             probes = _dual_probes(k2)
@@ -378,14 +425,68 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
             scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
             top = np.argsort(-scores, kind="stable")[:_GUIDED_GAUGES]
             c_lo, _, c_wit = _eval_points_max(t_mat, pts[top], k2)
-            fold(c_lo, math.inf, c_wit)
+            fold(c_lo, dom_hi, c_wit)
             mode = "guided"
+            upper = (
+                "upper bound from the domination bound"
+                if solid
+                else "upper bound unavailable for this generator"
+            )
             notes.append(
-                f"sign search over {size} coordinates probe-guided (component "
-                f"{ci}, generator {gi}); upper bound unavailable for this generator"
+                f"sign search over {sup.size} coordinates probe-guided (component "
+                f"{ci}, generator {gi}); {upper}"
             )
 
     return OpNormResult(lo=lo, hi=hi, witness=witness, mode=mode, notes=notes)
+
+
+def _inf_box(comp: Ball, n: int) -> np.ndarray:
+    """The box generator r * 1_S whose sign vertices span a Ball(inf)."""
+    gen = np.zeros(n)
+    gen[_support(comp, n)] = comp.radius
+    return gen
+
+
+def _sphere_points(t_mat, probes, comp: Ball) -> np.ndarray:
+    """Two candidate points of a Euclidean component for ranking: the top
+    right singular direction of T_S and its probe-aligned image."""
+    sup = _support(comp, t_mat.shape[1])
+    ts = t_mat[:, sup]
+    dirs = [np.linalg.svd(ts)[2][0]]
+    v = ts.T @ probes[np.argmax(np.abs(probes @ (ts @ dirs[0])))]
+    nrm = float(np.sqrt(v @ v))
+    if nrm > 0:
+        dirs.append(v / nrm)
+    pts = np.zeros((len(dirs), t_mat.shape[1]))
+    for i, d in enumerate(dirs):
+        pts[i, sup] = comp.radius * d
+    return pts
+
+
+def _fast_lo_blocks(body: HullBody) -> list:
+    """The candidate point blocks _fast_lo ranks, in order, cached on the
+    body: an array for the blocks that do not depend on the map (all sign
+    vertices of boxes with at most 10 coordinates, segment and Ball(1)
+    extreme points), else a function of (t_mat, probes)."""
+    cached = body._cache.get("fast_lo_blocks")
+    if cached is not None:
+        return cached
+    n, blocks = body.dim, []
+    for comp in body.components:
+        if isinstance(comp, SignedPoints) and comp.unconditional:
+            for g_vec in comp.points:
+                if np.count_nonzero(g_vec) <= 10:
+                    blocks.append(_box_vertices(g_vec))
+                else:
+                    blocks.append(partial(_guided_points, gen=g_vec))
+        elif isinstance(comp, SignedPoints) or comp.p == 1.0:
+            blocks.append(_segment_points(comp, n))
+        elif comp.p == math.inf:
+            blocks.append(partial(_guided_points, gen=_inf_box(comp, n)))
+        else:
+            blocks.append(partial(_sphere_points, comp=comp))
+    body._cache["fast_lo_blocks"] = blocks
+    return blocks
 
 
 def _fast_lo(t_mat, k: HullBody, k2: HullBody) -> float:
@@ -396,49 +497,18 @@ def _fast_lo(t_mat, k: HullBody, k2: HullBody) -> float:
     best probe."""
     probes = _dual_probes(k2)
     best_vec, best_score = None, -math.inf
-
-    def consider(pts):
-        nonlocal best_vec, best_score
-        if pts.size == 0:
-            return
+    for block in _fast_lo_blocks(k):
+        if isinstance(block, np.ndarray):
+            pts = block
+        else:
+            pts = block(t_mat=t_mat, probes=probes)
         scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
         i = int(np.argmax(scores))
         if scores[i] > best_score:
             best_score, best_vec = scores[i], pts[i]
-
-    for comp in k.components:
-        if isinstance(comp, SignedPoints) and comp.unconditional:
-            for g_vec in comp.points:
-                size = np.count_nonzero(g_vec)
-                if size == 0:
-                    continue
-                if size <= 10:
-                    consider(_box_vertices(g_vec))
-                else:
-                    consider(_guided_points(t_mat, g_vec, probes))
-        elif isinstance(comp, SignedPoints) or comp.p == 1.0:
-            consider(_segment_points(comp, k.dim))
-        elif comp.p == math.inf:
-            sup = np.arange(k.dim) if comp.support is None else comp.support
-            gen = np.zeros(k.dim)
-            gen[sup] = comp.radius
-            consider(_guided_points(t_mat, gen, probes))
-        else:
-            sup = np.arange(k.dim) if comp.support is None else comp.support
-            ts = t_mat[:, sup]
-            dirs = [np.linalg.svd(ts)[2][0]]
-            v = ts.T @ probes[np.argmax(np.abs(probes @ (ts @ dirs[0])))]
-            nrm = float(np.sqrt(v @ v))
-            if nrm > 0:
-                dirs.append(v / nrm)
-            pts = np.zeros((len(dirs), k.dim))
-            for i, d in enumerate(dirs):
-                pts[i, sup] = comp.radius * d
-            consider(pts)
     if best_vec is None:
         return 0.0
-    g = gauge(k2, t_mat @ best_vec, tol=1e-3)
-    return g.lo
+    return _gauge(k2, t_mat @ best_vec, 1e-3)[0]
 
 
 @dataclass
@@ -559,16 +629,23 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
         log.append({"name": "refined", "surrogate": base_s})
         scored.sort(key=lambda item: item[0])
 
-    best = None
+    best, why = None, []
     for s, name, mat in scored[: opts.certify_top]:
-        fwd = op_norm(mat, k, k2).hi
-        bwd = op_norm(np.linalg.inv(mat), k2, k).hi
-        upper = fwd * bwd
+        fwd = op_norm(mat, k, k2)
+        bwd = op_norm(np.linalg.inv(mat), k2, k)
+        upper = fwd.hi * bwd.hi
         log.append({"name": name, "certified": upper})
         if math.isfinite(upper) and (best is None or upper < best[0]):
-            best = (upper, mat, fwd, bwd)
+            best = (upper, mat, fwd.hi, bwd.hi)
+        for side, res in (("forward", fwd), ("inverse", bwd)):
+            if not res.hi_available:
+                why.extend(
+                    f"{name} {side}: {note}" for note in res.notes if "unavailable" in note
+                )
     if best is None:
-        raise RuntimeError("no candidate map produced a certified bound")
+        raise CertificationError(
+            "no candidate map produced a certified bound; " + "; ".join(why)
+        )
     upper, mat, fwd, bwd = best
     return BmEstimate(
         upper=upper, best_map=mat, norm_fwd=fwd, norm_inv=bwd, candidates=log

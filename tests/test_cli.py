@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from bmbodies import cli
-from bmbodies.distance import separation_scale
+from bmbodies.distance import CertificationError, separation_scale
 from bmbodies.linalg import PigeonholeError
 
 
@@ -194,6 +194,37 @@ def test_dist_reports_certified_pair(tmp_path):
     assert kinds == ["bm_upper", "op_norm"]
     bm = next(r["payload"] for r in recs if r["kind"] == "bm_upper")
     assert bm["upper"] >= 1.0 - 1e-9
+
+
+def test_dist_certifies_boxes_above_the_sign_cutoff(tmp_path):
+    # subsets of 18 coordinates: every box is above the enumeration cutoff,
+    # and the domination bound still certifies each candidate's norms
+    cfg = _cfg(
+        tmp_path,
+        {"command": "dist", "params": {"n": 18, "delta": 1.0, "n_subsets": 2}},
+    )
+    out = str(tmp_path / "dist18")
+    assert cli.main(["dist", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    recs = _read_records(out, "dist")
+    bm = next(r["payload"] for r in recs if r["kind"] == "bm_upper")
+    assert 1.0 - 1e-9 <= bm["upper"] < float("inf")
+    op = next(r["payload"] for r in recs if r["kind"] == "op_norm")
+    assert op["hi"] < float("inf")
+
+
+def test_dist_without_a_certified_bound_exits_numeric(tmp_path, monkeypatch, capsys):
+    def uncertified(*args, **kwargs):
+        raise CertificationError("no candidate map produced a certified bound; "
+                                 "identity forward: component 0, generator 0")
+
+    monkeypatch.setattr(cli, "bm_upper", uncertified)
+    cfg = _cfg(
+        tmp_path,
+        {"command": "dist", "params": {"n": 4, "delta": 0.5, "n_subsets": 2}},
+    )
+    out = str(tmp_path / "uncert")
+    assert cli.main(["dist", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+    assert "component 0, generator 0" in capsys.readouterr().err
 
 
 def test_separate_csv_is_a_symmetric_matrix(tmp_path):

@@ -13,8 +13,10 @@ from bmbodies.bodies import (
     cap_body,
     subset_body,
 )
+from bmbodies import distance
 from bmbodies.distance import (
     BmOptions,
+    CertificationError,
     OpNormResult,
     SeparationOptions,
     _dual_probes,
@@ -28,6 +30,7 @@ from bmbodies.distance import (
     run_separation,
     separation_scale,
 )
+from bmbodies.gauge import gauge
 from bmbodies.linalg import PigeonholeError
 from bmbodies.randmodel import (
     ModelParams,
@@ -137,9 +140,107 @@ def test_op_norm_falls_back_to_guided_signs_above_the_cutoff():
     assert 0.0 < r.lo <= brute * (1 + 1e-12)
     assert np.array_equal(np.abs(r.witness), np.abs(g))
     assert math.isclose(r.lo, float(np.abs(t @ r.witness).sum()) / 1.5, rel_tol=1e-9)
-    assert not r.hi_available
+    # the l1 ball is solid, so the box's upper bound is the gauge of |T||g|
+    dominated = float((np.abs(t) @ np.abs(g)).sum()) / 1.5
+    assert brute <= r.hi <= dominated * (1 + 1e-12)
     assert r.mode == "guided"
-    assert any("component 0, generator 0" in note for note in r.notes)
+    assert any("component 0, generator 0" in note and "domination" in note for note in r.notes)
+
+
+def test_op_norm_guided_box_on_a_conditional_target_has_no_upper_bound():
+    rng = np.random.default_rng(3)
+    n = 17
+    wide = HullBody(n, (SignedPoints(rng.uniform(0.2, 1.0, size=(1, n)), unconditional=True),))
+    # segments are not sign-invariant, so no domination bound applies
+    dst = HullBody(n, (SignedPoints(rng.normal(size=(n + 2, n))),))
+    r = op_norm(rng.normal(size=(n, n)), wide, dst)
+    assert r.lo > 0.0
+    assert r.hi == math.inf
+    assert r.mode == "guided"
+    assert any(
+        "component 0, generator 0" in note and "unavailable" in note for note in r.notes
+    )
+
+
+def test_bm_upper_without_a_certified_candidate_raises_a_typed_error():
+    rng = np.random.default_rng(4)
+    n = 17
+    wide = HullBody(n, (SignedPoints(rng.uniform(0.2, 1.0, size=(1, n)), unconditional=True),))
+    dst = HullBody(n, (SignedPoints(rng.normal(size=(n + 2, n))),))
+    with pytest.raises(CertificationError, match="component 0, generator 0"):
+        bm_upper(wide, dst, BmOptions(n_diag=1, certify_top=1))
+
+
+def _vertex_reference(t, src, dst):
+    """Bracket from a full gauge of T p at every extreme point p of the
+    polytopal source, with no pruning and no memo."""
+    lo = hi = 0.0
+    for p in np.unique(np.array(_brute_extremes(src)), axis=0):
+        g = gauge(dst, t @ p, tol=1e-6)
+        lo, hi = max(lo, g.lo), max(hi, g.hi)
+    return lo, hi
+
+
+def _count_gauge_calls(monkeypatch):
+    calls = []
+    real = distance.gauge
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distance, "gauge", counting)
+    return calls
+
+
+def test_op_norm_on_monomial_maps_gauges_each_box_once(monkeypatch):
+    stream = substream(31, "test/monomial")
+    params = ModelParams(n=8, delta=0.5, n_subsets=16)
+    a, b = sample_body(params, stream), sample_body(params, stream)
+    assert a.covers_all
+    src = HullBody(8, a.body.components[:1])  # the box family alone
+    n_gens = src.components[0].points.shape[0]
+    rng = np.random.default_rng(0)
+    calls = _count_gauge_calls(monkeypatch)
+    for _ in range(3):
+        t = np.zeros((8, 8))
+        signs = rng.choice([-1.0, 1.0], size=8)
+        t[np.arange(8), rng.permutation(8)] = signs * np.exp(rng.uniform(-0.5, 0.5, 8))
+        calls.clear()
+        r = op_norm(t, src, b.body)
+        assert len(calls) <= n_gens
+        lo, hi = _vertex_reference(t, src, b.body)
+        assert math.isclose(r.lo, lo, rel_tol=1e-9)
+        assert math.isclose(r.hi, hi, rel_tol=1e-9)
+        assert r.mode == "exhaustive"
+
+
+def test_op_norm_pruning_by_domination_matches_all_vertices():
+    stream = substream(32, "test/prune")
+    params = ModelParams(n=8, delta=0.5, n_subsets=6)
+    body = sample_body(params, stream).body
+    dst = sample_body(params, stream).body
+    src = HullBody(8, body.components[:2])  # boxes and the l1 ball
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        t = rng.normal(size=(8, 8))
+        r = op_norm(t, src, dst)
+        lo, hi = _vertex_reference(t, src, dst)
+        assert math.isclose(r.lo, lo, rel_tol=1e-9)
+        assert math.isclose(r.hi, hi, rel_tol=1e-9)
+
+
+def test_op_norm_repeat_call_is_served_by_the_gauge_memo(monkeypatch):
+    bodies = _model_bodies(2, substream(33, "test/memo"))
+    t = np.random.default_rng(2).normal(size=(8, 8))
+    calls = _count_gauge_calls(monkeypatch)
+    first = op_norm(t, bodies[0], bodies[1])
+    assert calls
+    calls.clear()
+    second = op_norm(t, bodies[0], bodies[1])
+    assert calls == []
+    assert (second.lo, second.hi, second.mode) == (first.lo, first.hi, first.mode)
+    assert np.array_equal(second.witness, first.witness)
 
 
 def test_guided_points_attain_the_best_probe_score_over_all_vertices():
