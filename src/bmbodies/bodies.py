@@ -163,13 +163,36 @@ def _restrict(ys: np.ndarray, support) -> np.ndarray:
     return ys if support is None else ys[:, support]
 
 
+def _batched_caps(body: HullBody):
+    """Ball(2) components with a support as 0/1 support masks (k, n) and
+    radii (k,), or None without any; cached on the body, so that a cap
+    body's hundreds of caps cost one product in support_many."""
+    if "batched_caps" not in body._cache:
+        caps = [c for c in body.components
+                if isinstance(c, Ball) and c.p == 2.0 and c.support is not None]
+        batched = None
+        if caps:
+            mask = np.zeros((len(caps), body.dim))
+            for i, c in enumerate(caps):
+                mask[i, c.support] = 1.0
+            batched = (mask, np.array([c.radius for c in caps]))
+        body._cache["batched_caps"] = batched
+    return body._cache["batched_caps"]
+
+
 def support_many(body: HullBody, ys) -> np.ndarray:
     """Support function h_K evaluated at each row of ys, shape (k,)."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[1] != body.dim:
         raise ValueError(f"direction dimension {ys.shape[1]} != body dim {body.dim}")
     vals = np.zeros(ys.shape[0])
+    caps = _batched_caps(body)
+    if caps is not None:
+        mask, radii = caps
+        np.maximum(vals, (np.sqrt((ys * ys) @ mask.T) * radii).max(axis=1), out=vals)
     for c in body.components:
+        if isinstance(c, Ball) and c.p == 2.0 and c.support is not None:
+            continue  # in caps above
         if isinstance(c, SignedPoints):
             if c.unconditional:
                 contrib = (np.abs(ys) @ np.abs(c.points).T).max(axis=1)

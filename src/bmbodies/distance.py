@@ -133,10 +133,14 @@ class EventReport:
 
 
 def _gauge(k2: HullBody, x: np.ndarray, tol: float):
-    """(lo, hi) of gauge_K2(x), memoized on K2 by the point's bytes and
-    tol; gauge is a pure function of (body, point, tol)."""
+    """(lo, hi) of gauge_K2(x), memoized on K2 by tol and the bytes of
+    x up to sign (first nonzero entry positive, zeros as +0.0): gauge is
+    a pure function of (body, point, tol), and a hull body is symmetric,
+    so a certified bracket of x is one of -x."""
     memo = k2._cache.setdefault("gauge_memo", {})
-    key = (x.tobytes(), tol)
+    nz = np.flatnonzero(x)
+    sign = -1.0 if nz.size and x[nz[0]] < 0.0 else 1.0
+    key = ((sign * x + 0.0).tobytes(), tol)
     hit = memo.get(key)
     if hit is None:
         g = gauge(k2, x, tol=tol)

@@ -7,15 +7,15 @@ explicit decomposition of x into weighted component points, so both
 certificates can be rechecked independently of the solver that found
 them.
 
-Every body reduces to one covering LP with a row per coordinate: all
-components but conditional segments are solid, so they enter as
-nonnegative columns whose weighted sum must cover |x| coordinatewise
-(see _covering_lp).  Euclidean ball components make the dual body
-smooth, so the dual maximum is found by a small nonlinear solve first;
-its directions on the active balls are the sphere atoms the LP needs,
-and a short column-generation loop remains as a safety net.  Both
-bounds are recomputed from closed forms after the solvers finish, so
-solver inaccuracy cannot leak into them.
+Every body reduces to one cone program, the gauge dual max <x, y> over
+h_K(y) <= 1: a linear row per box generator, Ball(inf), Ball(1)
+coordinate and segment, and one second-order cone per Ball(2) (see
+_cone_program).  A numpy interior-point method (cone.py) solves it;
+once its iterates are near the optimum, Newton's method on the active
+constraints polishes them to the exact optimum.  lo is then recomputed
+from y through the support function, and hi from the conic dual (box
+weights, segment multiples and Ball(2) vectors) through closed forms, so
+solver inaccuracy can only widen a bracket.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .bodies import (
     Ball,
@@ -34,7 +33,11 @@ from .bodies import (
     support_function,
     support_many,
 )
+from .cone import ConeError, SocProgram, iterates, polish
 
+# polishing starts once the interior-point gap and residuals are below
+# this fraction of the objective; earlier active sets are mostly wrong
+_POLISH_REL = 0.1
 __all__ = [
     "GaugeResult",
     "GaugeSolverError",
@@ -55,10 +58,10 @@ class GaugeToleranceError(RuntimeError):
 
 
 class GaugeSolverError(RuntimeError):
-    """The LP solver returned a non-optimal status; carries that status
-    and the best certified bounds found before it."""
+    """The interior-point solver broke down; carries its status (a short
+    name of the breakdown) and the best certified bounds found before."""
 
-    def __init__(self, message: str, status: int, lo: float, hi: float):
+    def __init__(self, message: str, status: str, lo: float, hi: float):
         super().__init__(message)
         self.status = status
         self.lo = lo
@@ -145,33 +148,33 @@ def _dual_candidates(body: HullBody, z: np.ndarray):
     return lo, best
 
 
-def _covering_lp(body: HullBody):
-    """Static part of the gauge LP, cached on the body.
+def _cone_program(body: HullBody):
+    """The gauge dual as one cone program, cached on the body.
 
-    Every component except a conditional point family is solid: with w
-    in K_j, any v with |v| <= |w| coordinatewise lies in K_j too.  Solid
-    components therefore enter as nonnegative columns v whose weighted
-    sum must cover |u| coordinatewise: |g| per box generator, r 1_S per
-    Ball(inf), and one coordinate atom r_i e_i per coordinate, with the
-    largest Ball(1)/Ball(2) radius that covers i (a Ball(1) is the hull
-    of its coordinate atoms; Ball(2) atoms r d, d >= 0 on the support,
-    are added later by column generation).  Conditional generators g
-    enter as segments c g.  The LP is
+    h_K(y) <= 1 splits into one row per family: <|y|, |g|> <= 1 per box
+    generator, r sum_S |y_i| <= 1 per Ball(inf), r_i |y_i| <= 1 per
+    coordinate with the largest covering Ball(1) radius r_i, |<y, g>| <= 1
+    per conditional generator (segment), and r ||y_S|| <= 1 per Ball(2).
+    With u >= |y| the solid rows read V' u <= 1 for nonnegative columns V
+    and r ||u_S|| <= 1.  A coordinate no segment touches keeps only u_i,
+    with y_i = sign(z_i) u_i, so the variables are x = (y_T, u) over the
+    touched coordinates T and the program is
 
-        min sum|c| + sum(lam)  s.t.  |z - G c| <= V lam,  lam >= 0,
+        max <z_T, y_T> + <|z_U|, u_U>  s.t.  V' u <= 1,  |G' y_T| <= 1,
+        |y_T| <= u_T,  u_U >= 0,  r_k ||u_{S_k}|| <= 1.
 
-    with c split as c+ - c-.  A coordinate no segment touches needs only
-    the row (V lam)_i >= |z_i|, so segment-free bodies give the covering
-    LP with one row per nonzero coordinate.
+    Its conic dual is the decomposition: weights lam >= 0 on V, segment
+    multiples c = c+ - c-, and one vector w_k per Ball(2) with
+    ||w_k|| <= t_k, covering |z - G c|.
     """
-    cached = body._cache.get("gauge_lp")
+    cached = body._cache.get("gauge_cone")
     if cached is not None:
         return cached
     n = body.dim
     segs, seg_owner, cols, owner = [], [], [], []
     atom_r = np.zeros(n)
     atom_owner = np.full(n, -1)
-    b2_owner, b2_mask, b2_radius = [], [], []
+    b2_owner, b2_sup, b2_radius = [], [], []
     for j, comp in enumerate(body.components):
         if isinstance(comp, SignedPoints):
             k = comp.points.shape[0]
@@ -188,14 +191,13 @@ def _covering_lp(body: HullBody):
             v[sup] = comp.radius
             cols.append(v)
             owner.append(j)
-            continue
-        wins = comp.radius > atom_r[sup]
-        atom_r[sup[wins]] = comp.radius
-        atom_owner[sup[wins]] = j
-        if comp.p == 2.0:
+        elif comp.p == 1.0:
+            wins = comp.radius > atom_r[sup]
+            atom_r[sup[wins]] = comp.radius
+            atom_owner[sup[wins]] = j
+        else:
             b2_owner.append(j)
-            b2_mask.append(np.zeros(n))
-            b2_mask[-1][sup] = 1.0
+            b2_sup.append(sup)
             b2_radius.append(comp.radius)
     n_box = len(cols)
     for i in np.nonzero(atom_owner >= 0)[0]:
@@ -204,55 +206,80 @@ def _covering_lp(body: HullBody):
         cols.append(v)
         owner.append(int(atom_owner[i]))
     g_mat = np.stack(segs, axis=1) if segs else np.zeros((n, 0))
+    v_mat = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+    touched = np.any(g_mat != 0.0, axis=1)
+    t_idx = np.nonzero(touched)[0]
+    t = t_idx.size
+    eye_t = np.eye(n)[t_idx]
+    g_t = g_mat[t_idx].T
+    zeros_k = np.zeros((g_t.shape[0], n))
+    a = np.vstack(
+        [
+            np.hstack([np.zeros((v_mat.shape[1], t)), v_mat.T]),
+            np.hstack([g_t, zeros_k]),
+            np.hstack([-g_t, zeros_k]),
+            np.hstack([np.eye(t), -eye_t]),
+            np.hstack([-np.eye(t), -eye_t]),
+            np.hstack([np.zeros((n - t, t)), -np.eye(n)[~touched]]),
+        ]
+    )
+    f = np.zeros(a.shape[0])
+    f[: v_mat.shape[1] + 2 * g_t.shape[0]] = 1.0
+    prog = SocProgram(a, f, [t + s for s in b2_sup], b2_radius)
     static = {
+        "prog": prog,
         "G": g_mat,
         "seg_owner": seg_owner,
-        "touched": np.any(g_mat != 0.0, axis=1),
-        "V": np.stack(cols, axis=1) if cols else np.zeros((n, 0)),
+        "touched": touched,
+        "V": v_mat,
         "owner": owner,
         "n_box": n_box,
         "b2_owner": b2_owner,
-        "b2_mask": np.array(b2_mask).reshape(len(b2_owner), n),
         "b2_radius": np.array(b2_radius),
     }
-    body._cache["gauge_lp"] = static
+    body._cache["gauge_cone"] = static
     return static
 
 
-def _split(body, static, v_mat, owner, sol, z):
-    """Decomposition from an LP solution; returns (hi, pieces).
+def _split(body, static, c, lam, b2, z):
+    """Decomposition from the conic dual; returns (hi, pieces).
 
-    u = z - G c is split over the solid columns in proportion to their
-    coverage: column j takes u * lam_j v_j / (V lam), which lies in
-    lam_j K_j by solidity.  Piece values are recomputed from exact closed
-    forms: max|piece| / v over a box column's support, and the ball norm
-    of each Ball(1)/Ball(2) component's summed atom pieces.
+    Segments give pieces c_j g_j.  The rest u = z - G c is split over the
+    solid columns in proportion to their coverage: column j (V's columns
+    with weights lam, then the Ball(2) vectors b2) takes u * col_j /
+    cover, which lies in lam_j K_j by solidity.  Piece values are
+    recomputed from exact closed forms: max|piece| / v over a box column's
+    support, and the ball norm of each Ball(1)/Ball(2) component's summed
+    pieces.
     """
     n = body.dim
-    k = static["G"].shape[1]
-    c = sol[:k] - sol[k : 2 * k]
-    lam = sol[2 * k :]
     pieces = []
     for g, cw, j in zip(static["G"].T, c, static["seg_owner"]):
         if cw != 0.0:
             pieces.append([j, cw * g, abs(cw)])
     u = z - static["G"] @ c
-    cover = v_mat @ lam
+    v_mat, n_box, owner = static["V"], static["n_box"], static["owner"]
+    cols = v_mat * lam
+    cover = cols.sum(axis=1) + b2.sum(axis=1)
     share = np.divide(u, cover, out=np.zeros(n), where=cover > 0.0)
+    box = cols[:, :n_box] * share[:, None]
+    v_box = v_mat[:, :n_box]
+    vals = np.divide(np.abs(box), v_box, out=np.zeros_like(box), where=v_box > 0.0)
+    vals = vals.max(axis=0, initial=0.0)
+    for col in np.nonzero(vals > 0.0)[0]:
+        pieces.append([owner[col], box[:, col], float(vals[col])])
     balls = {}
-    for col in np.nonzero(lam > 0.0)[0]:
-        v = v_mat[:, col]
-        vec = lam[col] * v * share
-        if not np.any(vec != 0.0):
-            continue
-        j = owner[col]
-        if col >= static["n_box"]:
-            balls[j] = balls.get(j, 0.0) + vec
-        else:
-            sup = v > 0.0
-            pieces.append([j, vec, float((np.abs(vec[sup]) / v[sup]).max())])
+    for col in range(n_box, v_mat.shape[1]):
+        balls[owner[col]] = balls.get(owner[col], 0.0) + cols[:, col] * share
     for j in sorted(balls):
-        pieces.append([j, balls[j], component_value(body.components[j], balls[j], n)])
+        if np.any(balls[j] != 0.0):
+            pieces.append([j, balls[j], component_value(body.components[j], balls[j], n)])
+    # Ball(2) pieces are zero off their supports, so their value is the
+    # column norm over the radius
+    b2 = b2 * share[:, None]
+    vals = np.sqrt((b2 * b2).sum(axis=0)) / static["b2_radius"]
+    for b in np.nonzero(vals > 0.0)[0]:
+        pieces.append([static["b2_owner"][b], b2[:, b], float(vals[b])])
     resid = z - sum((p[1] for p in pieces), np.zeros(n))
     rnorm = float(np.sqrt(resid @ resid))
     hi = sum(p[2] for p in pieces)
@@ -261,126 +288,30 @@ def _split(body, static, v_mat, owner, sol, z):
     return hi, pieces
 
 
-def _dual_nlp(body: HullBody, z: np.ndarray, y0: np.ndarray):
-    """Numerically maximize <z, y> over the dual body {h_K(y) <= 1}.
-
-    Sign-symmetric bodies reduce to the positive orthant aligned with z;
-    otherwise y splits as p - q with p, q >= 0, which represents the
-    same feasible set because every row is monotone in |y|.  The result
-    is a search direction only: callers certify it through the exact
-    support function, so residual solver infeasibility cannot leak into
-    the reported bounds.
-    """
-    n = body.dim
-    lin_rows = []
-    quads = []
-    segs = []
-    ub_abs = np.full(n, np.inf)
-    for comp in body.components:
-        if isinstance(comp, SignedPoints):
-            if comp.unconditional:
-                lin_rows.extend(np.abs(g) for g in comp.points)
-            else:
-                segs.extend(comp.points)
-        else:
-            sup = np.arange(n) if comp.support is None else comp.support
-            if comp.p == 1.0:
-                ub_abs[sup] = np.minimum(ub_abs[sup], 1.0 / comp.radius)
-            elif comp.p == math.inf:
-                # h(y) = r * sum_S |y_i| for the radius-r inf-ball
-                row = np.zeros(n)
-                row[sup] = comp.radius
-                lin_rows.append(row)
-            else:
-                quads.append((sup, 1.0 / comp.radius**2))
-
-    sym = not segs
-    if sym:
-        s = np.where(z >= 0.0, 1.0, -1.0)
-        c = np.abs(z)
-        to_y = lambda u: s * u
-        hi_bnd = np.where(np.isfinite(ub_abs), ub_abs, np.inf)
-        bounds = [(0.0, b if math.isfinite(b) else None) for b in ub_abs]
-        mats = [np.stack(lin_rows)] if lin_rows else []
-        w0 = np.clip(np.abs(y0), 0.0, hi_bnd)
-    else:
-        c = np.concatenate([z, -z])
-        to_y = lambda w: w[:n] - w[n:]
-        hi_bnd = np.where(np.isfinite(ub_abs), ub_abs, np.inf)
-        bounds = [(0.0, b if math.isfinite(b) else None) for b in ub_abs] * 2
-        mats = []
-        if lin_rows:
-            r_abs = np.stack(lin_rows)
-            mats.append(np.concatenate([r_abs, r_abs], axis=1))
-        if segs:
-            g_mat = np.stack(segs)
-            g_w = np.concatenate([g_mat, -g_mat], axis=1)
-            mats.append(np.concatenate([g_w, -g_w], axis=0))
-        w0 = np.concatenate(
-            [
-                np.clip(np.maximum(y0, 0.0), 0.0, hi_bnd),
-                np.clip(np.maximum(-y0, 0.0), 0.0, hi_bnd),
-            ]
-        )
-
-    cons = []
-    if mats:
-        rows = np.concatenate(mats, axis=0)
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": lambda w, rows=rows: 1.0 - rows @ w,
-                "jac": lambda w, rows=rows: -rows,
-            }
-        )
-    for sup, rr in quads:
-        if sym:
-
-            def f(u, sup=sup, rr=rr):
-                v = u[sup]
-                return rr - v @ v
-
-            def j(u, sup=sup):
-                g = np.zeros(u.size)
-                g[sup] = -2.0 * u[sup]
-                return g
-
-        else:
-
-            def f(w, sup=sup, rr=rr):
-                v = w[:n][sup] - w[n:][sup]
-                return rr - v @ v
-
-            def j(w, sup=sup):
-                g = np.zeros(w.size)
-                v = w[:n][sup] - w[n:][sup]
-                g[sup] = -2.0 * v
-                g[n + sup] = 2.0 * v
-                return g
-
-        cons.append({"type": "ineq", "fun": f, "jac": j})
-
-    res = minimize(
-        lambda w: -float(c @ w),
-        w0,
-        jac=lambda w: -c,
-        bounds=bounds,
-        constraints=cons,
-        method="SLSQP",
-        options={"maxiter": 400, "ftol": 1e-14},
-    )
-    if not np.all(np.isfinite(res.x)):
-        return None
-    return to_y(res.x)
+def _certify(body, static, x, z, xs, zs):
+    """(lo, y, hi, pieces) of the unit point z = x / |x| from a primal
+    iterate xs and a dual iterate zs of the cone program: y = (y_T, with
+    sign(z_i) u_i off T) normalized by h_K(y), and hi from _split."""
+    prog, touched = static["prog"], static["touched"]
+    t = int(touched.sum())
+    n_v, n_seg = static["V"].shape[1], static["G"].shape[1]
+    y = np.where(touched, 0.0, np.sign(z)) * xs[t:]
+    y[touched] = xs[:t]
+    h = support_function(body, y)
+    lo = float(x @ y) / h if h > 0.0 else -math.inf
+    seg = zs[n_v : n_v + n_seg] - zs[n_v + n_seg : n_v + 2 * n_seg]
+    b2 = np.abs(prog.cone_vectors(zs)[t:])
+    hi, pieces = _split(body, static, seg, np.maximum(zs[:n_v], 0.0), b2, z)
+    return lo, (y / h if h > 0.0 else y), hi, pieces
 
 
 def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeResult:
     """Certified gauge bracket of x with respect to body.
 
-    Raises GaugeToleranceError (carrying the best lo/hi) if the relative
-    gap cannot be closed within max_rounds column-generation rounds, and
-    GaugeSolverError (carrying the solver status and the best lo/hi) if
-    the LP solver stops without an optimum.
+    rounds counts interior-point iterations.  Raises GaugeToleranceError
+    (carrying the best lo/hi) if the relative gap cannot be closed within
+    max_rounds of them, and GaugeSolverError (carrying the solver status
+    and the best lo/hi) if the iteration breaks down.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (body.dim,):
@@ -393,7 +324,7 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
     z = x / scale
 
     # closed forms run on x itself: they are scale-free ratios, and body
-    # vertices then come out exact; only the LP works on the unit vector z
+    # vertices then come out exact; only the solver works on the unit z
     hi_best, j_best = _best_single_component(body, x)
     pieces_best = [[j_best, x.copy(), hi_best]] if math.isfinite(hi_best) else []
     lo_best, y_best = _dual_candidates(body, x)
@@ -416,117 +347,43 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
     if math.isfinite(hi_best) and gap_ok():
         return finish(0)
 
-    static = _covering_lp(body)
-    b2_owner = static["b2_owner"]
-    b2_index = {j: b for b, j in enumerate(b2_owner)}
-    atoms, atom_owner, seen = [], [], set()
+    static = _cone_program(body)
+    prog, touched = static["prog"], static["touched"]
+    c = np.concatenate([z[touched], np.where(touched, 0.0, np.abs(z))])
+    try:
+        for rounds, xs, ss, zs, rel in iterates(prog, c, max_rounds):
+            if rel > _POLISH_REL:
+                continue
+            cands = [polish(prog, c, xs, ss, zs)]
+            if rel <= tol:
+                cands.append((xs, zs))
+            for cand in filter(None, cands):
+                lo, y, hi, pieces = _certify(body, static, x, z, *cand)
+                if lo > lo_best:
+                    lo_best, y_best = lo, y
+                if hi * scale < hi_best:
+                    hi_best = hi * scale
+                    pieces_best = [[j, vec * scale, val * scale] for j, vec, val in pieces]
+            if gap_ok():
+                return finish(rounds)
+    except ConeError as exc:
+        raise GaugeSolverError(
+            f"gauge solver failed (status {exc.status})", exc.status, lo_best, hi_best
+        ) from exc
+    raise GaugeToleranceError(
+        f"tolerance not reached: lo={lo_best:.12g}, hi={hi_best:.12g}, tol={tol}",
+        lo_best,
+        hi_best,
+    )
 
-    def ball2_norms(y):
-        return static["b2_radius"] * np.sqrt(static["b2_mask"] @ (y * y))
 
-    def push_atom(b, y_src):
-        # the atom r |y_S| / ||y_S|| of the b-th Ball(2): the column whose
-        # dual constraint r <|y|, d> <= 1 is most violated by y
-        d = np.abs(y_src) * static["b2_mask"][b]
-        nrm = float(np.sqrt(d @ d))
-        if nrm <= 0.0:
-            return False
-        d /= nrm
-        key = (b, tuple(np.round(d, 12)))
-        if key in seen:
-            return False
-        seen.add(key)
-        atoms.append(static["b2_radius"][b] * d)
-        atom_owner.append(b2_owner[b])
-        return True
+def __getattr__(name):
+    # bench/tracer.py still wraps scipy's linprog and minimize where this
+    # module used to bind them; resolve just those two names on demand so
+    # that untraced runs never import scipy.  Goes away with the tracer
+    # rewrite of ROADMAP item 3.
+    if name in ("linprog", "minimize"):
+        import scipy.optimize
 
-    if b2_owner:
-        # seed atoms only for the balls active at the dual optimum: seeding
-        # every ball of a cap body bloats the LP and can stall the solver
-        active = []
-        y0 = y_best if np.any(y_best != 0.0) else z
-        y_nlp = _dual_nlp(body, z, y0)
-        if y_nlp is not None and np.all(np.isfinite(y_nlp)):
-            h = support_function(body, y_nlp)
-            if h > 0.0:
-                cand = float(x @ y_nlp) / h
-                if cand > lo_best:
-                    lo_best, y_best = cand, y_nlp / h
-                active = np.nonzero(ball2_norms(y_nlp / h) >= 1.0 - 1e-3)[0]
-        if len(active):
-            for b in active:
-                push_atom(b, y_nlp)
-        else:
-            for b in range(len(b2_owner)):
-                push_atom(b, z)
-
-    n = body.dim
-    g_mat, touched = static["G"], static["touched"]
-    rows_a, rows_b = touched | (z > 0.0), touched | (z < 0.0)
-    n_a = int(rows_a.sum())
-    b_ub = np.concatenate([-z[rows_a], z[rows_b]])
-    for rounds in range(1, max_rounds + 1):
-        v_mat = np.hstack([static["V"], np.stack(atoms, axis=1)]) if atoms else static["V"]
-        a_ub = np.vstack(
-            [
-                np.hstack([-g_mat[rows_a], g_mat[rows_a], -v_mat[rows_a]]),
-                np.hstack([g_mat[rows_b], -g_mat[rows_b], -v_mat[rows_b]]),
-            ]
-        )
-        res = linprog(
-            np.ones(a_ub.shape[1]),
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            raise GaugeSolverError(
-                f"gauge LP failed (status {res.status}): {res.message}",
-                res.status,
-                lo_best,
-                hi_best,
-            )
-
-        hi_lp, pieces_lp = _split(
-            body, static, v_mat, static["owner"] + atom_owner, res.x, z
-        )
-        if hi_lp * scale < hi_best:
-            hi_best = hi_lp * scale
-            pieces_best = [[j, vec * scale, val * scale] for j, vec, val in pieces_lp]
-
-        # y = dual of z in  -Gc - V lam <= -z  and  Gc - V lam <= z
-        marg = np.asarray(res.ineqlin.marginals, dtype=float)
-        y_raw = np.zeros(n)
-        y_raw[rows_a] -= marg[:n_a]
-        y_raw[rows_b] += marg[n_a:]
-        h = support_function(body, y_raw)
-        if h > 0.0:
-            cand = float(x @ y_raw) / h
-            if cand > lo_best:
-                lo_best, y_best = cand, y_raw / h
-
-        if gap_ok():
-            break
-
-        added = False
-        for b in np.nonzero(ball2_norms(y_raw) > 1.0 + 1e-12)[0]:
-            added |= push_atom(b, y_raw)
-        # the mixture direction of the Euclidean piece in the current
-        # decomposition is the exact column the restricted LP is missing
-        for j, vec, val in pieces_lp:
-            if j in b2_index and val > 1e-15:
-                added |= push_atom(b2_index[j], vec)
-        if not added:
-            break
-    else:
-        rounds = max_rounds
-
-    if not gap_ok():
-        raise GaugeToleranceError(
-            f"tolerance not reached: lo={lo_best:.12g}, "
-            f"hi={hi_best:.12g}, tol={tol}",
-            lo_best,
-            hi_best,
-        )
-    return finish(rounds)
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -269,7 +269,9 @@ def profile_cell(profile: np.ndarray, tau: float) -> tuple:
     """
     lt = math.log(tau)
     idx = np.floor((np.asarray(profile, dtype=float) + 2.0 * lt) / lt)
-    return tuple(int(i) for i in idx)
+    if not np.all(np.isfinite(idx)):
+        raise ValueError("profile entries must be finite")
+    return tuple(idx.astype(np.int64).tolist())
 
 
 @dataclass

@@ -2,6 +2,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -332,13 +334,10 @@ def test_numeric_failures_use_their_own_exit_code(tmp_path, monkeypatch):
 
 def test_gauge_solver_failure_exits_numeric_and_names_the_status(tmp_path, monkeypatch,
                                                                  capsys):
-    import bmbodies.gauge
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    class Stalled:
-        status = 4
-        message = "model_status is Unknown"
-
-    monkeypatch.setattr(bmbodies.gauge, "linprog", lambda *a, **k: Stalled())
+    monkeypatch.setattr(np.linalg, "cholesky", singular)
     cfg = _cfg(
         tmp_path,
         {
@@ -349,7 +348,36 @@ def test_gauge_solver_failure_exits_numeric_and_names_the_status(tmp_path, monke
     )
     out = str(tmp_path / "stall")
     assert cli.main(["gauge", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
-    assert "status 4" in capsys.readouterr().err
+    assert "status factorization-failed" in capsys.readouterr().err
+
+
+def test_gauge_command_never_imports_scipy(tmp_path):
+    cfg = _cfg(
+        tmp_path,
+        {
+            "command": "gauge",
+            "workers": 1,
+            "params": {"n": 16, "delta": 0.25, "n_subsets": 40, "kind": "cap",
+                       "count": 1, "points": 2},
+        },
+    )
+    out = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "from bmbodies import cli\n"
+        f"code = cli.main(['gauge', '--config', {cfg!r}, '--out', {out!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(_read_records(out, "gauge")) == 2
 
 
 def test_unusable_out_path_is_validation(tmp_path, capsys):

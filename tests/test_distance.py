@@ -243,6 +243,47 @@ def test_op_norm_repeat_call_is_served_by_the_gauge_memo(monkeypatch):
     assert np.array_equal(second.witness, first.witness)
 
 
+def test_op_norm_gauges_one_point_per_sign_pair(monkeypatch):
+    # hull bodies are symmetric, so gauge(-x) = gauge(x): after x, the memo
+    # serves -x on the same body and tol
+    bodies = _model_bodies(2, substream(34, "test/pairs"))
+    t = np.random.default_rng(3).normal(size=(8, 8))
+    real = distance.gauge
+
+    def recorder(seen):
+        def recording(body, x, tol=1e-6, **kwargs):
+            seen.append((id(body), tol, np.array(x)))
+            return real(body, x, tol=tol, **kwargs)
+
+        return recording
+
+    def negations(seen):
+        return sum(
+            any(b == b0 and tol == t0 and np.array_equal(-x, x0) for b0, t0, x0 in seen[:i])
+            for i, (b, tol, x) in enumerate(seen)
+        )
+
+    seen = []
+    monkeypatch.setattr(distance, "gauge", recorder(seen))
+    res = op_norm(t, bodies[0], bodies[1])
+    assert seen and negations(seen) == 0
+
+    # the same op_norm with every point gauged afresh asks for negations
+    # and gives the same bracket and witness value
+    def fresh_gauge(k2, x, tol):
+        g = distance.gauge(k2, x, tol=tol)
+        return g.lo, g.hi
+
+    plain = []
+    fresh_bodies = _model_bodies(2, substream(34, "test/pairs"))
+    monkeypatch.setattr(distance, "gauge", recorder(plain))
+    monkeypatch.setattr(distance, "_gauge", fresh_gauge)
+    ref = op_norm(t, fresh_bodies[0], fresh_bodies[1])
+    assert negations(plain) > 0
+    assert (res.lo, res.hi) == (ref.lo, ref.hi)
+    assert real(bodies[1], t @ res.witness).lo == real(bodies[1], t @ ref.witness).lo
+
+
 def test_guided_points_attain_the_best_probe_score_over_all_vertices():
     rng = np.random.default_rng(5)
     n = 10

@@ -108,6 +108,25 @@ def test_profile_cell_floor_edges():
     assert profile_cell(prof, tau) == (0, 1, 1)
 
 
+def test_profile_cell_matches_the_generator_loop():
+    rng = np.random.default_rng(8)
+    for tau in (1.5, 2.0, 3.7):
+        lt = math.log(tau)
+        # half the entries sit exactly on cell edges, where floor decides
+        edges = (rng.integers(-40, 40, size=500) - 2) * lt
+        prof = np.where(rng.random(500) < 0.5, edges, rng.normal(scale=20.0, size=500))
+        ref = tuple(int(i) for i in np.floor((prof + 2.0 * lt) / lt))
+        cell = profile_cell(prof, tau)
+        assert cell == ref
+        assert all(type(i) is int for i in cell)
+
+
+def test_profile_cell_refuses_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            profile_cell(np.array([0.0, bad, 1.0]), 2.0)
+
+
 def test_build_net_groups_equal_profiles():
     tau = 2.0
     bodies = [lp_body(3, 1.0), lp_body(3, 2.0), lp_body(3, math.inf), lp_body(3, 1.0)]
