@@ -71,47 +71,8 @@ EXIT_NUMERIC = 3
 
 BLOCK_TRIALS = 4096
 
-COMMANDS = ("sample", "gauge", "conc", "dist", "separate", "net")
 FORMATS = ("jsonl", "csv", "svg")
 SVG_COMMANDS = ("conc", "separate")
-
-CONSTANT_NAMES = ("c", "c0", "c1", "c2", "C")
-
-_TOP_KEYS = {"command", "seed", "workers", "format", "out", "constants", "params"}
-
-# required and optional (with defaults) params per command
-_SCHEMAS = {
-    "sample": ({"n", "delta", "n_subsets", "count"}, {"kind": "subset"}),
-    "gauge": (
-        {"n", "delta", "n_subsets", "count", "points"},
-        {"kind": "subset", "tol": 1e-6},
-    ),
-    "conc": (
-        {"n", "trials", "statistic"},
-        {
-            "delta": None,
-            "m": None,
-            "matrix": "identity",
-            "diag": None,
-            "thresholds": None,
-            "replicates": 1,
-        },
-    ),
-    "dist": (
-        {"n", "delta", "n_subsets"},
-        {"kind": "subset", "n_diag": 8, "refine": True},
-    ),
-    "separate": (
-        {"n", "delta", "n_subsets", "bodies"},
-        {"kind": "subset", "threshold": 2.0, "bins": 16, "max_pairs": None,
-         "n_diag": 8, "refine": False},
-    ),
-    "net": (
-        {"n"},
-        {"tau": None, "t": None, "p_values": None, "samples": 10**4,
-         "cap": 10**6},
-    ),
-}
 
 _STATISTICS = ("quadratic", "small_ball", "large_deviation")
 _MATRIX_KINDS = ("identity", "e11", "diag", "gaussian")
@@ -141,90 +102,158 @@ def _is_num(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
-def _validate_params(command: str, params: dict, errors: list) -> dict:
-    required, optional = _SCHEMAS[command]
-    known = required | set(optional)
-    for key in sorted(set(params) - known):
-        errors.append(f"params.{key}: unknown key for command {command!r}")
-    for key in sorted(required - set(params)):
-        errors.append(f"params.{key}: required for command {command!r}")
-    merged = dict(optional)
-    merged.update({k: v for k, v in params.items() if k in known})
+# ---------------------------------------------------------------- key tables
+# A key table maps each key to (default, check).  A key with default
+# _REQUIRED must be given; null means "unset" only where the default is
+# None.  check(value, values) returns an error text or None; it sees the
+# values of the whole table, so a key that only some settings of the
+# others read is refused wherever it would be ignored.
 
-    def need(key, pred, what):
-        v = merged.get(key)
-        if v is not None and not pred(v):
-            errors.append(f"params.{key}: {what}, got {v!r}")
-            return False
-        return v is not None
+_REQUIRED = object()
 
-    need("n", lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
-    if "delta" in known:
-        need("delta", lambda v: _is_num(v) and 0 < v <= 1, "needs a number in (0, 1]")
-    if "n_subsets" in known:
-        need("n_subsets", lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
-    for key in ("count", "points", "trials", "bodies", "replicates", "samples"):
-        if key in known:
-            need(key, lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
-    if "kind" in known:
-        need("kind", lambda v: v in _BODY_KINDS, f"must be one of {_BODY_KINDS}")
-    if "tol" in known:
-        need("tol", lambda v: _is_num(v) and v > 0, "needs a positive number")
 
-    if command == "conc":
-        need("statistic", lambda v: v in _STATISTICS, f"must be one of {_STATISTICS}")
-        need("matrix", lambda v: v in _MATRIX_KINDS, f"must be one of {_MATRIX_KINDS}")
-        if merged.get("m") is None and merged.get("delta") is None:
-            errors.append("params.m: conc needs either m or delta")
-        if merged.get("m") is not None:
-            need("m", lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
-        if merged.get("matrix") == "diag" and not isinstance(merged.get("diag"), list):
-            errors.append("params.diag: matrix kind 'diag' needs a list of numbers")
-        thr = merged.get("thresholds")
-        if thr is not None and (
-            not isinstance(thr, list)
-            or not all(_is_num(v) and v > 0 for v in thr)
-            or any(b <= a for a, b in zip(thr, thr[1:]))
-        ):
-            errors.append("params.thresholds: needs a strictly increasing positive list")
-    if command in ("dist", "separate"):
-        need("n_diag", lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
-        if not isinstance(merged.get("refine"), bool):
-            errors.append(f"params.refine: needs a boolean, got {merged.get('refine')!r}")
-    if command == "separate":
-        need("threshold", lambda v: _is_num(v) and v > 0, "needs a positive number")
-        need("bins", lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
-        mp = merged.get("max_pairs")
-        if mp is not None and not (_is_int(mp) and mp >= 0):
-            errors.append(f"params.max_pairs: needs an integer >= 0, got {mp!r}")
-    if command == "net":
-        if merged.get("tau") is None and merged.get("t") is None:
-            errors.append("params.tau: net needs either tau or t")
-        if merged.get("tau") is not None:
-            need("tau", lambda v: _is_num(v) and v > 1, "needs a number > 1")
-        if merged.get("t") is not None:
-            need("t", lambda v: _is_num(v) and v > 1, "needs a number > 1")
-        pv = merged.get("p_values")
-        if pv is not None:
-            if not isinstance(pv, list) or not pv:
-                errors.append("params.p_values: needs a nonempty list")
-            else:
-                for v in pv:
-                    ok = (_is_num(v) and v >= 1) or v in ("inf", "Infinity")
-                    if not ok:
-                        errors.append(f"params.p_values: bad exponent {v!r}")
-        need("cap", lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
-    return merged
+def _rule(pred, what):
+    return lambda v, p: None if pred(v) else f"{what}, got {v!r}"
+
+
+def _choice(options):
+    return _rule(lambda v: v in options, f"must be one of {options}")
+
+
+def _only_if(cond, why, check):
+    """A key read only where cond(values) holds; elsewhere it stays unset."""
+    return lambda v, p: check(v, p) if cond(p) else (
+        None if v is None else f"is not read {why}")
+
+
+def _unset_or(check):
+    return lambda v, p: None if v is None else check(v, p)
+
+
+def _this_or(other, check):
+    """The first of two alternative keys: it may stay unset only if `other` is set."""
+    return lambda v, p: check(v, p) if v is not None else (
+        None if p[other] is not None else f"set this or params.{other}")
+
+
+_POS_INT = _rule(lambda v: _is_int(v) and v >= 1, "needs an integer >= 1")
+_NAT = _rule(lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
+_POS_NUM = _rule(lambda v: _is_num(v) and v > 0, "needs a positive number")
+_ABOVE_ONE = _rule(lambda v: _is_num(v) and v > 1, "needs a number > 1")
+_FRACTION = _rule(lambda v: _is_num(v) and 0 < v <= 1, "needs a number in (0, 1]")
+_BOOL = _rule(lambda v: isinstance(v, bool), "needs a boolean")
+_NUMBER = _rule(_is_num, "needs a number")
+_MAPPING = _rule(lambda v: isinstance(v, dict), "must be a mapping")
+_THRESHOLDS = _unset_or(_rule(
+    lambda v: isinstance(v, list) and bool(v) and all(_is_num(t) and t > 0 for t in v)
+    and all(a < b for a, b in zip(v, v[1:])),
+    "needs a nonempty strictly increasing list of positive numbers"))
+_P_VALUES = _unset_or(_rule(
+    lambda v: isinstance(v, list) and bool(v) and all(
+        (_is_num(q) and q >= 1) or q in ("inf", "Infinity") for q in v),
+    "needs a nonempty list of exponents >= 1 or 'inf'"))
+
+
+def _conc_m(v, p):
+    top = p["n"] - 1 if _is_int(p["n"]) else math.inf
+    if not (_is_int(v) and 1 <= v <= top):
+        return f"needs an integer in [1, n - 1], got {v!r}"
+
+
+def _conc_delta(v, p):
+    if (err := _FRACTION(v, p)) or not _is_int(p["n"]):
+        return err
+    m = round_half_up(v * p["n"])
+    if not 1 <= m < p["n"]:
+        return f"gives subset size m = {m} outside [1, n - 1]"
+
+
+def _conc_diag(v, p):
+    if not (isinstance(v, list) and all(_is_num(d) for d in v)
+            and (len(v) == p["n"] or not _is_int(p["n"]))):
+        return f"needs a list of n numbers, got {v!r}"
+
+
+_MODEL_KEYS = {
+    "n": (_REQUIRED, _POS_INT),
+    "delta": (_REQUIRED, _FRACTION),
+    "n_subsets": (_REQUIRED, _POS_INT),
+    "kind": ("subset", _choice(_BODY_KINDS)),
+}
+
+# per command: its params table and the constants it reads (default 1.0)
+_TABLES = {
+    "sample": (dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT)), ()),
+    "gauge": (dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT), points=(_REQUIRED, _POS_INT),
+                   tol=(1e-6, _POS_NUM)), ()),
+    "conc": ({
+        "n": (_REQUIRED, _POS_INT),
+        "trials": (_REQUIRED, _POS_INT),
+        "statistic": (_REQUIRED, _choice(_STATISTICS)),
+        "m": (None, _this_or("delta", _conc_m)),
+        "delta": (None, _only_if(lambda p: p["m"] is None, "when params.m is set",
+                                 _unset_or(_conc_delta))),
+        "matrix": ("identity", _choice(_MATRIX_KINDS)),
+        "diag": (None, _only_if(lambda p: p["matrix"] == "diag", "unless matrix is 'diag'",
+                                _conc_diag)),
+        "thresholds": (None, _only_if(lambda p: p["statistic"] != "small_ball",
+                                      "with statistic small_ball", _THRESHOLDS)),
+        "replicates": (1, _POS_INT),
+    }, ("c",)),
+    "dist": (dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(True, _BOOL)), ()),
+    "separate": (dict(_MODEL_KEYS, bodies=(_REQUIRED, _POS_INT), threshold=(2.0, _POS_NUM),
+                      bins=(16, _POS_INT), max_pairs=(None, _unset_or(_NAT)),
+                      n_diag=(8, _NAT), refine=(False, _BOOL)), ("c1",)),
+    "net": ({
+        "n": (_REQUIRED, _POS_INT),
+        "tau": (None, _this_or("t", _ABOVE_ONE)),
+        "t": (None, _only_if(lambda p: p["tau"] is None, "when params.tau is set",
+                             _unset_or(_ABOVE_ONE))),
+        "p_values": (None, _P_VALUES),
+        "samples": (10**4, _POS_INT),
+        "cap": (10**6, _POS_INT),
+    }, ("C",)),
+}
+
+
+def _top_table(command: str) -> dict:
+    formats = FORMATS if command in SVG_COMMANDS else tuple(f for f in FORMATS if f != "svg")
+    return {
+        "command": (command, _rule(lambda v: v == command,
+                                          f"must match the invoked command {command!r}")),
+        "seed": (0, _rule(lambda v: _is_int(v) and 0 <= v < 2**64,
+                          "needs an integer in [0, 2^64)")),
+        "workers": (1, _POS_INT),
+        "format": ("jsonl", _rule(lambda v: v in formats,
+                                  f"must be one of {formats} for {command!r}")),
+        "out": ("results", _rule(lambda v: isinstance(v, str) and v != "",
+                                 "needs a nonempty path")),
+        "constants": ({}, _MAPPING),
+        "params": ({}, _MAPPING),
+    }
+
+
+def _check_keys(table: dict, given: dict, prefix: str, noun: str, command: str,
+                errors: list) -> dict:
+    """Every key of the table with its given value or default, each checked once."""
+    for key in sorted(set(given) - set(table), key=str):
+        errors.append(f"{prefix}.{key}: unknown {noun} for command {command!r}")
+    values = {key: given.get(key, default) for key, (default, _) in table.items()}
+    for key, (_, check) in table.items():
+        if values[key] is _REQUIRED:
+            errors.append(f"{prefix}.{key}: required for command {command!r}")
+        elif (err := check(values[key], values)) is not None:
+            errors.append(f"{prefix}.{key}: {err}")
+    return values
 
 
 def load_config(path: str, command: str, overrides: dict | None = None):
-    """Read and validate a config file against one command's schema.
+    """Read and validate a config file against one command's key tables.
 
-    Returns (ExperimentConfig or None, list of error strings); the list
-    is exhaustive rather than first-error-wins.
+    overrides (seed, workers, format, out) replace the file's values
+    before validation.  Returns (ExperimentConfig or None, list of error
+    strings); the list is exhaustive rather than first-error-wins.
     """
-    overrides = overrides or {}
-    errors: list = []
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -238,84 +267,26 @@ def load_config(path: str, command: str, overrides: dict | None = None):
         doc = {}
     if not isinstance(doc, dict):
         return None, ["config: top level must be a mapping"]
+    if command not in _TABLES:
+        return None, [f"command: unknown command {command!r}"]
 
-    for key in sorted(set(doc) - _TOP_KEYS):
-        errors.append(f"config.{key}: unknown key")
-    if command not in COMMANDS:
-        errors.append(f"command: unknown command {command!r}")
-        return None, errors
-    if "command" in doc and doc["command"] != command:
-        errors.append(
-            f"config.command: file says {doc['command']!r}, invoked as {command!r}"
-        )
-
-    seed = overrides.get("seed", doc.get("seed", 0))
-    if not (_is_int(seed) and 0 <= seed < 2**64):
-        errors.append(f"seed: needs an integer in [0, 2^64), got {seed!r}")
-        seed = 0
-    workers = overrides.get("workers", doc.get("workers", 1))
-    if not (_is_int(workers) and workers >= 1):
-        errors.append(f"workers: needs an integer >= 1, got {workers!r}")
-        workers = 1
-    fmt = overrides.get("format", doc.get("format", "jsonl"))
-    if fmt not in FORMATS:
-        errors.append(f"format: must be one of {FORMATS}, got {fmt!r}")
-    elif fmt == "svg" and command not in SVG_COMMANDS:
-        errors.append(f"format: svg plots exist only for {SVG_COMMANDS}")
-    out_dir = overrides.get("out", doc.get("out", "results"))
-    if not isinstance(out_dir, str) or not out_dir:
-        errors.append(f"out: needs a nonempty path, got {out_dir!r}")
-        out_dir = "results"
-
-    constants = {name: 1.0 for name in CONSTANT_NAMES}
-    raw_constants = doc.get("constants", {})
-    if not isinstance(raw_constants, dict):
-        errors.append("constants: must be a mapping")
-    else:
-        for key in sorted(set(raw_constants) - set(CONSTANT_NAMES)):
-            errors.append(f"constants.{key}: unknown constant")
-        for key, v in raw_constants.items():
-            if key in constants:
-                if _is_num(v):
-                    constants[key] = float(v)
-                else:
-                    errors.append(f"constants.{key}: needs a number, got {v!r}")
-
-    params_doc = doc.get("params", {})
-    if not isinstance(params_doc, dict):
-        errors.append("params: must be a mapping")
-        params_doc = {}
-    params = _validate_params(command, params_doc, errors)
-
-    cap = overrides.get("cap_enumeration")
-    if cap is not None:
-        if command == "net":
-            params["cap"] = cap
-        else:
-            errors.append(f"--cap-enumeration: command {command!r} reads no "
-                          "enumeration budget (only net does)")
-
-    # cross checks that need several fields at once
-    if command == "conc" and not errors:
-        n = params["n"]
-        m = params["m"] if params["m"] is not None else round_half_up(params["delta"] * n)
-        if not 1 <= m < n:
-            errors.append(f"params.m: resolved subset size {m} outside [1, {n - 1}]")
-        else:
-            params["m"] = m
-        if params["matrix"] == "diag" and params["diag"] is not None:
-            if len(params["diag"]) != n or not all(_is_num(v) for v in params["diag"]):
-                errors.append("params.diag: needs exactly n numbers")
-
+    errors: list = []
+    top = _check_keys(_top_table(command), {**doc, **(overrides or {})}, "config", "key",
+                      command, errors)
+    given = {k: v if isinstance(v, dict) else {} for k, v in top.items()}
+    table, constant_names = _TABLES[command]
+    params = _check_keys(table, given["params"], "params", "key", command, errors)
+    constants = _check_keys({name: (1.0, _NUMBER) for name in constant_names},
+                            given["constants"], "constants", "constant", command, errors)
     if errors:
         return None, errors
     cfg = ExperimentConfig(
         command=command,
-        seed=int(seed),
-        workers=int(workers),
-        fmt=fmt,
-        out_dir=out_dir,
-        constants=constants,
+        seed=top["seed"],
+        workers=top["workers"],
+        fmt=top["format"],
+        out_dir=top["out"],
+        constants={name: float(v) for name, v in constants.items()},
         params=params,
         config_hash=hashlib.sha256(raw).hexdigest(),
         raw=raw,
@@ -501,7 +472,8 @@ def _small_ball_payload(est: SmallBallEstimate, constants: dict) -> dict:
 
 def _cmd_conc(cfg: ExperimentConfig):
     p = cfg.params
-    n, m, trials = p["n"], p["m"], p["trials"]
+    n, trials = p["n"], p["trials"]
+    m = p["m"] if p["m"] is not None else round_half_up(p["delta"] * n)
     stat = p["statistic"]
     records = []
     for rep in range(p["replicates"]):
@@ -900,26 +872,16 @@ def main(argv=None) -> int:
         description="random convex body experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _TABLES:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="YAML config path")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--format", default=None, choices=FORMATS)
         sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument(
-            "--cap-enumeration",
-            type=int,
-            default=None,
-            help="override the net profile cap",
-        )
     args = parser.parse_args(argv)
-    overrides = {}
-    for key in ("seed", "out", "format", "workers"):
-        v = getattr(args, key)
-        if v is not None:
-            overrides[key] = v
-    overrides["cap_enumeration"] = args.cap_enumeration
+    overrides = {key: getattr(args, key) for key in ("seed", "out", "format", "workers")
+                 if getattr(args, key) is not None}
     cfg, errors = load_config(args.config, args.command, overrides)
     if errors:
         for err in errors:

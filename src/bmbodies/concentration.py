@@ -270,62 +270,38 @@ def _exceed_counts(stats: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[::-1])[::-1][1:].astype(np.int64)
 
 
-def _quad_stats(a, n, m, count, rng, chunk):
+def _draw(n, m, count, rng, cells, stat):
+    """stat(subsets, signs) over count uniform m-subsets J of {0..n-1},
+    each with a Rademacher sign vector on J.  Trials go in chunks of
+    about 4e6 / cells (cells = array entries one trial touches); each
+    chunk draws its subsets, then its signs."""
+    chunk = max(1, 4_000_000 // max(cells, 1))
+    out = np.empty(count)
+    for done in range(0, count, chunk):
+        c = min(chunk, count - done)
+        subs = sample_subsets(n, m, c, rng)
+        eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
+        out[done : done + c] = stat(subs, eps)
+    return out
+
+
+def _quad_stats(a, n, m, count, rng):
     """Raw restricted quadratic forms eps^T A_JJ eps, count of them."""
-    out = np.empty(count)
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        subs = sample_subsets(n, m, c, rng)
-        eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
-        blocks = a[subs[:, :, None], subs[:, None, :]]
-        out[done : done + c] = np.einsum("ci,cij,cj->c", eps, blocks, eps)
-        done += c
-    return out
+    return _draw(n, m, count, rng, m * m, lambda subs, eps: np.einsum(
+        "ci,cij,cj->c", eps, a[subs[:, :, None], subs[:, None, :]], eps))
 
 
-def _restricted_norms(b, n, m, count, rng, chunk):
+def _restricted_norms(b, n, m, count, rng):
     """Euclidean norms of B R_J eps, count of them."""
-    out = np.empty(count)
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        subs = sample_subsets(n, m, c, rng)
-        eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
-        cols = b[:, subs]  # (n, c, m)
-        img = np.einsum("ncm,cm->cn", cols, eps)
-        out[done : done + c] = np.sqrt(np.einsum("cn,cn->c", img, img))
-        done += c
-    return out
+    def norms(subs, eps):
+        img = np.einsum("ncm,cm->cn", b[:, subs], eps)
+        return np.sqrt(np.einsum("cn,cn->c", img, img))
+    return _draw(n, m, count, rng, n * m, norms)
 
 
-def _quad_chunk(m: int) -> int:
-    return max(1, int(4_000_000 // max(m * m, 1)))
-
-
-def _norm_chunk(n: int, m: int) -> int:
-    return max(1, int(4_000_000 // max(n * m, 1)))
-
-
-def pilot_thresholds(statistic: str, a, n: int, m: int, trials: int, stream) -> np.ndarray:
-    """default_thresholds over the first min(1024, trials) draws of the
-    statistic ("quadratic" or "large_deviation") from the stream."""
-    a = check_matrix(a, square=True)
-    count = min(_PILOT, trials)
-    if statistic == "quadratic":
-        raw = _quad_stats(a, n, m, count, stream, _quad_chunk(m))
-        return default_thresholds(np.abs(raw - (m / n) * float(np.trace(a))))
-    if statistic == "large_deviation":
-        return default_thresholds(_restricted_norms(a, n, m, count, stream, _norm_chunk(n, m)))
-    raise ValueError(f"no pilot for statistic {statistic!r}")
-
-
-def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=None) -> TailCurve:
-    """Tail of |eps^T A_JJ eps - (m/n) tr A| over random (J, eps).
-
-    The centering constant is the exact mean of the restricted form, so
-    the curve's raw moments double as a centering self-check.
-    """
+def _checked(a, n: int, m: int, trials: int, stream) -> np.ndarray:
+    """The inputs every Monte Carlo estimator shares, checked; returns a
+    as a float matrix."""
     a = check_matrix(np.asarray(a, dtype=float), square=True)
     if a.shape[0] != n:
         raise ValueError(f"matrix is {a.shape[0]}x{a.shape[0]}, expected {n}x{n}")
@@ -335,12 +311,35 @@ def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=No
         raise ValueError("trials must be positive")
     if stream is None:
         raise ValueError("a random stream is required")
+    return a
+
+
+def pilot_thresholds(statistic: str, a, n: int, m: int, trials: int, stream) -> np.ndarray:
+    """default_thresholds over the first min(1024, trials) draws of the
+    statistic ("quadratic" or "large_deviation") from the stream."""
+    a = check_matrix(a, square=True)
+    count = min(_PILOT, trials)
+    if statistic == "quadratic":
+        raw = _quad_stats(a, n, m, count, stream)
+        return default_thresholds(np.abs(raw - (m / n) * float(np.trace(a))))
+    if statistic == "large_deviation":
+        return default_thresholds(_restricted_norms(a, n, m, count, stream))
+    raise ValueError(f"no pilot for statistic {statistic!r}")
+
+
+def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=None) -> TailCurve:
+    """Tail of |eps^T A_JJ eps - (m/n) tr A| over random (J, eps).
+
+    The centering constant is the exact mean of the restricted form, so
+    the curve's raw moments double as a centering self-check.
+    """
+    a = _checked(a, n, m, trials, stream)
     center = (m / n) * float(np.trace(a))
     if thresholds is None:
         thresholds = pilot_thresholds("quadratic", a, n, m, trials, stream)
     thresholds = np.asarray(thresholds, dtype=float)
 
-    raw = _quad_stats(a, n, m, trials, stream, _quad_chunk(m))
+    raw = _quad_stats(a, n, m, trials, stream)
     stats = np.abs(raw - center)
     counts = _exceed_counts(stats, thresholds)
 
@@ -365,18 +364,10 @@ def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=No
 
 def mc_small_ball(b, n: int, m: int, trials: int, stream=None) -> SmallBallEstimate:
     """P(|B R_J eps|_2 <= sqrt(m/2n) * |B|_HS) with Wilson interval."""
-    b = check_matrix(np.asarray(b, dtype=float), square=True)
-    if b.shape[0] != n:
-        raise ValueError(f"matrix is {b.shape[0]}x{b.shape[0]}, expected {n}x{n}")
-    if not 1 <= m < n:
-        raise ValueError(f"subset size {m} outside [1, {n - 1}]")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if stream is None:
-        raise ValueError("a random stream is required")
+    b = _checked(b, n, m, trials, stream)
     hs = hs_norm(b)
     threshold = math.sqrt(m / (2 * n)) * hs
-    stats = _restricted_norms(b, n, m, trials, stream, _norm_chunk(n, m))
+    stats = _restricted_norms(b, n, m, trials, stream)
     count = int(np.count_nonzero(stats <= threshold))
     norm = spectral_norm(b)
     shape = (m / n**2) * hs**4 / norm**4 if norm > 0.0 else math.inf
@@ -388,20 +379,12 @@ def mc_small_ball(b, n: int, m: int, trials: int, stream=None) -> SmallBallEstim
 def mc_large_deviation(b, n: int, m: int, trials: int, thresholds=None, stream=None) -> TailCurve:
     """Tail of |B R_J eps|_2; thresholds at or below sqrt(4m/n)*|B|_HS
     are kept in the report but flagged inadmissible for the bound."""
-    b = check_matrix(np.asarray(b, dtype=float), square=True)
-    if b.shape[0] != n:
-        raise ValueError(f"matrix is {b.shape[0]}x{b.shape[0]}, expected {n}x{n}")
-    if not 1 <= m < n:
-        raise ValueError(f"subset size {m} outside [1, {n - 1}]")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if stream is None:
-        raise ValueError("a random stream is required")
+    b = _checked(b, n, m, trials, stream)
     if thresholds is None:
         thresholds = pilot_thresholds("large_deviation", b, n, m, trials, stream)
     thresholds = np.asarray(thresholds, dtype=float)
 
-    stats = _restricted_norms(b, n, m, trials, stream, _norm_chunk(n, m))
+    stats = _restricted_norms(b, n, m, trials, stream)
     counts = _exceed_counts(stats, thresholds)
 
     hs = hs_norm(b)

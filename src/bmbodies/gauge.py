@@ -118,8 +118,13 @@ def component_value(comp, z: np.ndarray, n: int) -> float:
 
 
 def _best_single_component(body: HullBody, z: np.ndarray):
+    # a Ball whose support has fewer coordinates than z has nonzeros
+    # cannot contain a multiple of z: its value is inf, so skip it
+    nnz = int(np.count_nonzero(z))
     best_val, best_idx = math.inf, -1
     for j, comp in enumerate(body.components):
+        if isinstance(comp, Ball) and comp.support is not None and comp.support.size < nnz:
+            continue
         val = component_value(comp, z, body.dim)
         if val < best_val:
             best_val, best_idx = val, j

@@ -274,35 +274,55 @@ def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
         assert summary["matrix"][i][j] == summary["matrix"][j][i] == upper >= 1.0
 
 
+_MODEL = {"n": 6, "delta": 0.5, "n_subsets": 2}
+_CONC = {"n": 6, "m": 2, "trials": 100, "statistic": "quadratic"}
+
+
 @pytest.mark.parametrize(
     "command, params, flags, needle",
     [
         ("separate", {"n": 6, "delta": 0.5, "n_subsets": 2, "bodies": 2, "sign_cutoff": 4},
          [], "params.sign_cutoff"),
-        ("gauge", {"n": 6, "delta": 0.5, "n_subsets": 2, "count": 1, "points": 1},
-         ["--cap-enumeration", "5"], "--cap-enumeration"),
+        ("dist", dict(_MODEL, n_diag=None), [], "params.n_diag"),
         ("dist", {"n": 4, "delta": 0.5, "n_subsets": 2, "mode": "exhaustive"},
          [], "params.mode"),
         ("dist", {"n": 4, "delta": 0.5, "n_subsets": 2, "sign_cutoff": 16},
          [], "params.sign_cutoff"),
-        ("dist", {"n": 4, "delta": 0.5, "n_subsets": 2},
-         ["--cap-enumeration", "5"], "--cap-enumeration"),
+        ("net", {"n": 6, "tau": 2.0}, ["--cap-enumeration", "5"], "--cap-enumeration"),
+        ("sample", dict(_MODEL, count=None), [], "params.count"),
+        ("sample", dict(_MODEL, count=1, kind=None), [], "params.kind"),
+        ("conc", dict(_CONC, n=None), [], "params.n"),
+        ("conc", dict(_CONC, matrix=None), [], "params.matrix"),
+        ("gauge", dict(_MODEL, count=1, points=1, tol=None), [], "params.tol"),
+        ("conc", _CONC, [], "constants.c0"),
+        ("gauge", dict(_MODEL, count=1, points=1), [], "constants.c1"),
+        ("conc", dict(_CONC, delta=0.5), [], "params.delta"),
+        ("net", {"n": 6, "tau": 2.0, "t": 3.0}, [], "params.t"),
+        ("conc", dict(_CONC, matrix="identity", diag=[1.0] * 6), [], "params.diag"),
+        ("conc", dict(_CONC, statistic="small_ball", thresholds=[0.5, 1.0]), [],
+         "params.thresholds"),
     ],
 )
 def test_settings_that_reach_no_code_are_rejected(tmp_path, capsys, command, params, flags,
                                                    needle):
-    cfg = _cfg(tmp_path, {"command": command, "params": params})
+    doc = {"command": command, "params": params}
+    if needle.startswith("constants."):  # the config sets the constant the needle names
+        doc["constants"] = {needle.split(".")[1]: 1.0}
+    cfg = _cfg(tmp_path, doc)
     out = str(tmp_path / "out")
-    code = cli.main([command, "--config", cfg, "--out", out] + flags)
+    try:
+        code = cli.main([command, "--config", cfg, "--out", out] + flags)
+    except SystemExit as exc:  # argparse refuses unknown flags itself
+        code = exc.code
     assert code == cli.EXIT_VALIDATION
     assert needle in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
 def test_net_enumeration_cap_refusal(tmp_path, capsys):
-    cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 10, "tau": 2.0}})
+    cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 10, "tau": 2.0, "cap": 100}})
     out = str(tmp_path / "net")
-    code = cli.main(["net", "--config", cfg, "--out", out, "--cap-enumeration", "100"])
+    code = cli.main(["net", "--config", cfg, "--out", out])
     assert code == cli.EXIT_VALIDATION
     assert "run rejected" in capsys.readouterr().err
 
