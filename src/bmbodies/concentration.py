@@ -145,6 +145,8 @@ class TailCurve:
     def bound_values(self, c: float) -> np.ndarray:
         if c < 0:
             raise ValueError("bound constant must be nonnegative")
+        if c == 0:  # 0 * inf = 0: a shape that never binds still gives the prefactor
+            return np.full(self.shape.shape, float(self.prefactor))
         with np.errstate(over="ignore"):
             return self.prefactor * np.exp(-c * self.shape)
 
@@ -229,6 +231,8 @@ class SmallBallEstimate:
     def bound_value(self, c: float) -> float:
         if c < 0:
             raise ValueError("bound constant must be nonnegative")
+        if c == 0:  # 0 * inf = 0, as in TailCurve.bound_values
+            return float(self.prefactor)
         return self.prefactor * math.exp(-c * self.shape)
 
     def fitted_c(self, conservative: bool = False) -> float:

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -98,12 +98,15 @@ class SymmetricBody:
                 return a.sum(axis=1)
             if p == 2.0:
                 return np.sqrt((a * a).sum(axis=1))
-            # scale out the row max so large exponents cannot overflow
+            # scale out the row max so large exponents cannot overflow;
+            # a is already a private copy, so scale and power it in place
             m = a.max(axis=1)
             out = np.zeros(a.shape[0])
             pos = m > 0.0
-            scaled = a[pos] / m[pos, None]
-            out[pos] = m[pos] * (scaled**p).sum(axis=1) ** (1.0 / p)
+            scaled = a if pos.all() else a[pos]  # copy only if a row is all zero
+            np.divide(scaled, m[pos, None], out=scaled)
+            np.power(scaled, p, out=scaled)
+            out[pos] = m[pos] * scaled.sum(axis=1) ** (1.0 / p)
             return out
         srt = np.sort(a, axis=1)[:, ::-1]
         if self.kind == "top_k":
@@ -182,6 +185,7 @@ class StepFamily:
     levels: int
     maps: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _norms: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -194,16 +198,28 @@ class StepFamily:
         got = self._cache.get(key)
         if got is not None:
             return got
+        # coordinate j sits on level 1 + #{steps below j}; past the last
+        # step that count is `levels`, which the table maps to zero
         coords = np.arange(1, self.n + 1)
-        v = np.zeros((self.count, self.n))
-        prev = np.zeros(self.count, dtype=np.int64)
-        for lvl in range(1, self.levels + 1):
-            cur = self.maps[:, lvl - 1]
-            mask = (coords[None, :] > prev[:, None]) & (coords[None, :] <= cur[:, None])
-            v[mask] = float(tau) ** (-lvl)
-            prev = cur
+        level = np.zeros((self.count, self.n), dtype=np.min_scalar_type(self.levels))
+        for step in self.maps.T:
+            level += step[:, None] < coords
+        table = np.array([key ** (-lvl) for lvl in range(1, self.levels + 1)] + [0.0])
+        v = table[level]
         self._cache[key] = v
         return v
+
+    def norms(self, body: SymmetricBody, tau: float) -> np.ndarray:
+        """Norms of body over every block vector at tau, evaluated once
+        per (body, tau) and shared read-only by profiles and pair
+        certificates."""
+        key = (body, float(tau))
+        got = self._norms.get(key)
+        if got is None:
+            got = body.norm_many(self.block_vectors(tau))
+            got.flags.writeable = False
+            self._norms[key] = got
+        return got
 
 
 def enumerate_steps(n: int, levels: int, cap: int = PROFILE_CAP) -> StepFamily:
@@ -216,9 +232,10 @@ def enumerate_steps(n: int, levels: int, cap: int = PROFILE_CAP) -> StepFamily:
         raise ValueError(
             f"step family has {total} members, above the cap {cap}"
         )
-    maps = np.array(
-        list(combinations_with_replacement(range(1, n + 1), levels)),
+    maps = np.fromiter(
+        chain.from_iterable(combinations_with_replacement(range(1, n + 1), levels)),
         dtype=np.int64,
+        count=total * levels,
     ).reshape(total, levels)
     return StepFamily(n=n, levels=levels, maps=maps)
 
@@ -246,7 +263,7 @@ def log_profile(body: SymmetricBody, family: StepFamily, tau: float) -> np.ndarr
     """
     if body.dim != family.n:
         raise ValueError("body and family dimensions differ")
-    norms = body.norm_many(family.block_vectors(tau))
+    norms = family.norms(body, tau)
     if not np.all(norms > 0.0):
         raise AssertionError("block vector with zero norm; not a norm")
     prof = np.log(norms)
@@ -389,9 +406,8 @@ def certify_pair(
     tau_f = float(tau)
     if not tau_f > 1.0:
         raise ValueError(f"tau must exceed 1, got {tau}")
-    vecs = family.block_vectors(tau_f)
-    phi_k = k_body.norm_many(vecs)
-    phi_d = d_body.norm_many(vecs)
+    phi_k = family.norms(k_body, tau_f)
+    phi_d = family.norms(d_body, tau_f)
     over = phi_k > tau_f * phi_d
     under = phi_d > tau_f * phi_k
     bad = over | under
@@ -464,7 +480,7 @@ def net_to_text(net: SymmetricNet) -> str:
         f"profiles={net.profile_count} cells={net.cell_count}"
     ]
     for cell, body in net.cell_reps:
-        idx = ",".join(str(i) for i in cell)
+        idx = str(list(cell))[1:-1].replace(" ", "")
         lines.append(f"cell {idx} rep {body.tag()}")
     return "\n".join(lines) + "\n"
 

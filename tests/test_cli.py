@@ -1,9 +1,11 @@
 """Command line behavior: validation, determinism, formats, exit codes."""
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import yaml
 from bmbodies import cli
 from bmbodies.distance import CertificationError, separation_scale
 from bmbodies.linalg import PigeonholeError
+from bmbodies.symnet import SymmetricBody
 
 
 def _cfg(tmp_path, doc, name="cfg.yaml"):
@@ -339,6 +342,45 @@ def test_net_writes_net_text(tmp_path):
     certs = [r for r in recs if r["kind"] == "certificate"]
     assert len(certs) == 3
     assert all(c["payload"]["granted"] for c in certs)
+
+
+def test_net_evaluates_each_body_once_over_the_step_family(tmp_path, monkeypatch):
+    # at n=12, tau=1.5 every lp member is its own representative, so a
+    # member's profile and both sides of its certificate are one body
+    rows_seen = []
+    norm_many = SymmetricBody.norm_many
+
+    def counted(self, x):
+        out = norm_many(self, x)
+        rows_seen.append((self, out.shape[0]))
+        return out
+
+    monkeypatch.setattr(SymmetricBody, "norm_many", counted)
+    cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 12, "tau": 1.5, "samples": 50}})
+    out = str(tmp_path / "net-once")
+    assert cli.main(["net", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    recs = _read_records(out, "net")
+    profiles = recs[0]["payload"]["profile_count"]
+    assert profiles == 167960
+    family_calls = [body for body, rows in rows_seen if rows == profiles]
+    assert len(family_calls) == len(set(family_calls)) == 14
+    assert all(r["payload"]["granted"] for r in recs if r["kind"] == "certificate")
+
+
+def test_conc_on_a_zero_matrix_writes_no_nan(tmp_path):
+    params = dict(_CONC, trials=2000, matrix="diag", diag=[0, 0, 0, 0, 0, 0])
+    cfg = _cfg(tmp_path, {"command": "conc", "params": params})
+    out = str(tmp_path / "conc-zero")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    assert not caught
+    with open(os.path.join(out, "conc-records.jsonl"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "NaN" not in text
+    pl = json.loads(text.splitlines()[0])["payload"]
+    assert pl["fitted_c"] == math.inf and all(s == math.inf for s in pl["shape"])
+    assert pl["bound_at_fit"] == [pl["prefactor"]] * len(pl["shape"])
 
 
 def test_numeric_failures_use_their_own_exit_code(tmp_path, monkeypatch):

@@ -182,3 +182,14 @@ def test_bound_values_dominate_wilson_upper_on_admissible_part():
     bounds = curve.bound_values(c)
     ok = curve.admissible
     assert np.all(bounds[ok] >= curve.wilson_hi[ok] * (1 - 1e-12))
+
+
+def test_bounds_at_zero_constant_are_the_prefactor():
+    # 0 * inf = 0: a shape that never binds gives the prefactor, not NaN
+    curve = TailCurve(thresholds=[0.5, 1.0], counts=[0, 0], trials=10,
+                      shape=[math.inf, 2.0], prefactor=1.0)
+    assert curve.bound_values(0.0).tolist() == [1.0, 1.0]
+    assert curve.bound_values(1.0).tolist() == [0.0, math.exp(-2.0)]
+    est = SmallBallEstimate(count=0, trials=10, threshold=0.1, shape=math.inf)
+    assert est.bound_value(0.0) == 2.0
+    assert est.bound_value(1.0) == 0.0

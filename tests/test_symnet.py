@@ -1,5 +1,6 @@
 """Symmetric-body nets: step families, profiles, cells, certificates."""
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -47,6 +48,60 @@ def test_step_family_count_and_cap():
     assert np.asarray(fam2.maps).shape == (20, 3)
     with pytest.raises(ValueError):
         enumerate_steps(40, 12, cap=10**6)
+
+
+def test_step_maps_match_the_tuple_list():
+    for n, levels in ((1, 1), (1, 7), (3, 2), (5, 4), (12, 3), (6, 9)):
+        ref = np.array(list(combinations_with_replacement(range(1, n + 1), levels)))
+        maps = enumerate_steps(n, levels).maps
+        assert maps.dtype == np.int64 and maps.shape == ref.shape
+        assert np.array_equal(maps, ref)
+    with pytest.raises(ValueError, match="step family has 20 members, above the cap 19"):
+        enumerate_steps(4, 3, cap=19)
+    assert enumerate_steps(4, 3, cap=20).count == 20
+    assert enumerate_steps(4, 3, cap=None).count == 20
+
+
+def test_block_vectors_match_the_mask_loop():
+    for n, tau in ((4, 2.0), (7, 1.5), (12, 1.7), (1, 1.1)):
+        fam = enumerate_steps(n, level_count(n, tau))
+        ref = np.zeros((fam.count, n))
+        coords = np.arange(1, n + 1)
+        prev = np.zeros(fam.count, dtype=np.int64)
+        for lvl in range(1, fam.levels + 1):
+            cur = fam.maps[:, lvl - 1]
+            ref[(coords > prev[:, None]) & (coords <= cur[:, None])] = tau ** (-lvl)
+            prev = cur
+        got = fam.block_vectors(tau)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert fam.block_vectors(tau) is got
+
+
+def test_lp_norms_match_the_out_of_place_expression():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(200, 6)) * np.exp(rng.normal(scale=3.0, size=(200, 1)))
+    x[::7] = 0.0  # all-zero rows take the masked branch
+    for p in (1.25, 3.5, 40.0):
+        for rows in (x, x[1:7]):  # with and without zero rows
+            before = rows.copy()
+            a = np.abs(rows)
+            m = a.max(axis=1)
+            ref = np.zeros(a.shape[0])
+            pos = m > 0.0
+            ref[pos] = m[pos] * ((a[pos] / m[pos, None]) ** p).sum(axis=1) ** (1.0 / p)
+            got = lp_body(6, p).norm_many(rows)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(rows, before)  # the caller's rows are untouched
+    assert np.array_equal(lp_body(6, 3.5).norm_many(np.zeros((3, 6))), np.zeros(3))
+
+
+def test_family_norms_are_evaluated_once_per_body():
+    fam = enumerate_steps(4, 3)
+    first = fam.norms(lp_body(4, 1.5), 2.0)
+    assert fam.norms(lp_body(4, 1.5), 2) is first  # equal body, equal tau
+    assert not first.flags.writeable
+    assert np.array_equal(first, lp_body(4, 1.5).norm_many(fam.block_vectors(2.0)))
+    assert fam.norms(lp_body(4, 1.5), 3.0) is not first
 
 
 def test_quantize_to_grid_floor_semantics():
@@ -146,7 +201,10 @@ def test_build_net_groups_equal_profiles():
 
 def test_net_text_round_trip():
     net = build_net([lp_body(3, p) for p in (1.0, 2.0, np.inf)], 2.0)
-    back = net_from_text(net_to_text(net))
+    text = net_to_text(net)
+    for line, (cell, _) in zip(text.splitlines()[1:], net.cell_reps):
+        assert line.split()[1] == ",".join(str(i) for i in cell)
+    back = net_from_text(text)
     assert back.n == net.n and back.tau == net.tau and back.levels == net.levels
     assert back.cell_reps == net.cell_reps
     assert back.profile_count == net.profile_count
