@@ -361,13 +361,12 @@ def _conc_matrix(kind: str, n: int, diag, seed: int, rep: int) -> np.ndarray:
 def _conc_block(job):
     (seed, rep, idx, stat, mat, n, m, trials, thresholds) = job
     rng = substream(seed, f"conc/{rep}/trial-block/{idx}")
-    a = np.asarray(mat, dtype=float)
     if stat == "small_ball":
-        return mc_small_ball(a, n, m, trials, stream=rng)
+        return mc_small_ball(mat, n, m, trials, stream=rng)
     thr = np.asarray(thresholds, dtype=float)
     if stat == "quadratic":
-        return mc_quadratic_tail(a, n, m, trials, thresholds=thr, stream=rng)
-    return mc_large_deviation(a, n, m, trials, thresholds=thr, stream=rng)
+        return mc_quadratic_tail(mat, n, m, trials, thresholds=thr, stream=rng)
+    return mc_large_deviation(mat, n, m, trials, thresholds=thr, stream=rng)
 
 
 def _gauge_job(job):
@@ -478,7 +477,6 @@ def _cmd_conc(cfg: ExperimentConfig):
     records = []
     for rep in range(p["replicates"]):
         mat = _conc_matrix(p["matrix"], n, p["diag"], cfg.seed, rep)
-        mat_list = _jsonable(mat)
         if stat == "small_ball":
             thresholds = None
         elif p["thresholds"] is not None:
@@ -490,7 +488,7 @@ def _cmd_conc(cfg: ExperimentConfig):
         if trials % BLOCK_TRIALS:
             sizes.append(trials % BLOCK_TRIALS)
         jobs = [
-            (cfg.seed, rep, i, stat, mat_list, n, m, size, thresholds)
+            (cfg.seed, rep, i, stat, mat, n, m, size, thresholds)
             for i, size in enumerate(sizes)
         ]
         parts = _pool_map(_conc_block, jobs, cfg.workers)
@@ -558,6 +556,7 @@ def _cmd_separate(cfg: ExperimentConfig):
         "matrix": [[None if math.isnan(v) else v for v in row] for row in report.matrix.tolist()],
         "pairs_done": len(report.estimates),
         "missing_pairs": report.missing_pairs,
+        "failed_pairs": report.failed_pairs,
         "hist_counts": report.hist_counts,
         "hist_edges": report.hist_edges,
         "threshold": report.threshold,

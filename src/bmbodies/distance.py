@@ -803,7 +803,9 @@ class SeparationOptions:
 @dataclass
 class SeparationReport:
     """Pairwise distance upper bounds for a body family; estimates maps
-    each finished pair (i, j), in pair order, to its BmEstimate."""
+    each finished pair (i, j), in pair order, to its BmEstimate, and
+    failed_pairs lists (i, j, reason) for each pair whose bound could
+    not be certified."""
 
     matrix: np.ndarray
     hist_counts: np.ndarray
@@ -812,16 +814,24 @@ class SeparationReport:
     n_below_threshold: int
     missing_pairs: list = field(default_factory=list)
     estimates: dict = field(default_factory=dict)
+    failed_pairs: list = field(default_factory=list)
 
 
 def _pair_upper(job):
+    """The pair's BmEstimate, or the message of the CertificationError
+    that stopped it."""
     body_i, body_j, opts = job
-    return bm_upper(body_i, body_j, opts)
+    try:
+        return bm_upper(body_i, body_j, opts)
+    except CertificationError as exc:
+        return str(exc)
 
 
 def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) -> SeparationReport:
     """Upper-bound all pairwise distances of the bodies (or the first
-    max_pairs pairs in row order; the rest are marked missing).
+    max_pairs pairs in row order; the rest are marked missing).  A pair
+    that cannot be certified is listed in failed_pairs with its reason,
+    and the other pairs go on.
 
     map_fn(fn, jobs) runs the pair jobs and yields their results in job
     order; jobs and results pickle, so a process pool's map will do.
@@ -832,7 +842,13 @@ def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) ->
     pairs = [(i, j) for i in range(m_bodies) for j in range(i + 1, m_bodies)]
     budget = len(pairs) if opts.max_pairs is None else min(opts.max_pairs, len(pairs))
     jobs = [(bodies[i], bodies[j], opts.bm) for i, j in pairs[:budget]]
-    estimates = dict(zip(pairs[:budget], map_fn(_pair_upper, jobs)))
+    results = zip(pairs[:budget], map_fn(_pair_upper, jobs))
+    estimates, failed = {}, []
+    for (i, j), got in results:
+        if isinstance(got, str):
+            failed.append((i, j, got))
+        else:
+            estimates[i, j] = got
     matrix = np.full((m_bodies, m_bodies), math.nan)
     np.fill_diagonal(matrix, 1.0)
     for (i, j), est in estimates.items():
@@ -856,4 +872,5 @@ def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) ->
         n_below_threshold=int(np.count_nonzero(vals < opts.threshold)),
         missing_pairs=pairs[budget:],
         estimates=estimates,
+        failed_pairs=failed,
     )

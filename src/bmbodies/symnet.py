@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 
@@ -113,6 +114,31 @@ class SymmetricBody:
             return srt[:, : int(self.param)].sum(axis=1)
         return srt @ np.asarray(self.param)
 
+    def family_norms(self, family: StepFamily, tau: float) -> np.ndarray:
+        """Norms of the rows of family.block_vectors(tau), bit for bit,
+        without building them.
+
+        Every block vector takes its entries from the (levels+1)-entry
+        table of tau^-l, so lp norms run norm_many's float operations on
+        the table once and gather the results by the level index.  Each
+        row's max is table[0]: coordinate 1 sits on level 1 in every map.
+        """
+        if family.n != self.dim:
+            raise ValueError("body and family dimensions differ")
+        table = family.level_table(tau)
+        level = family.level_index
+        if self.kind != "lp":
+            return self.norm_many(table[level])
+        p = float(self.param)
+        if math.isinf(p):
+            return np.full(family.count, table[0])
+        if p == 1.0:
+            return table[level].sum(axis=1)
+        if p == 2.0:
+            return np.sqrt((table * table)[level].sum(axis=1))
+        powers = np.power(table / table[0], p)
+        return table[0] * powers[level].sum(axis=1) ** (1.0 / p)
+
     def norm(self, x) -> float:
         return float(self.norm_many(np.asarray(x, dtype=float)[None, :])[0])
 
@@ -191,23 +217,32 @@ class StepFamily:
     def count(self) -> int:
         return self.maps.shape[0]
 
+    @cached_property
+    def level_index(self) -> np.ndarray:
+        """Row per step map: entry j - 1 is #{l : s_l < j}, so coordinate
+        j sits on level 1 + entry; past the last step the entry is
+        `levels`, the index of the table's zero tail."""
+        coords = np.arange(1, self.n + 1)
+        level = np.zeros((self.count, self.n), dtype=np.min_scalar_type(self.levels))
+        for step in self.maps.T:
+            level += step[:, None] < coords
+        level.flags.writeable = False
+        return level
+
+    def level_table(self, tau: float) -> np.ndarray:
+        """tau^-l for l = 1..levels, then 0 for the tail."""
+        tau = float(tau)
+        return np.array([tau ** (-lvl) for lvl in range(1, self.levels + 1)] + [0.0])
+
     def block_vectors(self, tau: float) -> np.ndarray:
         """Row per step map: coordinate block (prev, cur] of level l
         holds tau^-l, everything past the last step is zero."""
         key = float(tau)
         got = self._cache.get(key)
-        if got is not None:
-            return got
-        # coordinate j sits on level 1 + #{steps below j}; past the last
-        # step that count is `levels`, which the table maps to zero
-        coords = np.arange(1, self.n + 1)
-        level = np.zeros((self.count, self.n), dtype=np.min_scalar_type(self.levels))
-        for step in self.maps.T:
-            level += step[:, None] < coords
-        table = np.array([key ** (-lvl) for lvl in range(1, self.levels + 1)] + [0.0])
-        v = table[level]
-        self._cache[key] = v
-        return v
+        if got is None:
+            got = self.level_table(key)[self.level_index]
+            self._cache[key] = got
+        return got
 
     def norms(self, body: SymmetricBody, tau: float) -> np.ndarray:
         """Norms of body over every block vector at tau, evaluated once
@@ -216,7 +251,7 @@ class StepFamily:
         key = (body, float(tau))
         got = self._norms.get(key)
         if got is None:
-            got = body.norm_many(self.block_vectors(tau))
+            got = body.family_norms(self, tau)
             got.flags.writeable = False
             self._norms[key] = got
         return got
@@ -480,8 +515,10 @@ def net_to_text(net: SymmetricNet) -> str:
         f"profiles={net.profile_count} cells={net.cell_count}"
     ]
     for cell, body in net.cell_reps:
-        idx = str(list(cell))[1:-1].replace(" ", "")
-        lines.append(f"cell {idx} rep {body.tag()}")
+        idx = np.array(cell, dtype=np.int64)
+        lo = int(idx.min())
+        text = np.array([str(v) for v in range(lo, int(idx.max()) + 1)], dtype=object)
+        lines.append(f"cell {','.join(text[idx - lo].tolist())} rep {body.tag()}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bmbodies import cli
+from bmbodies import cli, distance
 from bmbodies.distance import CertificationError, separation_scale
 from bmbodies.linalg import PigeonholeError
 from bmbodies.symnet import SymmetricBody
@@ -250,6 +250,34 @@ def test_separate_csv_is_a_symmetric_matrix(tmp_path):
     np.testing.assert_allclose(np.diag(mat), 1.0)
 
 
+def test_separate_lists_an_uncertified_pair_and_goes_on(tmp_path, monkeypatch):
+    bm_upper = distance.bm_upper
+    calls = []
+
+    def fails_on_second_pair(body_a, body_b, opts):
+        calls.append(None)
+        if len(calls) == 2:
+            raise CertificationError("identity forward: component 0, generator 0")
+        return bm_upper(body_a, body_b, opts)
+
+    monkeypatch.setattr(distance, "bm_upper", fails_on_second_pair)
+    cfg = _cfg(
+        tmp_path,
+        {
+            "command": "separate",
+            "params": {"n": 6, "delta": 0.5, "n_subsets": 2, "bodies": 3, "refine": False, "n_diag": 2},
+        },
+    )
+    out = str(tmp_path / "sep-failed")
+    assert cli.main(["separate", "--config", cfg, "--workers", "1", "--out", out]) == cli.EXIT_OK
+    recs = _read_records(out, "separate")
+    summary = recs[0]["payload"]
+    assert summary["failed_pairs"] == [[0, 2, "identity forward: component 0, generator 0"]]
+    assert summary["pairs_done"] == 2 and summary["missing_pairs"] == []
+    assert summary["matrix"][0][2] is None and summary["matrix"][2][0] is None
+    assert [(r["payload"]["i"], r["payload"]["j"]) for r in recs[1:]] == [(0, 1), (1, 2)]
+
+
 def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
     cfg = _cfg(
         tmp_path,
@@ -270,6 +298,7 @@ def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
     assert runs[0] == runs[1]
     summary = runs[0][0][2]
     assert summary["pairs_done"] == 3 and summary["missing_pairs"] == []
+    assert summary["failed_pairs"] == []
     assert summary["predicted_scale"] == separation_scale(1.0, 0.5)
     pairs = {(p["i"], p["j"]): p["upper"] for _, kind, p in runs[0] if kind == "pair"}
     assert list(pairs) == [(0, 1), (0, 2), (1, 2)]
@@ -347,23 +376,30 @@ def test_net_writes_net_text(tmp_path):
 def test_net_evaluates_each_body_once_over_the_step_family(tmp_path, monkeypatch):
     # at n=12, tau=1.5 every lp member is its own representative, so a
     # member's profile and both sides of its certificate are one body
-    rows_seen = []
-    norm_many = SymmetricBody.norm_many
+    family_calls, norm_rows = [], []
+    family_norms, norm_many = SymmetricBody.family_norms, SymmetricBody.norm_many
 
-    def counted(self, x):
-        out = norm_many(self, x)
-        rows_seen.append((self, out.shape[0]))
+    def counted_family(self, family, tau):
+        out = family_norms(self, family, tau)
+        family_calls.append((self, out.shape[0]))
         return out
 
-    monkeypatch.setattr(SymmetricBody, "norm_many", counted)
+    def counted_rows(self, x):
+        out = norm_many(self, x)
+        norm_rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(SymmetricBody, "family_norms", counted_family)
+    monkeypatch.setattr(SymmetricBody, "norm_many", counted_rows)
     cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 12, "tau": 1.5, "samples": 50}})
     out = str(tmp_path / "net-once")
     assert cli.main(["net", "--config", cfg, "--out", out]) == cli.EXIT_OK
     recs = _read_records(out, "net")
     profiles = recs[0]["payload"]["profile_count"]
     assert profiles == 167960
-    family_calls = [body for body, rows in rows_seen if rows == profiles]
-    assert len(family_calls) == len(set(family_calls)) == 14
+    bodies = [body for body, rows in family_calls if rows == profiles]
+    assert len(bodies) == len(family_calls) == len(set(bodies)) == 14
+    assert profiles not in norm_rows  # family norms never go through norm_many
     assert all(r["payload"]["granted"] for r in recs if r["kind"] == "certificate")
 
 

@@ -430,6 +430,24 @@ def test_run_separation_budget_marks_missing_pairs():
     assert rep.hist_counts.sum() == 1
 
 
+def test_run_separation_lists_an_uncertified_pair_and_keeps_the_others(monkeypatch):
+    bodies = _model_bodies(3, substream(11, "sep"))
+    bm_upper = distance.bm_upper
+
+    def fails_on_one_pair(body_a, body_b, opts):
+        if body_a is bodies[0] and body_b is bodies[2]:
+            raise CertificationError("no candidate map produced a certified bound")
+        return bm_upper(body_a, body_b, opts)
+
+    monkeypatch.setattr(distance, "bm_upper", fails_on_one_pair)
+    rep = run_separation(bodies, opts=_LIGHT)
+    assert rep.failed_pairs == [(0, 2, "no candidate map produced a certified bound")]
+    assert list(rep.estimates) == [(0, 1), (1, 2)]
+    assert rep.missing_pairs == []
+    assert np.isnan(rep.matrix[0, 2]) and np.isnan(rep.matrix[2, 0])
+    assert rep.hist_counts.sum() == 2
+
+
 def test_run_separation_is_reproducible():
     a = run_separation(_model_bodies(3, substream(14, "sep")), opts=_LIGHT)
     b = run_separation(_model_bodies(3, substream(14, "sep")), opts=_LIGHT)

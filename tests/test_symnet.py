@@ -19,6 +19,7 @@ from bmbodies.symnet import (
     net_to_text,
     profile_cell,
     quantize_to_grid,
+    SymmetricNet,
     step_norm,
     tau_for_separation,
     top_k_body,
@@ -102,6 +103,29 @@ def test_family_norms_are_evaluated_once_per_body():
     assert not first.flags.writeable
     assert np.array_equal(first, lp_body(4, 1.5).norm_many(fam.block_vectors(2.0)))
     assert fam.norms(lp_body(4, 1.5), 3.0) is not first
+
+
+def test_family_norms_match_norm_many_on_the_block_vectors():
+    for n, tau in ((1, 1.1), (4, 2.0), (7, 1.5), (12, 1.7)):
+        fam = enumerate_steps(n, level_count(n, tau))
+        rows = fam.block_vectors(tau)
+        bodies = [lp_body(n, p) for p in (1.0, 1.25, 2.0, 3.5, 40.0, math.inf)]
+        bodies += [top_k_body(n, max(1, n // 2)), lorentz_body(n, np.linspace(1.0, 0.2, n))]
+        for body in bodies:
+            got = body.family_norms(fam, tau)
+            assert got.shape == (fam.count,)
+            assert np.array_equal(got, body.norm_many(rows)), body.tag()
+    with pytest.raises(ValueError):
+        lp_body(3, 2.0).family_norms(enumerate_steps(4, 2), 2.0)
+
+
+def test_level_index_places_each_coordinate_on_its_level():
+    fam = enumerate_steps(5, 3)
+    idx = fam.level_index
+    assert idx.dtype == np.uint8 and idx.shape == (fam.count, 5)
+    assert not idx.flags.writeable and fam.level_index is idx
+    for s, row in zip(fam.maps, idx):
+        assert row.tolist() == [int(np.sum(s < j)) for j in range(1, 6)]
 
 
 def test_quantize_to_grid_floor_semantics():
@@ -212,6 +236,20 @@ def test_net_text_round_trip():
     assert math.isclose(back.cell_bound, net.cell_bound, rel_tol=1e-12)
     with pytest.raises(ValueError):
         net_from_text("not a net\n")
+
+
+def test_net_text_formats_negative_and_multi_digit_indices():
+    cells = [(-12, 0, 7, 105, -3), (3, 3, 3, 3, 3), (-1, -100, 9, 10, 99)]
+    tau = 2.0
+    net = SymmetricNet(
+        n=3, tau=tau, levels=level_count(3, tau), profile_count=5,
+        cell_reps=[(c, lp_body(3, p)) for c, p in zip(cells, (1.0, 2.5, math.inf))],
+        members={c: [] for c in cells}, cell_bound=0.0, separation_annotation=0.0,
+    )
+    text = net_to_text(net)
+    for line, cell in zip(text.splitlines()[1:], cells):
+        assert line.split()[1] == ",".join(str(i) for i in cell)
+    assert net_from_text(text).cell_reps == net.cell_reps
 
 
 def test_certify_pair_grants_close_bodies():
