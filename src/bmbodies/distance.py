@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 import numpy as np
 
@@ -56,6 +56,7 @@ _DIAG_SPREAD = 0.75
 _REFINE_MAX_DIM = 8
 _REFINE_SWEEPS = 2
 _REFINE_STEPS = (0.5, 0.25, 0.1)
+_RANK_TOL = 1e-3
 
 
 @dataclass
@@ -133,10 +134,11 @@ class EventReport:
 
 
 def _gauge(k2: HullBody, x: np.ndarray, tol: float):
-    """(lo, hi) of gauge_K2(x), memoized on K2 by tol and the bytes of
-    x up to sign (first nonzero entry positive, zeros as +0.0): gauge is
-    a pure function of (body, point, tol), and a hull body is symmetric,
-    so a certified bracket of x is one of -x."""
+    """(lo, hi, dual witness) of gauge_K2(x), memoized on K2 by tol and
+    the bytes of x up to sign (first nonzero entry positive, zeros as
+    +0.0): gauge is a pure function of (body, point, tol), and a hull body
+    is symmetric, so a certified bracket of x is one of -x, and the
+    witness y of either gives |<y, x>| = lo."""
     memo = k2._cache.setdefault("gauge_memo", {})
     nz = np.flatnonzero(x)
     sign = -1.0 if nz.size and x[nz[0]] < 0.0 else 1.0
@@ -144,7 +146,7 @@ def _gauge(k2: HullBody, x: np.ndarray, tol: float):
     hit = memo.get(key)
     if hit is None:
         g = gauge(k2, x, tol=tol)
-        hit = memo[key] = (g.lo, g.hi)
+        hit = memo[key] = (g.lo, g.hi, g.dual_witness)
     return hit
 
 
@@ -291,7 +293,7 @@ def _eval_points_max(t_mat, pts, k2):
     for i in order:
         if hi0 is not None and hi0[i] <= best_lo:
             break
-        g_lo, g_hi = _gauge(k2, t_mat @ pts[i], _GAUGE_TOL)
+        g_lo, g_hi, _ = _gauge(k2, t_mat @ pts[i], _GAUGE_TOL)
         if g_lo > best_lo or witness is None:
             best_lo, witness = g_lo, pts[i]
         best_hi = max(best_hi, g_hi)
@@ -415,7 +417,7 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
             dom_hi = math.inf
             if solid:
                 t_abs = np.abs(t_mat[:, sup])
-                d_lo, dom_hi = _gauge(k2, t_abs @ np.abs(g_vec[sup]), _GAUGE_TOL)
+                d_lo, dom_hi, _ = _gauge(k2, t_abs @ np.abs(g_vec[sup]), _GAUGE_TOL)
                 if np.all(np.count_nonzero(t_abs, axis=1) <= 1):
                     fold(d_lo, dom_hi, np.abs(g_vec))
                     continue
@@ -467,12 +469,12 @@ def _sphere_points(t_mat, probes, comp: Ball) -> np.ndarray:
     return pts
 
 
-def _fast_lo_blocks(body: HullBody) -> list:
-    """The candidate point blocks _fast_lo ranks, in order, cached on the
-    body: an array for the blocks that do not depend on the map (all sign
-    vertices of boxes with at most 10 coordinates, segment and Ball(1)
-    extreme points), else a function of (t_mat, probes)."""
-    cached = body._cache.get("fast_lo_blocks")
+def _rank_blocks(body: HullBody) -> list:
+    """The candidate point blocks _rank_point scores, in order, cached on
+    the body: one array per run of blocks that do not depend on the map
+    (all sign vertices of boxes with at most 10 coordinates, segment and
+    Ball(1) extreme points), else a function of (t_mat, probes)."""
+    cached = body._cache.get("rank_blocks")
     if cached is not None:
         return cached
     n, blocks = body.dim, []
@@ -489,19 +491,26 @@ def _fast_lo_blocks(body: HullBody) -> list:
             blocks.append(partial(_guided_points, gen=_inf_box(comp, n)))
         else:
             blocks.append(partial(_sphere_points, comp=comp))
-    body._cache["fast_lo_blocks"] = blocks
-    return blocks
+    merged = []
+    for fixed, run in groupby(blocks, key=lambda block: isinstance(block, np.ndarray)):
+        merged.extend([np.concatenate(list(run))] if fixed else run)
+    body._cache["rank_blocks"] = merged
+    return merged
 
 
-def _fast_lo(t_mat, k: HullBody, k2: HullBody) -> float:
-    """Cheap lower-bound surrogate for candidate ranking: probe every
-    polytopal extreme-point family (all sign vertices of boxes with at
-    most 10 coordinates, probe-guided ones beyond that and for Ball(inf))
-    plus a couple of sphere directions, full gauge only on the single
-    best probe."""
+def _rank_point(t_mat, k: HullBody, k2: HullBody):
+    """The point x = T p whose gauge ranks the map T from K to K2, and its
+    probe bound max |<y, x>| over the dual probes y of K2.
+
+    p is the first point of highest probe score among the polytopal
+    extreme-point families of K (all sign vertices of boxes with at most
+    10 coordinates, probe-guided ones beyond that and for Ball(inf)) and a
+    couple of sphere directions per Euclidean component.  Every probe has
+    h_K2(y) = 1, so the bound is at most |x|_K2.
+    """
     probes = _dual_probes(k2)
     best_vec, best_score = None, -math.inf
-    for block in _fast_lo_blocks(k):
+    for block in _rank_blocks(k):
         if isinstance(block, np.ndarray):
             pts = block
         else:
@@ -510,9 +519,19 @@ def _fast_lo(t_mat, k: HullBody, k2: HullBody) -> float:
         i = int(np.argmax(scores))
         if scores[i] > best_score:
             best_score, best_vec = scores[i], pts[i]
-    if best_vec is None:
-        return 0.0
-    return _gauge(k2, t_mat @ best_vec, 1e-3)[0]
+    return t_mat @ best_vec, float(best_score)
+
+
+def _rank_floor(bound: float) -> float:
+    """A floor under the ranking lo of a point x from a bound
+    |<y, x>| <= |x|_K with h_K(y) <= 1.
+
+    A ranking gauge stops once hi - lo <= tol * max(hi, 1e-12), and
+    hi >= |x|_K, so lo >= (1 - tol) |x|_K - tol * 1e-12.  The factor
+    1 - 1e-12 on the bound covers the rounding of the normalisation
+    h_K(y) = 1 and of the products that formed the bound.
+    """
+    return max(0.0, (1.0 - _RANK_TOL) * bound * (1.0 - 1e-12) - _RANK_TOL * 1e-12)
 
 
 @dataclass
@@ -558,6 +577,21 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     a cheap lower-bound surrogate and certifies the top candidates with
     full operator-norm upper bounds.  The product norm is invariant
     under scaling of the map, so no scale search is needed.
+
+    The surrogate of a map is the product of two ranking gauges (tol
+    1e-3), forward and inverse, each at the point _rank_point picks.  A
+    refinement trial is accepted only if its surrogate beats the current
+    one by a factor 1 - 1e-9.  Before gauging a trial, each side gets a
+    floor from bounds |<y, x>| <= |x| with h(y) <= 1 that need no gauge:
+    the probe bound of its ranking point, and the dual witnesses of the
+    ranking gauges this call has made on the same target body.  A trial
+    whose floors already fail the acceptance test could not be accepted,
+    so it is skipped without a gauge (see _rank_floor); the search, its
+    log and the bound are those of gauging every trial.  A skipped trial
+    makes no gauge call, so a gauge error it would have raised no longer
+    stops the search.  Which trials are skipped depends only on the
+    bodies and opts: the witness pool lives in this call, and a memo hit
+    returns the witness the gauge returned.
     """
     if k.dim != k2.dim:
         raise ValueError("bodies must share a dimension")
@@ -570,8 +604,41 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
         sv = np.linalg.svd(mat, compute_uv=False)
         return sv[-1] > 1e-12 * max(1.0, sv[0])
 
-    def score(mat):
-        return _fast_lo(mat, k, k2) * _fast_lo(np.linalg.inv(mat), k2, k)
+    # dual witnesses of this call's ranking gauges, as rows, per target
+    pools: dict = {}
+
+    def sides(mat):
+        """(x, probe bound, target) of the forward and inverse ranking points."""
+        return [
+            (*_rank_point(t_mat, src, dst), dst)
+            for t_mat, src, dst in ((mat, k, k2), (np.linalg.inv(mat), k2, k))
+        ]
+
+    def rank_lo(x, dst):
+        lo, _, y = _gauge(dst, x, _RANK_TOL)
+        pool = pools.get(id(dst))
+        pools[id(dst)] = y[None, :] if pool is None else np.vstack([pool, y])
+        return lo
+
+    def floor(x, probe, dst):
+        pool = pools.get(id(dst))
+        bound = probe if pool is None else max(probe, float(np.abs(pool @ x).max()))
+        return _rank_floor(bound)
+
+    def surrogate(mat, bar=math.inf):
+        """The surrogate of mat, or None once floors prove it is >= bar."""
+        (x1, p1, d1), (x2, p2, d2) = sides(mat)
+        # the surrogate is lo1 * lo2 with lo_i >= floor_i (_rank_floor),
+        # and rounding is monotone, so a product of floors (or of lo1 and
+        # floor2) at or above bar proves the surrogate fails s < bar: the
+        # gauges it would take are skipped
+        floor2 = floor(x2, p2, d2)
+        if floor(x1, p1, d1) * floor2 >= bar:
+            return None
+        lo1 = rank_lo(x1, d1)
+        if lo1 * floor2 >= bar:
+            return None
+        return lo1 * rank_lo(x2, d2)
 
     def add(name, mat):
         mat = np.asarray(mat, dtype=float)
@@ -594,7 +661,7 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
 
     scored = []
     for name, mat in cands:
-        s = score(mat)
+        s = surrogate(mat)
         scored.append((s, name, mat))
         log.append({"name": name, "surrogate": s})
     scored.sort(key=lambda item: item[0])
@@ -602,6 +669,15 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     if opts.refine and n <= _REFINE_MAX_DIM and scored:
         base_s, _, base = scored[0]
         scale = float(np.abs(base).max()) or 1.0
+
+        def consider(trial):
+            nonlocal base, base_s, improved
+            if invertible(trial):
+                bar = base_s * (1.0 - 1e-9)
+                s = surrogate(trial, bar)
+                if s is not None and s < bar:
+                    base, base_s, improved = trial, s, True
+
         for _ in range(_REFINE_SWEEPS):
             improved = False
             for i in range(n):
@@ -610,23 +686,12 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
                         for sgn in (1.0, -1.0):
                             trial = base.copy()
                             trial[i, j] += sgn * step * scale
-                            if not invertible(trial):
-                                continue
-                            s = score(trial)
-                            if s < base_s * (1.0 - 1e-9):
-                                base, base_s = trial, s
-                                improved = True
+                            consider(trial)
             rng2 = substream(_STREAM_SEED, "distance/bm/refine")
             for _ in range(4):
                 direction = rng2.standard_normal((n, n))
                 for step in _REFINE_STEPS:
-                    trial = base + step * scale * direction
-                    if not invertible(trial):
-                        continue
-                    s = score(trial)
-                    if s < base_s * (1.0 - 1e-9):
-                        base, base_s = trial, s
-                        improved = True
+                    consider(base + step * scale * direction)
             if not improved:
                 break
         scored.append((base_s, "refined", base))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmbodies.bodies import (
     Ball,
@@ -19,8 +21,11 @@ from bmbodies.distance import (
     CertificationError,
     OpNormResult,
     SeparationOptions,
+    _RANK_TOL,
     _dual_probes,
     _guided_points,
+    _rank_floor,
+    _rank_point,
     bm_upper,
     cap_projection_norms,
     check_one_body,
@@ -272,7 +277,7 @@ def test_op_norm_gauges_one_point_per_sign_pair(monkeypatch):
     # and gives the same bracket and witness value
     def fresh_gauge(k2, x, tol):
         g = distance.gauge(k2, x, tol=tol)
-        return g.lo, g.hi
+        return g.lo, g.hi, g.dual_witness
 
     plain = []
     fresh_bodies = _model_bodies(2, substream(34, "test/pairs"))
@@ -325,6 +330,98 @@ def test_bm_upper_is_scale_invariant():
     a = bm_upper(K, K2)
     b = bm_upper(K, ball_body(3, math.inf, 7.0))
     assert math.isclose(a.upper, b.upper, rel_tol=1e-6)
+
+
+def _model_pair(kind, n, seed):
+    """Two model bodies of the given kind, as the dist command builds them."""
+    params = ModelParams(n=n, delta=0.5, n_subsets=2 * n)
+    out = []
+    for i in range(2):
+        draw = sample_body(params, substream(seed, f"test/pair/{i}"))
+        out.append(cap_body(params, draw.subsets) if kind == "cap" else draw.body)
+    return out
+
+
+_REFINE = BmOptions(n_diag=2, refine=True, certify_top=1)
+
+
+@pytest.mark.parametrize("kind,n,seed", [("subset", 6, 41), ("subset", 8, 42), ("cap", 8, 43)])
+def test_bm_upper_pruning_changes_no_result(monkeypatch, kind, n, seed):
+    calls = _count_gauge_calls(monkeypatch)
+    pruned = bm_upper(*_model_pair(kind, n, seed), _REFINE)
+    n_pruned = len(calls)
+    calls.clear()
+    # a floor of 0 never reaches the acceptance bar: every trial is gauged
+    monkeypatch.setattr(distance, "_rank_floor", lambda bound: 0.0)
+    full = bm_upper(*_model_pair(kind, n, seed), _REFINE)
+    assert (pruned.upper, pruned.norm_fwd, pruned.norm_inv) == (
+        full.upper, full.norm_fwd, full.norm_inv)
+    assert pruned.best_map.tobytes() == full.best_map.tobytes()
+    assert pruned.candidates == full.candidates
+    assert n_pruned < len(calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    kind=st.sampled_from(["subset", "cap"]),
+)
+def test_rank_floor_is_below_the_ranking_lo(seed, n, kind):
+    k, k2 = _model_pair(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    t = np.eye(n) + 0.5 * rng.normal(size=(n, n))
+    x, probe = _rank_point(t, k, k2)
+    lo = gauge(k2, x, tol=_RANK_TOL).lo
+    # a pool of dual witnesses from ranking gauges of nearby maps
+    pool = np.array([
+        gauge(k2, _rank_point(t + 0.1 * rng.normal(size=(n, n)), k, k2)[0],
+              tol=_RANK_TOL).dual_witness
+        for _ in range(3)
+    ])
+    for bound in (probe, float(np.abs(pool @ x).max())):
+        assert (1.0 - _RANK_TOL) * bound * (1.0 - 1e-12) <= lo
+        assert _rank_floor(bound) <= lo
+
+
+def test_bm_upper_skips_the_same_trials_with_a_warm_memo(monkeypatch):
+    real = distance._gauge
+
+    def ranked_points(run):
+        """run()'s result, the ranking gauges it asked for, and how many of
+        them the memo served."""
+        seen, hits = [], 0
+
+        def spy(body, x, tol):
+            nonlocal hits
+            if tol != _RANK_TOL:
+                return real(body, x, tol)
+            seen.append((bodies.index(body), x.tobytes()))
+            size = len(body._cache.get("gauge_memo", {}))
+            out = real(body, x, tol)
+            hits += len(body._cache["gauge_memo"]) == size
+            return out
+
+        monkeypatch.setattr(distance, "_gauge", spy)
+        est = run()
+        monkeypatch.setattr(distance, "_gauge", real)
+        return est, seen, hits
+
+    bodies = _model_pair("subset", 8, 44)
+    fresh, fresh_seen, fresh_hits = ranked_points(lambda: bm_upper(*bodies, _REFINE))
+
+    # the reversed pair ranks the identity's inverse, which is the forward
+    # pair's identity, so it leaves entries in the memo this call reads
+    bodies = _model_pair("subset", 8, 44)
+    bm_upper(bodies[1], bodies[0], _REFINE)
+    warm, warm_seen, warm_hits = ranked_points(lambda: bm_upper(*bodies, _REFINE))
+    again, again_seen, again_hits = ranked_points(lambda: bm_upper(*bodies, _REFINE))
+    assert fresh_hits < warm_hits < again_hits == len(again_seen)
+    assert warm_seen == fresh_seen
+    assert again_seen == fresh_seen
+    for est in (warm, again):
+        assert est.upper == fresh.upper
+        assert est.best_map.tobytes() == fresh.best_map.tobytes()
 
 
 def test_event_scalings():
