@@ -235,20 +235,36 @@ def ball_body(n: int, p, radius: float = 1.0) -> HullBody:
     return HullBody(n, comps)
 
 
+def _subset_family(subsets, n: int) -> np.ndarray:
+    """The family as a (k, m) int64 array, every row checked at once with
+    check_index_set's tests and messages (the first bad row reports)."""
+    subs = np.atleast_2d(np.asarray(subsets, dtype=np.int64))
+    if subs.size == 0:
+        raise ValueError("subset family must be nonempty")
+    if subs.ndim != 2:
+        raise ValueError("index set must be 1-D")
+    out_of_range = (subs[:, 0] < 0) | (subs[:, -1] >= n)
+    bad = out_of_range | np.any(np.diff(subs, axis=1) <= 0, axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if out_of_range[k]:
+            raise ValueError(
+                f"indices must lie in [0, {n}), got range [{subs[k, 0]}, {subs[k, -1]}]"
+            )
+        raise ValueError("indices must be strictly increasing")
+    return subs
+
+
 def subset_body(params: ModelParams, subsets) -> HullBody:
     """Model polytope from a subset family.
 
     Components: the unconditional hull of the subset indicator vectors,
     sqrt(m) B_1 and delta*sqrt(n) B_2.  Duplicate subsets are allowed.
     """
-    subs = np.atleast_2d(np.asarray(subsets, dtype=np.int64))
-    if subs.size == 0:
-        raise ValueError("subset family must be nonempty")
     n = params.n
+    subs = _subset_family(subsets, n)
     gens = np.zeros((subs.shape[0], n))
-    for k, row in enumerate(subs):
-        check_index_set(row, n)
-        gens[k, row] = 1.0
+    np.put_along_axis(gens, subs, 1.0, axis=1)
     comps = [
         SignedPoints(gens, unconditional=True),
         Ball(1.0, math.sqrt(params.m)),
@@ -260,14 +276,9 @@ def subset_body(params: ModelParams, subsets) -> HullBody:
 def cap_body(params: ModelParams, subsets) -> HullBody:
     """Hull of Euclidean caps sqrt(m) B_2 restricted to each subset,
     together with the full ball delta*sqrt(n) B_2."""
-    subs = np.atleast_2d(np.asarray(subsets, dtype=np.int64))
-    if subs.size == 0:
-        raise ValueError("subset family must be nonempty")
     n = params.n
     r_cap = math.sqrt(params.m)
-    comps = []
-    for row in subs:
-        comps.append(Ball(2.0, r_cap, support=check_index_set(row, n)))
+    comps = [Ball(2.0, r_cap, support=row) for row in _subset_family(subsets, n)]
     comps.append(Ball(2.0, params.delta * math.sqrt(n)))
     return HullBody(n, comps)
 

@@ -593,8 +593,8 @@ def _cmd_net(cfg: ExperimentConfig):
                 "levels": net.levels,
                 "profile_count": net.profile_count,
                 "cell_count": net.cell_count,
-                "cell_bound": net.cell_bound,
-                "separation_annotation": net.separation_annotation,
+                "log_log_cell_bound": net.log_log_cell_bound,
+                "log_log_separation": net.log_log_separation,
                 "file": "net.txt",
             },
         )

@@ -275,31 +275,48 @@ def _exceed_counts(stats: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 
 def _draw(n, m, count, rng, cells, stat):
-    """stat(subsets, signs) over count uniform m-subsets J of {0..n-1},
-    each with a Rademacher sign vector on J.  Trials go in chunks of
-    about 4e6 / cells (cells = array entries one trial touches); each
-    chunk draws its subsets, then its signs."""
+    """stat(v) over count trials.  Row t of v is trial t's signed
+    indicator: a uniform m-subset J of {0..n-1} carrying a Rademacher
+    sign vector on J, zero off J.
+
+    Trials go in chunks of about 4e6 / cells (cells = entries of the
+    restricted array a trial would gather); each chunk draws its subsets,
+    then its signs, so the draws depend on cells alone.  Every statistic
+    is one dense matrix product on v: c*n^2 flops for c trials, against
+    the c*m^2 (quadratic) or c*n*m (norms) reads of gathering A_JJ or
+    B[:, J].  On 4096 trials at n = 100 with one BLAS thread the
+    quadratic takes 4.4 ms against the gather's 24 at m = 25, and 6.7
+    against 1.6 at m = 5; it crosses over near m/n = 0.1 (also at n = 200
+    and 400).  The norms win at every m measured (4.0 against 44 ms at
+    m = 25).  v is filled in row slices of at most 4e6 entries.
+    """
     chunk = max(1, 4_000_000 // max(cells, 1))
+    rows = max(1, 4_000_000 // n)
     out = np.empty(count)
     for done in range(0, count, chunk):
         c = min(chunk, count - done)
         subs = sample_subsets(n, m, c, rng)
         eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
-        out[done : done + c] = stat(subs, eps)
+        for lo in range(0, c, rows):
+            hi = min(c, lo + rows)
+            v = np.zeros((hi - lo, n))
+            np.put_along_axis(v, subs[lo:hi], eps[lo:hi], axis=1)
+            out[done + lo : done + hi] = stat(v)
     return out
 
 
 def _quad_stats(a, n, m, count, rng):
-    """Raw restricted quadratic forms eps^T A_JJ eps, count of them."""
-    return _draw(n, m, count, rng, m * m, lambda subs, eps: np.einsum(
-        "ci,cij,cj->c", eps, a[subs[:, :, None], subs[:, None, :]], eps))
+    """Raw restricted quadratic forms eps^T A_JJ eps = v A v^T, count of
+    them: the row sums of (v A) * v."""
+    return _draw(n, m, count, rng, m * m, lambda v: np.einsum("ij,ij->i", v @ a, v))
 
 
 def _restricted_norms(b, n, m, count, rng):
-    """Euclidean norms of B R_J eps, count of them."""
-    def norms(subs, eps):
-        img = np.einsum("ncm,cm->cn", b[:, subs], eps)
-        return np.sqrt(np.einsum("cn,cn->c", img, img))
+    """Euclidean norms of B R_J eps = B v^T, count of them: the row norms
+    of v B^T."""
+    def norms(v):
+        img = v @ b.T
+        return np.sqrt(np.einsum("ij,ij->i", img, img))
     return _draw(n, m, count, rng, n * m, norms)
 
 

@@ -336,8 +336,8 @@ class SymmetricNet:
     profile_count: int
     cell_reps: list  # (cell tuple, SymmetricBody), first-seen order
     members: dict  # cell tuple -> input positions, empty for parsed nets
-    cell_bound: float
-    separation_annotation: float
+    log_log_cell_bound: float
+    log_log_separation: float
     family: StepFamily | None = None  # the profiled step family; None for parsed nets
 
     @property
@@ -345,20 +345,16 @@ class SymmetricNet:
         return len(self.cell_reps)
 
 
-def _cell_count_bound(n: int, tau: float, profiles: int) -> float:
+def _log_log_cell_bound(n: int, tau: float, profiles: int) -> float:
+    """log log of the cell-count bound base^profiles, which overflows a
+    float long before the exponents do."""
     base = math.floor(math.log(max(n, 2)) / math.log(tau)) + 2
-    try:
-        return float(base) ** profiles
-    except OverflowError:
-        return math.inf
+    return math.log(profiles) + math.log(math.log(base))
 
 
-def _separation_annotation(n: int, tau: float, c_const: float) -> float:
-    inner = c_const * math.log(max(n, 2)) ** 2 / math.log(tau)
-    try:
-        return math.exp(math.exp(inner))
-    except OverflowError:
-        return math.inf
+def _log_log_separation(n: int, tau: float, c_const: float) -> float:
+    """log log of the separated-set annotation exp(exp(C log^2 n / log tau))."""
+    return c_const * math.log(max(n, 2)) ** 2 / math.log(tau)
 
 
 def build_net(
@@ -370,9 +366,10 @@ def build_net(
     """Group bodies by quantized log-norm profile.
 
     The level count is recomputed exactly from (n, tau); the first body
-    that lands in a cell becomes its representative.  The recorded
-    bound on the number of possible cells and the doubly exponential
-    separated-set annotation are report values only.
+    that lands in a cell becomes its representative.  The bound on the
+    number of possible cells and the doubly exponential separated-set
+    annotation are report values only, kept as their log log so that
+    they stay finite.
     """
     bodies = list(bodies)
     if not bodies:
@@ -400,8 +397,8 @@ def build_net(
         profile_count=family.count,
         cell_reps=cell_reps,
         members=members,
-        cell_bound=_cell_count_bound(n, tau_f, family.count),
-        separation_annotation=_separation_annotation(n, tau_f, c_const),
+        log_log_cell_bound=_log_log_cell_bound(n, tau_f, family.count),
+        log_log_separation=_log_log_separation(n, tau_f, c_const),
         family=family,
     )
 
@@ -559,6 +556,6 @@ def net_from_text(text: str, cap: int = PROFILE_CAP) -> SymmetricNet:
         profile_count=profiles,
         cell_reps=cell_reps,
         members=members,
-        cell_bound=_cell_count_bound(n, tau, profiles),
-        separation_annotation=_separation_annotation(n, tau, 1.0),
+        log_log_cell_bound=_log_log_cell_bound(n, tau, profiles),
+        log_log_separation=_log_log_separation(n, tau, 1.0),
     )

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own solver paths:
 singular values come from characteristic polynomials, gauges from a
-membership bisection driven by support-direction separations, and 2x2
-distance bounds from closed-form norms on a dense map grid.
+membership bisection driven by support-direction separations, 2x2
+distance bounds from closed-form norms on a dense map grid, and
+restricted quadratic forms and norms from gathered submatrices.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from bmbodies.bodies import Ball, SignedPoints
+from bmbodies.randmodel import sample_subsets
 
 
 def charpoly_singular_values(a: np.ndarray) -> np.ndarray:
@@ -478,3 +480,27 @@ def grid_bm_2x2(p_a, p_b, n_angle: int = 96, n_diag: int = 49) -> float:
     fwd = _op_2x2(t, p_a, p_b)
     bwd = _op_2x2(tinv, p_b, p_a)
     return float((fwd * bwd).min())
+
+
+def subset_sign_chunks(n: int, m: int, count: int, rng, cells: int):
+    """The (subsets, signs) chunks a Monte Carlo run of count trials
+    draws from rng: chunks of 4e6 // cells trials, subsets first."""
+    chunk = max(1, 4_000_000 // cells)
+    for done in range(0, count, chunk):
+        c = min(chunk, count - done)
+        subs = sample_subsets(n, m, c, rng)
+        eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
+        yield subs, eps
+
+
+def gathered_quadratic(a, subs, eps) -> tuple:
+    """eps^T A_JJ eps per trial, from the gathered m x m submatrices, and
+    sum |A_JJ| of each, the scale of its rounding error."""
+    sub = a[subs[:, :, None], subs[:, None, :]]
+    return np.einsum("ci,cij,cj->c", eps, sub, eps), np.abs(sub).sum(axis=(1, 2))
+
+
+def gathered_norms(b, subs, eps) -> np.ndarray:
+    """|B R_J eps|_2 per trial, from the gathered n x m column blocks."""
+    img = np.einsum("ncm,cm->cn", b[:, subs], eps)
+    return np.sqrt(np.einsum("cn,cn->c", img, img))

@@ -139,6 +139,28 @@ def test_cap_body_supports_union_of_coordinate_balls():
     assert math.isclose(support_function(cap, y), want, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("build", [subset_body, cap_body])
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ([3, 5, 8], r"indices must lie in \[0, 8\), got range \[3, 8\]"),
+        ([-1, 2, 5], r"indices must lie in \[0, 8\), got range \[-1, 5\]"),
+        ([1, 6, 4], "indices must be strictly increasing"),
+        ([2, 2, 7], "indices must be strictly increasing"),
+    ],
+)
+def test_model_builders_refuse_a_bad_subset_row(build, bad_row, message):
+    # the bad row sits after good ones, so the whole family is checked
+    params = ModelParams(n=8, delta=0.375, n_subsets=4)
+    good = sample_subsets(8, params.m, 3, substream(3, "bad-row"))
+    subs = np.vstack([good, [bad_row]])
+    with pytest.raises(ValueError, match=message):
+        build(params, subs)
+    # the first bad row is the one reported
+    with pytest.raises(ValueError, match=message):
+        build(params, np.vstack([good, [bad_row], [[0, 9, 9]]]))
+
+
 def test_dict_round_trip_preserves_supports():
     params = ModelParams(n=7, delta=0.4, n_subsets=3)
     subs = sample_subsets(7, params.m, 3, substream(4, "rt"))

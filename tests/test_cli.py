@@ -485,3 +485,32 @@ def test_unusable_out_path_is_validation(tmp_path, capsys):
     code = cli.main(["conc", "--config", cfg, "--out", str(blocker / "sub")])
     assert code == cli.EXIT_VALIDATION
     assert "output path unusable" in capsys.readouterr().err
+
+
+# the benchmark's configurations, copied here so the test stands alone
+_BENCH_MODEL = {"n": 80, "delta": 0.25, "n_subsets": 320}
+_BENCH_RUNS = {
+    "gauge-subset": ("gauge", dict(_BENCH_MODEL, kind="subset", count=2, points=3)),
+    "gauge-cap": ("gauge", dict(_BENCH_MODEL, kind="cap", count=2, points=2)),
+    "dist": ("dist", {"n": 8, "delta": 0.5, "n_subsets": 16}),
+    "conc": ("conc", {"n": 100, "m": 25, "trials": 100000, "statistic": "quadratic",
+                      "matrix": "gaussian"}),
+    "net": ("net", {"n": 12, "tau": 1.5}),
+}
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("run", sorted(_BENCH_RUNS))
+def test_records_at_the_bench_configs_are_strict_json(tmp_path, run):
+    command, params = _BENCH_RUNS[run]
+    cfg = _cfg(tmp_path, {"command": command, "params": params})
+    out = str(tmp_path / run)
+    assert cli.main([command, "--config", cfg, "--out", out, "--seed", "701"]) == cli.EXIT_OK
+    with open(os.path.join(out, f"{command}-records.jsonl"), encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=_refuse_constant)

@@ -1,8 +1,11 @@
 """Monte Carlo tail machinery: counting, intervals, merging, bounds."""
+import json
 import math
 
 import numpy as np
 import pytest
+
+from _oracles import gathered_norms, gathered_quadratic, subset_sign_chunks
 
 from bmbodies.concentration import (
     SmallBallEstimate,
@@ -14,6 +17,7 @@ from bmbodies.concentration import (
     merge_curves,
     wilson_interval,
 )
+from bmbodies.concentration import _draw, _quad_stats, _restricted_norms
 from bmbodies.randmodel import substream
 
 
@@ -193,3 +197,55 @@ def test_bounds_at_zero_constant_are_the_prefactor():
     est = SmallBallEstimate(count=0, trials=10, threshold=0.1, shape=math.inf)
     assert est.bound_value(0.0) == 2.0
     assert est.bound_value(1.0) == 0.0
+
+
+# m = 1, m = n - 1, the bench's m/n = 0.25 over several chunks, and
+# m/n < 0.1 with m < sqrt(n), where a chunk's signed indicators are
+# filled in two row slices
+_KERNEL_CASES = [(12, 1), (12, 11), (100, 25), (400, 5)]
+
+
+@pytest.mark.parametrize("n, m", _KERNEL_CASES)
+def test_dense_kernel_matches_the_gather_reference(n, m):
+    # a nonsymmetric matrix, so a transposed product would show
+    a = substream(11, f"kernel/{n}/{m}").standard_normal((n, n))
+    count = 12000
+    quad = _quad_stats(a, n, m, count, substream(11, "kernel/draws"))
+    ref, scale = map(np.concatenate, zip(*(
+        gathered_quadratic(a, subs, eps)
+        for subs, eps in subset_sign_chunks(n, m, count, substream(11, "kernel/draws"), m * m)
+    )))
+    # rounding error is relative to the sum of the terms' magnitudes
+    assert np.all(np.abs(quad - ref) <= 1e-12 * scale)
+    norms = _restricted_norms(a, n, m, count, substream(11, "kernel/draws"))
+    ref = np.concatenate([
+        gathered_norms(a, subs, eps)
+        for subs, eps in subset_sign_chunks(n, m, count, substream(11, "kernel/draws"), n * m)
+    ])
+    np.testing.assert_allclose(norms, ref, rtol=1e-12, atol=0.0)
+
+
+def _state(rng) -> str:
+    return json.dumps(rng.bit_generator.state, default=lambda x: x.tolist(), sort_keys=True)
+
+
+@pytest.mark.parametrize("n, m, cells", [(100, 25, 625), (100, 25, 2500), (400, 5, 25)])
+def test_draw_consumes_the_stream_chunk_by_chunk(n, m, cells):
+    count = 12000
+    seen = []
+
+    def keep(v):
+        seen.append(v.copy())
+        return v.sum(axis=1)
+
+    rng = substream(12, "draw-order")
+    _draw(n, m, count, rng, cells, keep)
+    ref = substream(12, "draw-order")
+    dense = []
+    for subs, eps in subset_sign_chunks(n, m, count, ref, cells):
+        v = np.zeros((len(subs), n))
+        v[np.arange(len(subs))[:, None], subs] = eps
+        dense.append(v)
+    assert _state(rng) == _state(ref)
+    np.testing.assert_array_equal(np.concatenate(seen), np.concatenate(dense))
+    assert max(v.size for v in seen) <= 4_000_000

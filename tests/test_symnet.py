@@ -218,7 +218,9 @@ def test_build_net_groups_equal_profiles():
     # duplicate bodies share a cell, and its representative is the first
     cell_of_first = next(c for c, ids in net.members.items() if 0 in ids)
     assert 3 in net.members[cell_of_first]
-    assert net.cell_count == len(net.members) <= net.cell_bound
+    # cell_count <= base^profiles, compared through its log log
+    assert net.cell_count == len(net.members)
+    assert math.log(net.cell_count) <= math.exp(net.log_log_cell_bound)
     reps = {c: rep for c, rep in net.cell_reps}
     assert reps[cell_of_first].param == 1.0
 
@@ -233,9 +235,27 @@ def test_net_text_round_trip():
     assert back.cell_reps == net.cell_reps
     assert back.profile_count == net.profile_count
     assert set(back.members) == set(net.members)
-    assert math.isclose(back.cell_bound, net.cell_bound, rel_tol=1e-12)
+    assert math.isclose(back.log_log_cell_bound, net.log_log_cell_bound, rel_tol=1e-12)
     with pytest.raises(ValueError):
         net_from_text("not a net\n")
+
+
+def test_net_log_log_fields_match_closed_forms():
+    # the bench's net config: 8 = floor(log 12 / log 1.5) + 2 grid values
+    # per profile entry, over the 167,960 maps of its step family
+    n, tau, profiles = 12, 1.5, 167960
+    text = f"symnet n={n} tau={tau} levels={level_count(n, tau)} profiles={profiles} cells=0\n"
+    net = net_from_text(text)
+    assert math.isclose(net.log_log_cell_bound,
+                        math.log(profiles) + math.log(math.log(8)), rel_tol=1e-12)
+    assert math.isclose(net.log_log_separation, math.log(n) ** 2 / math.log(tau), rel_tol=1e-12)
+    assert round(net.log_log_cell_bound, 2) == 12.76
+    assert round(net.log_log_separation, 2) == 15.23
+    built = build_net([lp_body(3, 2.0)], 2.0, c_const=2.5)
+    assert math.isclose(built.log_log_cell_bound,
+                        math.log(built.profile_count) + math.log(math.log(3)), rel_tol=1e-12)
+    assert math.isclose(built.log_log_separation, 2.5 * math.log(3) ** 2 / math.log(2.0),
+                        rel_tol=1e-12)
 
 
 def test_net_text_formats_negative_and_multi_digit_indices():
@@ -244,7 +264,7 @@ def test_net_text_formats_negative_and_multi_digit_indices():
     net = SymmetricNet(
         n=3, tau=tau, levels=level_count(3, tau), profile_count=5,
         cell_reps=[(c, lp_body(3, p)) for c, p in zip(cells, (1.0, 2.5, math.inf))],
-        members={c: [] for c in cells}, cell_bound=0.0, separation_annotation=0.0,
+        members={c: [] for c in cells}, log_log_cell_bound=0.0, log_log_separation=0.0,
     )
     text = net_to_text(net)
     for line, cell in zip(text.splitlines()[1:], cells):
