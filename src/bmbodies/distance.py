@@ -19,6 +19,8 @@ which is out of reach, so no such number is produced.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby, permutations, product
@@ -57,6 +59,11 @@ _REFINE_MAX_DIM = 8
 _REFINE_SWEEPS = 2
 _REFINE_STEPS = (0.5, 0.25, 0.1)
 _RANK_TOL = 1e-3
+
+# the abort bar of the op_norm call in progress (see _abort_bar); it is a
+# context variable rather than a parameter so that op_norm keeps its
+# signature and every certification, barred or not, is an op_norm call
+_BAR = ContextVar("op_norm_bar", default=math.inf)
 
 
 @dataclass
@@ -148,6 +155,43 @@ def _gauge(k2: HullBody, x: np.ndarray, tol: float):
         g = gauge(k2, x, tol=tol)
         hit = memo[key] = (g.lo, g.hi, g.dual_witness)
     return hit
+
+
+class _BarReached(Exception):
+    """An op_norm under a bar stopped: its running lo beat the bar."""
+
+    def __init__(self, lo: float):
+        super().__init__(lo)
+        self.lo = lo
+
+
+def _abort_bar(best: float, other_lo: float) -> float:
+    """The bar one side of a candidate map is certified under.
+
+    best is the best certified product so far (inf before the first) and
+    other_lo a certified lower bound on the other side's norm.  A side
+    whose running lo reaches best / other_lo (times 1 + 1e-12 for
+    rounding, see _check_bar) proves the candidate's product is above
+    best, so it could not win and its certification stops.
+    """
+    return best / other_lo if other_lo > 0.0 else math.inf
+
+
+@contextmanager
+def _under_bar(bar: float):
+    """Run the op_norm calls inside under the abort bar."""
+    token = _BAR.set(bar)
+    try:
+        yield
+    finally:
+        _BAR.reset(token)
+
+
+def _check_bar(lo: float, bar: float) -> None:
+    # the margin covers rounding in the bar and in lo, so a candidate whose
+    # product ties the best never stops and the first certified map wins
+    if lo >= bar * (1.0 + 1e-12):
+        raise _BarReached(lo)
 
 
 def _solid(body: HullBody) -> bool:
@@ -264,13 +308,14 @@ def _ball2_source_hi(t_mat, sup, radius, k2):
     return radius * spectral_norm(ts) / best
 
 
-def _eval_points_max(t_mat, pts, k2):
+def _eval_points_max(t_mat, pts, k2, bar):
     """Exact max of gauge_K2(T p) over the finite point list.
 
     When K2 carries a full Ball(2) component, points whose cheap upper
     bound cannot beat the best certified lower bound are skipped; the
     skip is sound because their true value is below the reported lo.
-    Without that component every point is evaluated.
+    Without that component every point is evaluated.  Raises
+    _BarReached once the running lo beats bar.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
@@ -296,6 +341,7 @@ def _eval_points_max(t_mat, pts, k2):
         g_lo, g_hi, _ = _gauge(k2, t_mat @ pts[i], _GAUGE_TOL)
         if g_lo > best_lo or witness is None:
             best_lo, witness = g_lo, pts[i]
+            _check_bar(best_lo, bar)
         best_hi = max(best_hi, g_hi)
     return max(best_lo, 0.0), best_hi, witness
 
@@ -370,6 +416,9 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
 
     Euclidean components use sphere ascent for the lower bound and the
     target's Ball(2) inradius for the certified upper bound.
+
+    Inside bm_upper's _under_bar the call stops with _BarReached once
+    its running lo beats the bar; otherwise the bar is inf.
     """
     t_mat = np.asarray(t_mat, dtype=float)
     if t_mat.shape != (k2.dim, k.dim):
@@ -383,18 +432,20 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
     mode = "exhaustive"
     lo, hi, witness = 0.0, 0.0, np.zeros(k.dim)
     solid = _solid(k2)
+    bar = _BAR.get()
 
     def fold(c_lo, c_hi, c_wit):
         nonlocal lo, hi, witness
         if c_wit is not None and c_lo > lo:
             lo, witness = c_lo, c_wit
+            _check_bar(lo, bar)
         hi = max(hi, c_hi)
 
     for ci, comp in enumerate(k.components):
         if isinstance(comp, SignedPoints) and comp.unconditional:
             gens = comp.points
         elif isinstance(comp, SignedPoints) or comp.p == 1.0:
-            fold(*_eval_points_max(t_mat, _segment_points(comp, k.dim), k2))
+            fold(*_eval_points_max(t_mat, _segment_points(comp, k.dim), k2, bar))
             continue
         elif comp.p == math.inf:
             gens = _inf_box(comp, k.dim)[None, :]
@@ -424,13 +475,13 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
                 if dom_hi <= lo:
                     continue
             if sup.size <= _SIGN_CUTOFF:
-                fold(*_eval_points_max(t_mat, _box_vertices(g_vec), k2))
+                fold(*_eval_points_max(t_mat, _box_vertices(g_vec), k2, bar))
                 continue
             probes = _dual_probes(k2)
             pts = np.unique(_guided_points(t_mat, g_vec, probes), axis=0)
             scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
             top = np.argsort(-scores, kind="stable")[:_GUIDED_GAUGES]
-            c_lo, _, c_wit = _eval_points_max(t_mat, pts[top], k2)
+            c_lo, _, c_wit = _eval_points_max(t_mat, pts[top], k2, bar)
             fold(c_lo, dom_hi, c_wit)
             mode = "guided"
             upper = (
@@ -592,6 +643,22 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     stops the search.  Which trials are skipped depends only on the
     bodies and opts: the witness pool lives in this call, and a memo hit
     returns the witness the gauge returned.
+
+    The top candidates are certified in surrogate order.  Once one has a
+    finite certified product, every later one is certified under an abort
+    bar (_abort_bar) taken from the best product so far.  The forward
+    op_norm stops once its running lo reaches best / L, where L is a
+    gauge-free lower bound on the inverse's norm: the probe and pool
+    bound of the inverse ranking point, shrunk by 1 - 1e-12.  If it
+    finishes, the inverse op_norm stops once its lo reaches
+    best / fwd.lo.  Both stop only at lo >= bar * (1 + 1e-12), so a
+    stopped candidate's product is provably above best and could not
+    have won, while an exact tie runs to the end and the first certified
+    still wins.  The bound, the norms and the map are those of full
+    certificates; a stopped candidate's log entry carries "lower", the
+    certified lower bound on its product, instead of "certified".  A
+    gauge error that a stopped certification would have met no longer
+    stops the search.
     """
     if k.dim != k2.dim:
         raise ValueError("bodies must share a dimension")
@@ -620,10 +687,13 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
         pools[id(dst)] = y[None, :] if pool is None else np.vstack([pool, y])
         return lo
 
-    def floor(x, probe, dst):
+    def bound(x, probe, dst):
+        """The best gauge-free bound |<y, x>| <= |x|_dst at hand."""
         pool = pools.get(id(dst))
-        bound = probe if pool is None else max(probe, float(np.abs(pool @ x).max()))
-        return _rank_floor(bound)
+        return probe if pool is None else max(probe, float(np.abs(pool @ x).max()))
+
+    def floor(x, probe, dst):
+        return _rank_floor(bound(x, probe, dst))
 
     def surrogate(mat, bar=math.inf):
         """The surrogate of mat, or None once floors prove it is >= bar."""
@@ -700,8 +770,22 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
 
     best, why = None, []
     for s, name, mat in scored[: opts.certify_top]:
-        fwd = op_norm(mat, k, k2)
-        bwd = op_norm(np.linalg.inv(mat), k2, k)
+        inv = np.linalg.inv(mat)
+        best_upper = math.inf if best is None else best[0]
+        # a gauge-free lower bound on |inv : K2 -> K|: the probe and pool
+        # bound of its ranking point, shrunk for rounding as in _rank_floor
+        other = 0.0
+        if best is not None:
+            other = bound(*_rank_point(inv, k2, k), k) * (1.0 - 1e-12)
+        try:
+            with _under_bar(_abort_bar(best_upper, other)):
+                fwd = op_norm(mat, k, k2)
+            other = fwd.lo
+            with _under_bar(_abort_bar(best_upper, other)):
+                bwd = op_norm(inv, k2, k)
+        except _BarReached as stop:
+            log.append({"name": name, "lower": float(stop.lo * other)})
+            continue
         upper = fwd.hi * bwd.hi
         log.append({"name": name, "certified": upper})
         if math.isfinite(upper) and (best is None or upper < best[0]):

@@ -424,6 +424,80 @@ def test_bm_upper_skips_the_same_trials_with_a_warm_memo(monkeypatch):
         assert est.best_map.tobytes() == fresh.best_map.tobytes()
 
 
+# the CLI seed the dist benchmark derives from its seed 701
+_BENCH_DIST_SEED = 10120829680025015861
+
+
+def _dist_pair(kind, n, seed):
+    """The two bodies the dist command builds at n, delta = 0.5, 2n subsets."""
+    params = ModelParams(n=n, delta=0.5, n_subsets=2 * n)
+    out = []
+    for i in range(2):
+        draw = sample_body(params, substream(seed, f"dist/0/body/{i}"))
+        out.append(cap_body(params, draw.subsets) if kind == "cap" else draw.body)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind,n,seed", [("subset", 8, _BENCH_DIST_SEED), ("cap", 8, _BENCH_DIST_SEED), ("subset", 4, 701)]
+)
+def test_bm_upper_abort_bar_changes_no_result(monkeypatch, kind, n, seed):
+    calls = _count_gauge_calls(monkeypatch)
+    barred = bm_upper(*_dist_pair(kind, n, seed))
+    n_barred = len(calls)
+    calls.clear()
+    # a bar of inf is never reached: every candidate is fully certified
+    monkeypatch.setattr(distance, "_abort_bar", lambda best, other_lo: math.inf)
+    full = bm_upper(*_dist_pair(kind, n, seed))
+    assert (barred.upper, barred.norm_fwd, barred.norm_inv) == (
+        full.upper, full.norm_fwd, full.norm_inv)
+    assert barred.best_map.tobytes() == full.best_map.tobytes()
+    assert len(barred.candidates) == len(full.candidates)
+    aborted = 0
+    for got, ref in zip(barred.candidates, full.candidates):
+        if "lower" in got:
+            aborted += 1
+            assert got["name"] == ref["name"] and set(got) == {"name", "lower"}
+            assert barred.upper <= got["lower"] <= ref["certified"] * (1.0 + 1e-12)
+        else:
+            assert got == ref
+    if n == 8 and kind == "subset":
+        # the Hadamard map loses to the identity at the bench seed
+        assert [c["name"] for c in barred.candidates if "lower" in c] == ["hadamard"]
+        assert n_barred < len(calls)
+    else:
+        assert aborted == 0 or n_barred < len(calls)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    kind=st.sampled_from(["subset", "cap"]),
+    base=st.sampled_from(["identity", "hadamard"]),
+    spread=st.sampled_from([0.0, 0.05, 0.3]),
+    frac=st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+)
+def test_op_norm_under_a_bar_stops_only_past_it(seed, n, kind, base, spread, frac):
+    had = distance._hadamard(n)
+    t = had if base == "hadamard" and had is not None else np.eye(n)
+    t = t + spread * np.random.default_rng(seed).normal(size=(n, n))
+    ref = op_norm(t, *_model_pair(kind, n, seed))
+    # frac = 1 puts the bar exactly at the norm's lo: a tie never stops
+    bar = frac * ref.lo
+    try:
+        with distance._under_bar(bar):
+            res = op_norm(t, *_model_pair(kind, n, seed))
+    except distance._BarReached as stop:
+        assert bar * (1.0 + 1e-12) <= stop.lo <= ref.lo
+    else:
+        assert ref.lo < bar * (1.0 + 1e-12)
+        assert (res.lo, res.hi, res.mode, res.notes) == (ref.lo, ref.hi, ref.mode, ref.notes)
+        assert res.witness.tobytes() == ref.witness.tobytes()
+    # the bar is gone once the block is left
+    assert distance._BAR.get() == math.inf
+
+
 def test_event_scalings():
     assert math.isclose(event_alpha(2.0, 0.25, 8.0), 2.0 / (0.5 * math.log(8.0)), rel_tol=1e-12)
     assert math.isclose(
