@@ -8,8 +8,10 @@ Bodies whose log-norm profiles over the whole step family agree to
 within log tau are provably close, so bucketing profiles on a grid of
 that pitch yields a net with certified pair distances.
 
-All profile comparisons that feed certificates are plain float
-comparisons of exactly evaluated norms; nothing is sampled except the
+A test vector's norm depends only on how many coordinates each level
+holds, so the family is one small-int matrix of level widths and no test
+vector is built.  Profile comparisons that feed certificates are plain
+float comparisons of closed-form norms; nothing is sampled except the
 optional identity-map ratio validation.
 """
 from __future__ import annotations
@@ -17,9 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -115,29 +115,31 @@ class SymmetricBody:
         return srt @ np.asarray(self.param)
 
     def family_norms(self, family: StepFamily, tau: float) -> np.ndarray:
-        """Norms of the rows of family.block_vectors(tau), bit for bit,
-        without building them.
+        """Norms of every step map's block vector at tau, from the level
+        widths alone.
 
-        Every block vector takes its entries from the (levels+1)-entry
-        table of tau^-l, so lp norms run norm_many's float operations on
-        the table once and gather the results by the level index.  Each
-        row's max is table[0]: coordinate 1 sits on level 1 in every map.
+        For lp, ||v||_p^p = sum_l w_l tau^(-lp), with the largest entry
+        tau^-1 scaled out so large exponents cannot overflow.  top_k and
+        lorentz weight level l by the coordinate weights its block covers
+        (the clipped widths min(s_l, k) - min(s_(l-1), k) for top_k).
+        The float operations differ from norm_many's on the block
+        vectors, so the two agree to a few ulps, not bit for bit.
         """
         if family.n != self.dim:
             raise ValueError("body and family dimensions differ")
-        table = family.level_table(tau)
-        level = family.level_index
-        if self.kind != "lp":
-            return self.norm_many(table[level])
+        table = np.array([float(tau) ** (-lvl) for lvl in range(1, family.levels + 1)])
+        if self.kind == "top_k":
+            return family.level_sum(table, np.arange(self.dim) < int(self.param))
+        if self.kind == "lorentz":
+            return family.level_sum(table, self.param)
         p = float(self.param)
         if math.isinf(p):
             return np.full(family.count, table[0])
         if p == 1.0:
-            return table[level].sum(axis=1)
+            return family.level_sum(table)
         if p == 2.0:
-            return np.sqrt((table * table)[level].sum(axis=1))
-        powers = np.power(table / table[0], p)
-        return table[0] * powers[level].sum(axis=1) ** (1.0 / p)
+            return np.sqrt(family.level_sum(table * table))
+        return table[0] * family.level_sum(np.power(table / table[0], p)) ** (1.0 / p)
 
     def norm(self, x) -> float:
         return float(self.norm_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -205,44 +207,45 @@ def level_count(n: int, tau) -> int:
 @dataclass(frozen=True)
 class StepFamily:
     """All nondecreasing step maps from levels {1..levels} to
-    coordinates {1..n}, in lexicographic order."""
+    coordinates {1..n}, in lexicographic order, stored by their level
+    widths w_l = s_l - s_(l-1) (s_0 = 0): one column per map."""
 
     n: int
     levels: int
-    maps: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    widths: np.ndarray
     _norms: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
-        return self.maps.shape[0]
+        return self.widths.shape[1]
 
-    @cached_property
-    def level_index(self) -> np.ndarray:
-        """Row per step map: entry j - 1 is #{l : s_l < j}, so coordinate
-        j sits on level 1 + entry; past the last step the entry is
-        `levels`, the index of the table's zero tail."""
-        coords = np.arange(1, self.n + 1)
-        level = np.zeros((self.count, self.n), dtype=np.min_scalar_type(self.levels))
-        for step in self.maps.T:
-            level += step[:, None] < coords
-        level.flags.writeable = False
-        return level
+    @property
+    def maps(self) -> np.ndarray:
+        """Row per step map: its steps s_1 <= ... <= s_levels, as int64."""
+        return np.cumsum(self.widths, axis=0, dtype=np.int64).T
 
-    def level_table(self, tau: float) -> np.ndarray:
-        """tau^-l for l = 1..levels, then 0 for the tail."""
-        tau = float(tau)
-        return np.array([tau ** (-lvl) for lvl in range(1, self.levels + 1)] + [0.0])
-
-    def block_vectors(self, tau: float) -> np.ndarray:
-        """Row per step map: coordinate block (prev, cur] of level l
-        holds tau^-l, everything past the last step is zero."""
-        key = float(tau)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.level_table(key)[self.level_index]
-            self._cache[key] = got
-        return got
+    def level_sum(self, coef: np.ndarray, weights=None) -> np.ndarray:
+        """Row per step map: the sum over levels l of coef[l - 1] times
+        the weight of level l's coordinate block, which is the block's
+        width when weights is None and the sum of its coordinates'
+        weights otherwise."""
+        out = np.zeros(self.count)
+        if weights is None:
+            for c, width in zip(coef, self.widths):
+                out += c * width
+            return out
+        # span[a, b] sums the weights of coordinates a+1..b from a onward,
+        # not as a difference of prefix sums, so a light block keeps its
+        # relative accuracy
+        weights = np.asarray(weights, dtype=float)
+        span = np.zeros((self.n + 1, self.n + 1))
+        for a in range(self.n):
+            span[a, a + 1 :] = np.cumsum(weights[a:])
+        end = np.zeros(self.count, dtype=np.intp)
+        for c, width in zip(coef, self.widths):
+            start, end = end, end + width
+            out += c * span[start, end]
+        return out
 
     def norms(self, body: SymmetricBody, tau: float) -> np.ndarray:
         """Norms of body over every block vector at tau, evaluated once
@@ -259,20 +262,28 @@ class StepFamily:
 
 def enumerate_steps(n: int, levels: int, cap: int = PROFILE_CAP) -> StepFamily:
     """Enumerate the full step family; refuses when the exact count
-    C(n+levels-1, levels) exceeds the cap."""
+    C(n+levels-1, levels) exceeds the cap.
+
+    The k-level maps are, for each first step a, a followed by the
+    (k-1)-level maps whose first step is at least a: a suffix of them.
+    """
     if n < 1 or levels < 1:
         raise ValueError("need n >= 1 and levels >= 1")
     total = math.comb(n + levels - 1, levels)
     if cap is not None and total > cap:
-        raise ValueError(
-            f"step family has {total} members, above the cap {cap}"
-        )
-    maps = np.fromiter(
-        chain.from_iterable(combinations_with_replacement(range(1, n + 1), levels)),
-        dtype=np.int64,
-        count=total * levels,
-    ).reshape(total, levels)
-    return StepFamily(n=n, levels=levels, maps=maps)
+        raise ValueError(f"step family has {total} members, above the cap {cap}")
+    firsts = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+    widths = firsts[None, :]
+    for _ in range(levels - 1):
+        starts = np.searchsorted(widths[0], firsts)
+        grown = np.empty((widths.shape[0] + 1, int((widths.shape[1] - starts).sum())),
+                         dtype=widths.dtype)
+        grown[0] = np.repeat(firsts, widths.shape[1] - starts)
+        np.concatenate([widths[:, s:] for s in starts], axis=1, out=grown[1:])
+        grown[1] -= grown[0]
+        widths = grown
+    widths.flags.writeable = False
+    return StepFamily(n=n, levels=levels, widths=widths)
 
 
 def step_norm(body: SymmetricBody, step_map, tau: float) -> float:
@@ -296,8 +307,6 @@ def log_profile(body: SymmetricBody, family: StepFamily, tau: float) -> np.ndarr
     The expected range is [-log tau^2, log n]; values outside it are
     reported as a warning, never an error.
     """
-    if body.dim != family.n:
-        raise ValueError("body and family dimensions differ")
     norms = family.norms(body, tau)
     if not np.all(norms > 0.0):
         raise AssertionError("block vector with zero norm; not a norm")
@@ -313,8 +322,9 @@ def log_profile(body: SymmetricBody, family: StepFamily, tau: float) -> np.ndarr
     return prof
 
 
-def profile_cell(profile: np.ndarray, tau: float) -> tuple:
-    """Grid cell of a profile at pitch log tau, anchored at -log tau^2.
+def profile_cell(profile: np.ndarray, tau: float) -> np.ndarray:
+    """Grid cell of a profile at pitch log tau, anchored at -log tau^2,
+    as an int64 array with one index per profile entry.
 
     A value exactly on a cell edge lands in the cell whose lower edge
     it sits on (floor semantics), so assignment is deterministic.
@@ -323,7 +333,7 @@ def profile_cell(profile: np.ndarray, tau: float) -> tuple:
     idx = np.floor((np.asarray(profile, dtype=float) + 2.0 * lt) / lt)
     if not np.all(np.isfinite(idx)):
         raise ValueError("profile entries must be finite")
-    return tuple(idx.astype(np.int64).tolist())
+    return idx.astype(np.int64)
 
 
 @dataclass
@@ -334,8 +344,9 @@ class SymmetricNet:
     tau: float
     levels: int
     profile_count: int
-    cell_reps: list  # (cell tuple, SymmetricBody), first-seen order
-    members: dict  # cell tuple -> input positions, empty for parsed nets
+    cell_reps: list  # (cell id, SymmetricBody), ids 0, 1, ... in first-seen order
+    cells: np.ndarray  # int64 grid indices: row = cell id, column = step map
+    members: dict  # cell id -> input positions, empty for parsed nets
     log_log_cell_bound: float
     log_log_separation: float
     family: StepFamily | None = None  # the profiled step family; None for parsed nets
@@ -357,12 +368,7 @@ def _log_log_separation(n: int, tau: float, c_const: float) -> float:
     return c_const * math.log(max(n, 2)) ** 2 / math.log(tau)
 
 
-def build_net(
-    bodies,
-    tau,
-    cap: int = PROFILE_CAP,
-    c_const: float = 1.0,
-) -> SymmetricNet:
+def build_net(bodies, tau, cap: int = PROFILE_CAP, c_const: float = 1.0) -> SymmetricNet:
     """Group bodies by quantized log-norm profile.
 
     The level count is recomputed exactly from (n, tau); the first body
@@ -382,24 +388,28 @@ def build_net(
         raise ValueError(f"tau must exceed 1, got {tau}")
     levels = level_count(n, tau)
     family = enumerate_steps(n, levels, cap=cap)
+    cells = np.empty((len(bodies), family.count), dtype=np.int64)
+    ids: dict = {}  # hash of an occupied cell's row bytes -> its cell ids
     cell_reps: list = []
     members: dict = {}
     for pos, body in enumerate(bodies):
-        cell = profile_cell(log_profile(body, family, tau_f), tau_f)
-        if cell not in members:
+        # each body's cell goes into the first free row, which is kept only
+        # when the cell is new; a repeated cell is overwritten by the next
+        row = cells[len(cell_reps)]
+        row[:] = profile_cell(log_profile(body, family, tau_f), tau_f)
+        same = ids.setdefault(hash(row.tobytes()), [])
+        cell = next((c for c in same if np.array_equal(cells[c], row)), None)
+        if cell is None:
+            cell = len(cell_reps)
+            same.append(cell)
             members[cell] = []
             cell_reps.append((cell, body))
         members[cell].append(pos)
     return SymmetricNet(
-        n=n,
-        tau=tau_f,
-        levels=levels,
-        profile_count=family.count,
-        cell_reps=cell_reps,
-        members=members,
+        n=n, tau=tau_f, levels=levels, profile_count=family.count,
+        cell_reps=cell_reps, cells=cells[: len(cell_reps)], members=members,
         log_log_cell_bound=_log_log_cell_bound(n, tau_f, family.count),
-        log_log_separation=_log_log_separation(n, tau_f, c_const),
-        family=family,
+        log_log_separation=_log_log_separation(n, tau_f, c_const), family=family,
     )
 
 
@@ -423,14 +433,8 @@ class PairCertificate:
     samples: int
 
 
-def certify_pair(
-    k_body: SymmetricBody,
-    d_body: SymmetricBody,
-    family: StepFamily,
-    tau,
-    samples: int = 10**4,
-    stream=None,
-) -> PairCertificate:
+def certify_pair(k_body: SymmetricBody, d_body: SymmetricBody, family: StepFamily, tau,
+                 samples: int = 10**4, stream=None) -> PairCertificate:
     """Exact sandwich check over the whole family, plus a sampled
     validation that identity-map norm ratios stay below tau^3."""
     if k_body.dim != d_body.dim or k_body.dim != family.n:
@@ -440,12 +444,10 @@ def certify_pair(
         raise ValueError(f"tau must exceed 1, got {tau}")
     phi_k = family.norms(k_body, tau_f)
     phi_d = family.norms(d_body, tau_f)
-    over = phi_k > tau_f * phi_d
-    under = phi_d > tau_f * phi_k
-    bad = over | under
+    bad = (phi_k > tau_f * phi_d) | (phi_d > tau_f * phi_k)
     witness = None
     if bad.any():
-        witness = tuple(int(v) for v in family.maps[int(np.argmax(bad))])
+        witness = tuple(int(v) for v in np.cumsum(family.widths[:, int(np.argmax(bad))]))
     granted = witness is None
 
     ratio_bound = tau_f**3 * (1.0 + 1e-9)
@@ -455,7 +457,7 @@ def certify_pair(
         rng = stream if stream is not None else substream(_STREAM_SEED, "certify")
         x = rng.standard_normal((samples, family.n))
         nk = k_body.norm_many(x)
-        nd = d_body.norm_many(x)
+        nd = nk if d_body == k_body else d_body.norm_many(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.maximum(nk / nd, nd / nk)
         max_ratio = float(np.nanmax(r)) if r.size else math.nan
@@ -511,15 +513,14 @@ def net_to_text(net: SymmetricNet) -> str:
         f"symnet n={net.n} tau={net.tau:.17g} levels={net.levels} "
         f"profiles={net.profile_count} cells={net.cell_count}"
     ]
+    lo = int(net.cells.min(initial=0))
+    text = np.array([str(v) for v in range(lo, int(net.cells.max(initial=0)) + 1)], dtype=object)
     for cell, body in net.cell_reps:
-        idx = np.array(cell, dtype=np.int64)
-        lo = int(idx.min())
-        text = np.array([str(v) for v in range(lo, int(idx.max()) + 1)], dtype=object)
-        lines.append(f"cell {','.join(text[idx - lo].tolist())} rep {body.tag()}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"cell {','.join(text[net.cells[cell] - lo].tolist())} rep {body.tag()}")
+    return "\n".join([*lines, ""])
 
 
-def net_from_text(text: str, cap: int = PROFILE_CAP) -> SymmetricNet:
+def net_from_text(text: str) -> SymmetricNet:
     """Rebuild a net record from its text form.
 
     Membership lists are not serialized, so they come back empty; the
@@ -537,25 +538,21 @@ def net_from_text(text: str, cap: int = PROFILE_CAP) -> SymmetricNet:
     if level_count(n, tau) != levels:
         raise ValueError("level count inconsistent with (n, tau)")
     cell_reps = []
-    members: dict = {}
+    rows = []
     for ln in lines[1:]:
         parts = ln.split(None, 3)
         if len(parts) != 4 or parts[0] != "cell" or parts[2] != "rep":
             raise ValueError(f"malformed cell line {ln!r}")
-        cell = tuple(int(v) for v in parts[1].split(","))
-        if len(cell) != profiles:
+        rows.append([int(v) for v in parts[1].split(",")])
+        if len(rows[-1]) != profiles:
             raise ValueError("cell index length differs from profile count")
-        cell_reps.append((cell, body_from_tag(n, parts[3])))
-        members[cell] = []
+        cell_reps.append((len(cell_reps), body_from_tag(n, parts[3])))
     if len(cell_reps) != declared:
         raise ValueError("cell count differs from header")
     return SymmetricNet(
-        n=n,
-        tau=tau,
-        levels=levels,
-        profile_count=profiles,
-        cell_reps=cell_reps,
-        members=members,
+        n=n, tau=tau, levels=levels, profile_count=profiles, cell_reps=cell_reps,
+        cells=np.array(rows, dtype=np.int64).reshape(len(rows), profiles),
+        members={cell: [] for cell, _ in cell_reps},
         log_log_cell_bound=_log_log_cell_bound(n, tau, profiles),
         log_log_separation=_log_log_separation(n, tau, 1.0),
     )

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the package's own solver paths:
 singular values come from characteristic polynomials, gauges from a
 membership bisection driven by support-direction separations, 2x2
-distance bounds from closed-form norms on a dense map grid, and
-restricted quadratic forms and norms from gathered submatrices.
+distance bounds from closed-form norms on a dense map grid,
+restricted quadratic forms and norms from gathered submatrices, and
+step-family norms from mask-built block vectors or rational arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -504,3 +506,47 @@ def gathered_norms(b, subs, eps) -> np.ndarray:
     """|B R_J eps|_2 per trial, from the gathered n x m column blocks."""
     img = np.einsum("ncm,cm->cn", b[:, subs], eps)
     return np.sqrt(np.einsum("cn,cn->c", img, img))
+
+
+def step_block_vectors(maps, n: int, tau: float) -> np.ndarray:
+    """Row per step map: coordinates (s_(l-1), s_l] hold tau^-l and the
+    rest are 0, built by a mask loop over the levels."""
+    maps = np.asarray(maps)
+    rows = np.zeros((maps.shape[0], n))
+    coords = np.arange(1, n + 1)
+    prev = np.zeros(maps.shape[0], dtype=np.int64)
+    for lvl in range(1, maps.shape[1] + 1):
+        cur = maps[:, lvl - 1]
+        rows[(coords > prev[:, None]) & (coords <= cur[:, None])] = float(tau) ** (-lvl)
+        prev = cur
+    return rows
+
+
+def exact_block_norms(body, maps, tau: float) -> list:
+    """Norms of the step maps' block vectors in rational arithmetic, for
+    lp with p = 1 or 2, top_k and lorentz bodies.
+
+    tau^-l is exact for the float tau; a p = 2 norm is the square root
+    of the exact sum of squares, rounded down at 2^-64 relative, far
+    below a float ulp.
+    """
+    if body.kind == "lp":
+        weights = [Fraction(1)] * body.dim
+        power = {1.0: 1, 2.0: 2}[float(body.param)]
+    elif body.kind == "top_k":
+        weights = [Fraction(int(j < int(body.param))) for j in range(body.dim)]
+        power = 1
+    else:
+        weights = [Fraction(w) for w in body.param]
+        power = 1
+    prefix = [Fraction(0), *itertools.accumulate(weights)]
+    steps = [Fraction(1) / Fraction(float(tau)) ** (power * lvl) for lvl in range(1, len(maps[0]) + 1)]
+    out = []
+    for row in np.asarray(maps).tolist():
+        ends = [0, *row]
+        total = sum((prefix[b] - prefix[a]) * s for a, b, s in zip(ends, ends[1:], steps))
+        if power == 2:
+            num, den = total.numerator, total.denominator
+            total = Fraction(math.isqrt(num * den * 4**64), den * 2**64)
+        out.append(total)
+    return out

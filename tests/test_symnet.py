@@ -1,12 +1,16 @@
 """Symmetric-body nets: step families, profiles, cells, certificates."""
 import math
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+from _oracles import exact_block_norms, step_block_vectors
 from bmbodies.randmodel import substream
 from bmbodies.symnet import (
+    SymmetricBody,
     body_from_tag,
     build_net,
     certify_pair,
@@ -63,21 +67,6 @@ def test_step_maps_match_the_tuple_list():
     assert enumerate_steps(4, 3, cap=None).count == 20
 
 
-def test_block_vectors_match_the_mask_loop():
-    for n, tau in ((4, 2.0), (7, 1.5), (12, 1.7), (1, 1.1)):
-        fam = enumerate_steps(n, level_count(n, tau))
-        ref = np.zeros((fam.count, n))
-        coords = np.arange(1, n + 1)
-        prev = np.zeros(fam.count, dtype=np.int64)
-        for lvl in range(1, fam.levels + 1):
-            cur = fam.maps[:, lvl - 1]
-            ref[(coords > prev[:, None]) & (coords <= cur[:, None])] = tau ** (-lvl)
-            prev = cur
-        got = fam.block_vectors(tau)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert fam.block_vectors(tau) is got
-
-
 def test_lp_norms_match_the_out_of_place_expression():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(200, 6)) * np.exp(rng.normal(scale=3.0, size=(200, 1)))
@@ -101,31 +90,52 @@ def test_family_norms_are_evaluated_once_per_body():
     first = fam.norms(lp_body(4, 1.5), 2.0)
     assert fam.norms(lp_body(4, 1.5), 2) is first  # equal body, equal tau
     assert not first.flags.writeable
-    assert np.array_equal(first, lp_body(4, 1.5).norm_many(fam.block_vectors(2.0)))
+    assert np.array_equal(first, lp_body(4, 1.5).family_norms(fam, 2.0))
     assert fam.norms(lp_body(4, 1.5), 3.0) is not first
 
 
-def test_family_norms_match_norm_many_on_the_block_vectors():
-    for n, tau in ((1, 1.1), (4, 2.0), (7, 1.5), (12, 1.7)):
+# the width formulas sum levels, not coordinates, so they agree with the
+# references to a bound on the rounding of levels + 2 float operations
+_FAMILY_CASES = ((1, 1.1), (4, 2.0), (7, 1.5), (10, 2.0), (12, 3.0))
+
+
+def test_family_norms_match_the_exact_norms():
+    for n, tau in _FAMILY_CASES:
         fam = enumerate_steps(n, level_count(n, tau))
-        rows = fam.block_vectors(tau)
-        bodies = [lp_body(n, p) for p in (1.0, 1.25, 2.0, 3.5, 40.0, math.inf)]
-        bodies += [top_k_body(n, max(1, n // 2)), lorentz_body(n, np.linspace(1.0, 0.2, n))]
+        bodies = [lp_body(n, 1.0), lp_body(n, 2.0), top_k_body(n, max(1, n // 2)),
+                  lorentz_body(n, np.linspace(1.0, 0.2, n)),
+                  lorentz_body(n, np.geomspace(1.0, 1e-3, n))]
         for body in bodies:
             got = body.family_norms(fam, tau)
             assert got.shape == (fam.count,)
-            assert np.array_equal(got, body.norm_many(rows)), body.tag()
+            for value, exact in zip(got.tolist(), exact_block_norms(body, fam.maps, tau)):
+                ulps = abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+                assert ulps <= fam.levels + 2, (body.tag(), n, tau, float(ulps))
     with pytest.raises(ValueError):
         lp_body(3, 2.0).family_norms(enumerate_steps(4, 2), 2.0)
 
 
-def test_level_index_places_each_coordinate_on_its_level():
-    fam = enumerate_steps(5, 3)
-    idx = fam.level_index
-    assert idx.dtype == np.uint8 and idx.shape == (fam.count, 5)
-    assert not idx.flags.writeable and fam.level_index is idx
-    for s, row in zip(fam.maps, idx):
-        assert row.tolist() == [int(np.sum(s < j)) for j in range(1, 6)]
+def test_family_norms_match_norm_many_on_the_mask_loop_block_vectors():
+    for n, tau in _FAMILY_CASES + ((12, 1.7),):
+        fam = enumerate_steps(n, level_count(n, tau))
+        rows = step_block_vectors(fam.maps, n, tau)
+        for p in (1.25, 3.5, 40.0, math.inf):
+            got = lp_body(n, p).family_norms(fam, tau)
+            ref = lp_body(n, p).norm_many(rows)
+            assert np.all(np.abs(got - ref) <= (fam.levels + 2) * np.spacing(ref)), (p, n, tau)
+
+
+def test_family_norms_put_an_exact_edge_on_its_edge():
+    # at n = 12, tau = 3 the p = 1 block vector of (2, 2, 11) holds 2/3
+    # on two coordinates and 1/27 on nine: norm exactly 1 = tau^0, which
+    # floor semantics place in cell 2
+    n, tau = 12, 3.0
+    fam = enumerate_steps(n, level_count(n, tau))
+    j = fam.maps.tolist().index([2, 2, 11])
+    assert fam.norms(lp_body(n, 1.0), tau)[j] == 1.0
+    assert profile_cell(log_profile(lp_body(n, 1.0), fam, tau), tau)[j] == 2
+    net = build_net([lp_body(n, 1.0)], tau)
+    assert net.cells[0, j] == 2
 
 
 def test_quantize_to_grid_floor_semantics():
@@ -172,7 +182,7 @@ def test_profiles_and_cells_are_deterministic():
     p2 = log_profile(body, fam, tau)
     np.testing.assert_array_equal(p1, p2)
     assert p1.shape == (np.asarray(fam.maps).shape[0],)
-    assert profile_cell(p1, tau) == profile_cell(p2, tau)
+    assert np.array_equal(profile_cell(p1, tau), profile_cell(p2, tau))
     # every step norm is positive and the profile is its log
     s0 = step_norm(body, fam.maps[0], tau)
     assert s0 > 0
@@ -184,7 +194,7 @@ def test_profile_cell_floor_edges():
     pitch = math.log(tau)
     anchor = -math.log(tau**2)
     prof = np.array([anchor, anchor + pitch, anchor + 1.5 * pitch])
-    assert profile_cell(prof, tau) == (0, 1, 1)
+    assert profile_cell(prof, tau).tolist() == [0, 1, 1]
 
 
 def test_profile_cell_matches_the_generator_loop():
@@ -194,10 +204,9 @@ def test_profile_cell_matches_the_generator_loop():
         # half the entries sit exactly on cell edges, where floor decides
         edges = (rng.integers(-40, 40, size=500) - 2) * lt
         prof = np.where(rng.random(500) < 0.5, edges, rng.normal(scale=20.0, size=500))
-        ref = tuple(int(i) for i in np.floor((prof + 2.0 * lt) / lt))
+        ref = [int(i) for i in np.floor((prof + 2.0 * lt) / lt)]
         cell = profile_cell(prof, tau)
-        assert cell == ref
-        assert all(type(i) is int for i in cell)
+        assert cell.dtype == np.int64 and cell.tolist() == ref
 
 
 def test_profile_cell_refuses_non_finite_entries():
@@ -229,10 +238,11 @@ def test_net_text_round_trip():
     net = build_net([lp_body(3, p) for p in (1.0, 2.0, np.inf)], 2.0)
     text = net_to_text(net)
     for line, (cell, _) in zip(text.splitlines()[1:], net.cell_reps):
-        assert line.split()[1] == ",".join(str(i) for i in cell)
+        assert line.split()[1] == ",".join(str(i) for i in net.cells[cell])
     back = net_from_text(text)
     assert back.n == net.n and back.tau == net.tau and back.levels == net.levels
     assert back.cell_reps == net.cell_reps
+    assert back.cells.dtype == np.int64 and np.array_equal(back.cells, net.cells)
     assert back.profile_count == net.profile_count
     assert set(back.members) == set(net.members)
     assert math.isclose(back.log_log_cell_bound, net.log_log_cell_bound, rel_tol=1e-12)
@@ -263,13 +273,15 @@ def test_net_text_formats_negative_and_multi_digit_indices():
     tau = 2.0
     net = SymmetricNet(
         n=3, tau=tau, levels=level_count(3, tau), profile_count=5,
-        cell_reps=[(c, lp_body(3, p)) for c, p in zip(cells, (1.0, 2.5, math.inf))],
-        members={c: [] for c in cells}, log_log_cell_bound=0.0, log_log_separation=0.0,
+        cell_reps=[(c, lp_body(3, p)) for c, p in enumerate((1.0, 2.5, math.inf))],
+        cells=np.array(cells), members={c: [] for c in range(3)},
+        log_log_cell_bound=0.0, log_log_separation=0.0,
     )
     text = net_to_text(net)
     for line, cell in zip(text.splitlines()[1:], cells):
         assert line.split()[1] == ",".join(str(i) for i in cell)
-    assert net_from_text(text).cell_reps == net.cell_reps
+    back = net_from_text(text)
+    assert back.cell_reps == net.cell_reps and np.array_equal(back.cells, net.cells)
 
 
 def test_certify_pair_grants_close_bodies():
@@ -300,3 +312,40 @@ def test_certify_pair_is_reproducible():
     a = certify_pair(lp_body(4, 1.5), lp_body(4, 2.0), fam, 2.0, samples=400, stream=substream(5, "cp3"))
     b = certify_pair(lp_body(4, 1.5), lp_body(4, 2.0), fam, 2.0, samples=400, stream=substream(5, "cp3"))
     assert a == b
+
+
+def test_certify_pair_evaluates_a_self_pair_once(monkeypatch):
+    rows = []
+    norm_many = SymmetricBody.norm_many
+
+    def counted(self, x):
+        out = norm_many(self, x)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(SymmetricBody, "norm_many", counted)
+    fam = enumerate_steps(4, 3)
+    cert = certify_pair(lp_body(4, 1.5), lp_body(4, 1.5), fam, 2.0, samples=300,
+                        stream=substream(6, "cp4"))
+    assert rows == [300]
+    assert cert.granted and cert.max_ratio == 1.0
+    rows.clear()
+    certify_pair(lp_body(4, 1.5), lp_body(4, 2.0), fam, 2.0, samples=300, stream=substream(6, "cp4"))
+    assert rows == [300, 300]
+
+
+def test_net_of_the_default_lp_family_stays_small():
+    # n = 12, tau = 1.5: 167,960 step maps, 14 cells.  The bodies' norms
+    # (18.8 MB), one int64 cell row per body (18.8 MB) and the 4.7 MB text
+    # with its lines make about 47 MB; tuples of cell indices, an int64 map
+    # matrix or a (maps x n) gather would each add 12 MB or more
+    bodies = [lp_body(12, 1 + 0.25 * i) for i in range(13)] + [lp_body(12, math.inf)]
+    tracemalloc.start()
+    try:
+        net = build_net(bodies, 1.5)
+        text = net_to_text(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.cell_count == 14 and text.count("\n") == 15
+    assert peak < 56e6, peak
