@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +140,9 @@ _NAT = _rule(lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
 _POS_NUM = _rule(lambda v: _is_num(v) and v > 0, "needs a positive number")
 _ABOVE_ONE = _rule(lambda v: _is_num(v) and v > 1, "needs a number > 1")
 _FRACTION = _rule(lambda v: _is_num(v) and 0 < v <= 1, "needs a number in (0, 1]")
-_BOOL = _rule(lambda v: isinstance(v, bool), "needs a boolean")
+# bm_upper has no refinement search: the refine key stays so that a config
+# asking for one is refused instead of being accepted and ignored
+_NO_REFINE = _rule(lambda v: v is False, "must be false: bm_upper has no refinement search")
 _NUMBER = _rule(_is_num, "needs a number")
 _MAPPING = _rule(lambda v: isinstance(v, dict), "must be a mapping")
 _THRESHOLDS = _unset_or(_rule(
@@ -200,10 +201,10 @@ _TABLES = {
                                       "with statistic small_ball", _THRESHOLDS)),
         "replicates": (1, _POS_INT),
     }, ("c",)),
-    "dist": (dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(True, _BOOL)), ()),
+    "dist": (dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(False, _NO_REFINE)), ()),
     "separate": (dict(_MODEL_KEYS, bodies=(_REQUIRED, _POS_INT), threshold=(2.0, _POS_NUM),
                       bins=(16, _POS_INT), max_pairs=(None, _unset_or(_NAT)),
-                      n_diag=(8, _NAT), refine=(False, _BOOL)), ("c1",)),
+                      n_diag=(8, _NAT), refine=(False, _NO_REFINE)), ("c1",)),
     "net": ({
         "n": (_REQUIRED, _POS_INT),
         "tau": (None, _this_or("t", _ABOVE_ONE)),
@@ -337,6 +338,9 @@ def _pool_map(fn, jobs, workers: int):
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    # imported here: most runs are serial and never start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=1))
 
@@ -514,7 +518,7 @@ def _cmd_dist(cfg: ExperimentConfig):
     body_a, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/0"))
     body_b, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/1"))
     fwd = op_norm(np.eye(p["n"]), body_a, body_b)
-    est = bm_upper(body_a, body_b, BmOptions(n_diag=p["n_diag"], refine=p["refine"]))
+    est = bm_upper(body_a, body_b, BmOptions(n_diag=p["n_diag"]))
     records = [
         _mk_record(
             cfg,
@@ -548,7 +552,7 @@ def _cmd_separate(cfg: ExperimentConfig):
         threshold=p["threshold"],
         bins=p["bins"],
         max_pairs=p["max_pairs"],
-        bm=BmOptions(n_diag=p["n_diag"], refine=p["refine"]),
+        bm=BmOptions(n_diag=p["n_diag"]),
     )
     report = run_separation(bodies, opts, functools.partial(_pool_map, workers=cfg.workers))
     payload = {

@@ -12,9 +12,9 @@ vertex of the box spanned by g.
 
 Distance search only ever reports upper bounds: it minimizes the
 product of the two certified operator norms over a finite candidate
-set of maps plus local refinement.  Certifying lower bounds on the
-distance would mean global minimization over all invertible maps,
-which is out of reach, so no such number is produced.
+set of maps, always including the identity.  Certifying lower bounds
+on the distance would mean global minimization over all invertible
+maps, which is out of reach, so no such number is produced.
 """
 from __future__ import annotations
 
@@ -55,9 +55,6 @@ _GUIDED_GAUGES = 4
 _RESTARTS = 32
 _GAUGE_TOL = 1e-6
 _DIAG_SPREAD = 0.75
-_REFINE_MAX_DIM = 8
-_REFINE_SWEEPS = 2
-_REFINE_STEPS = (0.5, 0.25, 0.1)
 _RANK_TOL = 1e-3
 
 # the abort bar of the op_norm call in progress (see _abort_bar); it is a
@@ -573,25 +570,12 @@ def _rank_point(t_mat, k: HullBody, k2: HullBody):
     return t_mat @ best_vec, float(best_score)
 
 
-def _rank_floor(bound: float) -> float:
-    """A floor under the ranking lo of a point x from a bound
-    |<y, x>| <= |x|_K with h_K(y) <= 1.
-
-    A ranking gauge stops once hi - lo <= tol * max(hi, 1e-12), and
-    hi >= |x|_K, so lo >= (1 - tol) |x|_K - tol * 1e-12.  The factor
-    1 - 1e-12 on the bound covers the rounding of the normalisation
-    h_K(y) = 1 and of the products that formed the bound.
-    """
-    return max(0.0, (1.0 - _RANK_TOL) * bound * (1.0 - 1e-12) - _RANK_TOL * 1e-12)
-
-
 @dataclass
 class BmOptions:
     """Knobs for the distance upper-bound search."""
 
     n_diag: int = 8
     signed_perm_limit: int = 4
-    refine: bool = True
     certify_top: int = 3
 
     def __post_init__(self):
@@ -623,42 +607,31 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     """Certified upper bound on the Banach-Mazur distance d(K, K2).
 
     Tries identity, random diagonal maps, signed permutations (all of
-    them in low dimension), a Hadamard rotation when the dimension is a
-    power of two, and local refinement of the best candidate; ranks by
-    a cheap lower-bound surrogate and certifies the top candidates with
-    full operator-norm upper bounds.  The product norm is invariant
-    under scaling of the map, so no scale search is needed.
+    them in low dimension) and a Hadamard rotation when the dimension is
+    a power of two.  The product norm is invariant under scaling of the
+    map, so no scale search is needed.
 
-    The surrogate of a map is the product of two ranking gauges (tol
-    1e-3), forward and inverse, each at the point _rank_point picks.  A
-    refinement trial is accepted only if its surrogate beats the current
-    one by a factor 1 - 1e-9.  Before gauging a trial, each side gets a
-    floor from bounds |<y, x>| <= |x| with h(y) <= 1 that need no gauge:
-    the probe bound of its ranking point, and the dual witnesses of the
-    ranking gauges this call has made on the same target body.  A trial
-    whose floors already fail the acceptance test could not be accepted,
-    so it is skipped without a gauge (see _rank_floor); the search, its
-    log and the bound are those of gauging every trial.  A skipped trial
-    makes no gauge call, so a gauge error it would have raised no longer
-    stops the search.  Which trials are skipped depends only on the
-    bodies and opts: the witness pool lives in this call, and a memo hit
-    returns the witness the gauge returned.
+    Each map is ranked by a cheap surrogate: the product of two ranking
+    gauges (tol 1e-3), forward and inverse, each at the point
+    _rank_point picks.  The identity is certified first and in full,
+    then the certify_top other maps of lowest surrogate in surrogate
+    order, each with full operator-norm upper bounds.
 
-    The top candidates are certified in surrogate order.  Once one has a
-    finite certified product, every later one is certified under an abort
-    bar (_abort_bar) taken from the best product so far.  The forward
+    Every map after the identity is certified under an abort bar
+    (_abort_bar) taken from the best product so far.  The forward
     op_norm stops once its running lo reaches best / L, where L is a
-    gauge-free lower bound on the inverse's norm: the probe and pool
-    bound of the inverse ranking point, shrunk by 1 - 1e-12.  If it
-    finishes, the inverse op_norm stops once its lo reaches
-    best / fwd.lo.  Both stop only at lo >= bar * (1 + 1e-12), so a
-    stopped candidate's product is provably above best and could not
-    have won, while an exact tie runs to the end and the first certified
-    still wins.  The bound, the norms and the map are those of full
-    certificates; a stopped candidate's log entry carries "lower", the
-    certified lower bound on its product, instead of "certified".  A
-    gauge error that a stopped certification would have met no longer
-    stops the search.
+    gauge-free lower bound on the inverse's norm: the larger of the probe
+    bound of the inverse ranking point and its bound |<y, x>| <= |x| from
+    the dual witnesses y of the ranking gauges this call made on the same
+    target, shrunk by 1 - 1e-12 for rounding.  If it finishes, the
+    inverse op_norm stops once its lo reaches best / fwd.lo.  Both stop
+    only at lo >= bar * (1 + 1e-12), so a stopped map's product is
+    provably above best and could not have won, while an exact tie runs
+    to the end and the first certified still wins.  The bound, the norms
+    and the map are those of full certificates; a stopped map's log entry
+    carries "lower", the certified lower bound on its product, instead
+    of "certified".  A gauge error that a stopped certification would
+    have met no longer stops the search.
     """
     if k.dim != k2.dim:
         raise ValueError("bodies must share a dimension")
@@ -667,52 +640,18 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     log: list = []
     cands: list = []
 
-    def invertible(mat):
-        sv = np.linalg.svd(mat, compute_uv=False)
-        return sv[-1] > 1e-12 * max(1.0, sv[0])
-
-    # dual witnesses of this call's ranking gauges, as rows, per target
-    pools: dict = {}
-
-    def sides(mat):
-        """(x, probe bound, target) of the forward and inverse ranking points."""
-        return [
-            (*_rank_point(t_mat, src, dst), dst)
-            for t_mat, src, dst in ((mat, k, k2), (np.linalg.inv(mat), k2, k))
-        ]
+    # dual witnesses of this call's ranking gauges, per target
+    pools = {id(k): [], id(k2): []}
 
     def rank_lo(x, dst):
         lo, _, y = _gauge(dst, x, _RANK_TOL)
-        pool = pools.get(id(dst))
-        pools[id(dst)] = y[None, :] if pool is None else np.vstack([pool, y])
+        pools[id(dst)].append(y)
         return lo
-
-    def bound(x, probe, dst):
-        """The best gauge-free bound |<y, x>| <= |x|_dst at hand."""
-        pool = pools.get(id(dst))
-        return probe if pool is None else max(probe, float(np.abs(pool @ x).max()))
-
-    def floor(x, probe, dst):
-        return _rank_floor(bound(x, probe, dst))
-
-    def surrogate(mat, bar=math.inf):
-        """The surrogate of mat, or None once floors prove it is >= bar."""
-        (x1, p1, d1), (x2, p2, d2) = sides(mat)
-        # the surrogate is lo1 * lo2 with lo_i >= floor_i (_rank_floor),
-        # and rounding is monotone, so a product of floors (or of lo1 and
-        # floor2) at or above bar proves the surrogate fails s < bar: the
-        # gauges it would take are skipped
-        floor2 = floor(x2, p2, d2)
-        if floor(x1, p1, d1) * floor2 >= bar:
-            return None
-        lo1 = rank_lo(x1, d1)
-        if lo1 * floor2 >= bar:
-            return None
-        return lo1 * rank_lo(x2, d2)
 
     def add(name, mat):
         mat = np.asarray(mat, dtype=float)
-        if invertible(mat):
+        sv = np.linalg.svd(mat, compute_uv=False)
+        if sv[-1] > 1e-12 * max(1.0, sv[0]):
             cands.append((name, mat))
         else:
             log.append({"name": name, "skipped": "singular"})
@@ -731,52 +670,24 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
 
     scored = []
     for name, mat in cands:
-        s = surrogate(mat)
-        scored.append((s, name, mat))
+        inv = np.linalg.inv(mat)
+        x_fwd, _ = _rank_point(mat, k, k2)
+        x_inv, probe = _rank_point(inv, k2, k)
+        s = rank_lo(x_fwd, k2) * rank_lo(x_inv, k)
+        scored.append((s, name, mat, inv, x_inv, probe))
         log.append({"name": name, "surrogate": s})
-    scored.sort(key=lambda item: item[0])
-
-    if opts.refine and n <= _REFINE_MAX_DIM and scored:
-        base_s, _, base = scored[0]
-        scale = float(np.abs(base).max()) or 1.0
-
-        def consider(trial):
-            nonlocal base, base_s, improved
-            if invertible(trial):
-                bar = base_s * (1.0 - 1e-9)
-                s = surrogate(trial, bar)
-                if s is not None and s < bar:
-                    base, base_s, improved = trial, s, True
-
-        for _ in range(_REFINE_SWEEPS):
-            improved = False
-            for i in range(n):
-                for j in range(n):
-                    for step in _REFINE_STEPS:
-                        for sgn in (1.0, -1.0):
-                            trial = base.copy()
-                            trial[i, j] += sgn * step * scale
-                            consider(trial)
-            rng2 = substream(_STREAM_SEED, "distance/bm/refine")
-            for _ in range(4):
-                direction = rng2.standard_normal((n, n))
-                for step in _REFINE_STEPS:
-                    consider(base + step * scale * direction)
-            if not improved:
-                break
-        scored.append((base_s, "refined", base))
-        log.append({"name": "refined", "surrogate": base_s})
-        scored.sort(key=lambda item: item[0])
+    # cands[0] is the identity, which is always invertible
+    ranked = sorted(scored[1:], key=lambda item: item[0])
+    witnesses = np.array(pools[id(k)])
 
     best, why = None, []
-    for s, name, mat in scored[: opts.certify_top]:
-        inv = np.linalg.inv(mat)
+    for _, name, mat, inv, x_inv, probe in [scored[0]] + ranked[: opts.certify_top]:
         best_upper = math.inf if best is None else best[0]
         # a gauge-free lower bound on |inv : K2 -> K|: the probe and pool
-        # bound of its ranking point, shrunk for rounding as in _rank_floor
+        # bound |<y, x>| <= |x|_K of its ranking point, shrunk for rounding
         other = 0.0
         if best is not None:
-            other = bound(*_rank_point(inv, k2, k), k) * (1.0 - 1e-12)
+            other = max(probe, float(np.abs(witnesses @ x_inv).max())) * (1.0 - 1e-12)
         try:
             with _under_bar(_abort_bar(best_upper, other)):
                 fwd = op_norm(mat, k, k2)

@@ -320,6 +320,9 @@ _CONC = {"n": 6, "m": 2, "trials": 100, "statistic": "quadratic"}
          [], "params.mode"),
         ("dist", {"n": 4, "delta": 0.5, "n_subsets": 2, "sign_cutoff": 16},
          [], "params.sign_cutoff"),
+        # bm_upper has no refinement search to switch on
+        ("dist", dict(_MODEL, refine=True), [], "params.refine: must be false"),
+        ("separate", dict(_MODEL, bodies=2, refine=True), [], "params.refine: must be false"),
         ("net", {"n": 6, "tau": 2.0}, ["--cap-enumeration", "5"], "--cap-enumeration"),
         ("sample", dict(_MODEL, count=None), [], "params.count"),
         ("sample", dict(_MODEL, count=1, kind=None), [], "params.kind"),
@@ -460,12 +463,14 @@ def test_gauge_command_never_imports_scipy(tmp_path):
         },
     )
     out = str(tmp_path / "out")
+    # a serial run starts no process pool, so it never imports one either
     script = (
         "import sys\n"
         "from bmbodies import cli\n"
         f"code = cli.main(['gauge', '--config', {cfg!r}, '--out', {out!r}])\n"
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -24,7 +24,6 @@ from bmbodies.distance import (
     _RANK_TOL,
     _dual_probes,
     _guided_points,
-    _rank_floor,
     _rank_point,
     bm_upper,
     cap_projection_norms,
@@ -342,37 +341,20 @@ def _model_pair(kind, n, seed):
     return out
 
 
-_REFINE = BmOptions(n_diag=2, refine=True, certify_top=1)
-
-
-@pytest.mark.parametrize("kind,n,seed", [("subset", 6, 41), ("subset", 8, 42), ("cap", 8, 43)])
-def test_bm_upper_pruning_changes_no_result(monkeypatch, kind, n, seed):
-    calls = _count_gauge_calls(monkeypatch)
-    pruned = bm_upper(*_model_pair(kind, n, seed), _REFINE)
-    n_pruned = len(calls)
-    calls.clear()
-    # a floor of 0 never reaches the acceptance bar: every trial is gauged
-    monkeypatch.setattr(distance, "_rank_floor", lambda bound: 0.0)
-    full = bm_upper(*_model_pair(kind, n, seed), _REFINE)
-    assert (pruned.upper, pruned.norm_fwd, pruned.norm_inv) == (
-        full.upper, full.norm_fwd, full.norm_inv)
-    assert pruned.best_map.tobytes() == full.best_map.tobytes()
-    assert pruned.candidates == full.candidates
-    assert n_pruned < len(calls)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
     kind=st.sampled_from(["subset", "cap"]),
 )
-def test_rank_floor_is_below_the_ranking_lo(seed, n, kind):
+def test_abort_bar_bound_is_below_the_gauge(seed, n, kind):
+    # bm_upper bars a candidate with a gauge-free lower bound on its inverse
+    # norm: the probe or pool bound of a ranking point, times 1 - 1e-12
     k, k2 = _model_pair(kind, n, seed)
     rng = np.random.default_rng(seed)
     t = np.eye(n) + 0.5 * rng.normal(size=(n, n))
     x, probe = _rank_point(t, k, k2)
-    lo = gauge(k2, x, tol=_RANK_TOL).lo
+    hi = gauge(k2, x).hi
     # a pool of dual witnesses from ranking gauges of nearby maps
     pool = np.array([
         gauge(k2, _rank_point(t + 0.1 * rng.normal(size=(n, n)), k, k2)[0],
@@ -380,57 +362,17 @@ def test_rank_floor_is_below_the_ranking_lo(seed, n, kind):
         for _ in range(3)
     ])
     for bound in (probe, float(np.abs(pool @ x).max())):
-        assert (1.0 - _RANK_TOL) * bound * (1.0 - 1e-12) <= lo
-        assert _rank_floor(bound) <= lo
-
-
-def test_bm_upper_skips_the_same_trials_with_a_warm_memo(monkeypatch):
-    real = distance._gauge
-
-    def ranked_points(run):
-        """run()'s result, the ranking gauges it asked for, and how many of
-        them the memo served."""
-        seen, hits = [], 0
-
-        def spy(body, x, tol):
-            nonlocal hits
-            if tol != _RANK_TOL:
-                return real(body, x, tol)
-            seen.append((bodies.index(body), x.tobytes()))
-            size = len(body._cache.get("gauge_memo", {}))
-            out = real(body, x, tol)
-            hits += len(body._cache["gauge_memo"]) == size
-            return out
-
-        monkeypatch.setattr(distance, "_gauge", spy)
-        est = run()
-        monkeypatch.setattr(distance, "_gauge", real)
-        return est, seen, hits
-
-    bodies = _model_pair("subset", 8, 44)
-    fresh, fresh_seen, fresh_hits = ranked_points(lambda: bm_upper(*bodies, _REFINE))
-
-    # the reversed pair ranks the identity's inverse, which is the forward
-    # pair's identity, so it leaves entries in the memo this call reads
-    bodies = _model_pair("subset", 8, 44)
-    bm_upper(bodies[1], bodies[0], _REFINE)
-    warm, warm_seen, warm_hits = ranked_points(lambda: bm_upper(*bodies, _REFINE))
-    again, again_seen, again_hits = ranked_points(lambda: bm_upper(*bodies, _REFINE))
-    assert fresh_hits < warm_hits < again_hits == len(again_seen)
-    assert warm_seen == fresh_seen
-    assert again_seen == fresh_seen
-    for est in (warm, again):
-        assert est.upper == fresh.upper
-        assert est.best_map.tobytes() == fresh.best_map.tobytes()
+        assert bound * (1.0 - 1e-12) <= hi
 
 
 # the CLI seed the dist benchmark derives from its seed 701
 _BENCH_DIST_SEED = 10120829680025015861
 
 
-def _dist_pair(kind, n, seed):
-    """The two bodies the dist command builds at n, delta = 0.5, 2n subsets."""
-    params = ModelParams(n=n, delta=0.5, n_subsets=2 * n)
+def _dist_pair(kind, n, seed, n_subsets=None):
+    """The two bodies the dist command builds at n, delta = 0.5 and
+    n_subsets subsets (2n by default)."""
+    params = ModelParams(n=n, delta=0.5, n_subsets=n_subsets or 2 * n)
     out = []
     for i in range(2):
         draw = sample_body(params, substream(seed, f"dist/0/body/{i}"))
@@ -462,11 +404,35 @@ def test_bm_upper_abort_bar_changes_no_result(monkeypatch, kind, n, seed):
         else:
             assert got == ref
     if n == 8 and kind == "subset":
-        # the Hadamard map loses to the identity at the bench seed
-        assert [c["name"] for c in barred.candidates if "lower" in c] == ["hadamard"]
+        # every other map loses to the identity at the bench seed
+        assert [c["name"] for c in barred.candidates if "lower" in c] == [
+            "hadamard", "diag6", "diag5"]
         assert n_barred < len(calls)
     else:
         assert aborted == 0 or n_barred < len(calls)
+
+
+@pytest.mark.parametrize(
+    "kind,n,seed", [("subset", 8, _BENCH_DIST_SEED), ("cap", 8, _BENCH_DIST_SEED),
+                    ("subset", 4, 3), ("cap", 6, 41)]
+)
+def test_bm_upper_certifies_the_identity_first(kind, n, seed):
+    est = bm_upper(*_dist_pair(kind, n, seed))
+    done = [c for c in est.candidates if "certified" in c or "lower" in c]
+    assert done[0]["name"] == "identity" and "certified" in done[0]
+    assert est.upper <= done[0]["certified"]
+
+
+def test_bm_upper_certifies_an_identity_that_ranks_low():
+    # dist at CLI seed 3, n = 4, 4 subsets: the identity ranks 129th of 394
+    # maps by surrogate, yet it certifies sqrt(2), against 2 for the three
+    # maps ranked first
+    est = bm_upper(*_dist_pair("subset", 4, 3, n_subsets=4))
+    scored = [c for c in est.candidates if "surrogate" in c]
+    ranked = [c["name"] for c in sorted(scored, key=lambda c: c["surrogate"])]
+    assert ranked.index("identity") > 3
+    assert est.upper == 1.414213562373095
+    assert est.best_map.tobytes() == np.eye(4).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -566,7 +532,7 @@ def test_check_one_body_reports_coverage():
 
 
 _LIGHT = SeparationOptions(
-    bm=BmOptions(n_diag=2, signed_perm_limit=2, refine=False, certify_top=1)
+    bm=BmOptions(n_diag=2, signed_perm_limit=2, certify_top=1)
 )
 
 
