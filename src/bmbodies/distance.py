@@ -22,8 +22,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import groupby, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -55,7 +54,7 @@ _GUIDED_GAUGES = 4
 _RESTARTS = 32
 _GAUGE_TOL = 1e-6
 _DIAG_SPREAD = 0.75
-_RANK_TOL = 1e-3
+_PERM_MAX_DIM = 4
 
 # the abort bar of the op_norm call in progress (see _abort_bar); it is a
 # context variable rather than a parameter so that op_norm keeps its
@@ -501,97 +500,15 @@ def _inf_box(comp: Ball, n: int) -> np.ndarray:
     return gen
 
 
-def _sphere_points(t_mat, probes, comp: Ball) -> np.ndarray:
-    """Two candidate points of a Euclidean component for ranking: the top
-    right singular direction of T_S and its probe-aligned image."""
-    sup = _support(comp, t_mat.shape[1])
-    ts = t_mat[:, sup]
-    dirs = [np.linalg.svd(ts)[2][0]]
-    v = ts.T @ probes[np.argmax(np.abs(probes @ (ts @ dirs[0])))]
-    nrm = float(np.sqrt(v @ v))
-    if nrm > 0:
-        dirs.append(v / nrm)
-    pts = np.zeros((len(dirs), t_mat.shape[1]))
-    for i, d in enumerate(dirs):
-        pts[i, sup] = comp.radius * d
-    return pts
-
-
-def _rank_blocks(body: HullBody) -> list:
-    """The candidate point blocks _rank_point scores, in order, cached on
-    the body: one array per run of blocks that do not depend on the map
-    (all sign vertices of boxes with at most 10 coordinates, segment and
-    Ball(1) extreme points), else a function of (t_mat, probes)."""
-    cached = body._cache.get("rank_blocks")
-    if cached is not None:
-        return cached
-    n, blocks = body.dim, []
-    for comp in body.components:
-        if isinstance(comp, SignedPoints) and comp.unconditional:
-            for g_vec in comp.points:
-                if np.count_nonzero(g_vec) <= 10:
-                    blocks.append(_box_vertices(g_vec))
-                else:
-                    blocks.append(partial(_guided_points, gen=g_vec))
-        elif isinstance(comp, SignedPoints) or comp.p == 1.0:
-            blocks.append(_segment_points(comp, n))
-        elif comp.p == math.inf:
-            blocks.append(partial(_guided_points, gen=_inf_box(comp, n)))
-        else:
-            blocks.append(partial(_sphere_points, comp=comp))
-    merged = []
-    for fixed, run in groupby(blocks, key=lambda block: isinstance(block, np.ndarray)):
-        merged.extend([np.concatenate(list(run))] if fixed else run)
-    body._cache["rank_blocks"] = merged
-    return merged
-
-
-def _rank_point(t_mat, k: HullBody, k2: HullBody):
-    """The point x = T p whose gauge ranks the map T from K to K2, and its
-    probe bound max |<y, x>| over the dual probes y of K2.
-
-    p is the first point of highest probe score among the polytopal
-    extreme-point families of K (all sign vertices of boxes with at most
-    10 coordinates, probe-guided ones beyond that and for Ball(inf)) and a
-    couple of sphere directions per Euclidean component.  Every probe has
-    h_K2(y) = 1, so the bound is at most |x|_K2.
-    """
-    probes = _dual_probes(k2)
-    best_vec, best_score = None, -math.inf
-    for block in _rank_blocks(k):
-        if isinstance(block, np.ndarray):
-            pts = block
-        else:
-            pts = block(t_mat=t_mat, probes=probes)
-        scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best_score, best_vec = scores[i], pts[i]
-    return t_mat @ best_vec, float(best_score)
-
-
 @dataclass
 class BmOptions:
     """Knobs for the distance upper-bound search."""
 
     n_diag: int = 8
-    signed_perm_limit: int = 4
-    certify_top: int = 3
 
     def __post_init__(self):
-        if self.n_diag < 0 or self.certify_top < 1:
+        if self.n_diag < 0:
             raise ValueError("invalid search options")
-
-
-def _signed_perm_maps(n: int):
-    """All signed permutation matrices (n! * 2^n of them)."""
-    out = []
-    for perm in permutations(range(n)):
-        base = np.zeros((n, n))
-        base[np.arange(n), perm] = 1.0
-        for signs in _sign_patterns(n):
-            out.append(base * signs[:, None])
-    return out
 
 
 def _hadamard(n: int):
@@ -606,88 +523,58 @@ def _hadamard(n: int):
 def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEstimate:
     """Certified upper bound on the Banach-Mazur distance d(K, K2).
 
-    Tries identity, random diagonal maps, signed permutations (all of
-    them in low dimension) and a Hadamard rotation when the dimension is
-    a power of two.  The product norm is invariant under scaling of the
-    map, so no scale search is needed.
+    Tries, in this order, the identity, n_diag random diagonal maps, every
+    permutation matrix when the dimension is at most _PERM_MAX_DIM, and a
+    Hadamard rotation when the dimension is a power of two.  Every one is
+    invertible, and each is certified in turn with full operator-norm
+    upper bounds, forward and inverse; the first map of least certified
+    product wins.  The product norm is invariant under scaling of the
+    map, so no scale search is needed.  Signed permutations are left out:
+    a sign change S is an isometry of a sign-invariant body, so when
+    either body is one, S P has the norms of P.
 
-    Each map is ranked by a cheap surrogate: the product of two ranking
-    gauges (tol 1e-3), forward and inverse, each at the point
-    _rank_point picks.  The identity is certified first and in full,
-    then the certify_top other maps of lowest surrogate in surrogate
-    order, each with full operator-norm upper bounds.
-
-    Every map after the identity is certified under an abort bar
-    (_abort_bar) taken from the best product so far.  The forward
+    Once a map has a finite certified product, every later map is
+    certified under an abort bar (_abort_bar) taken from the best
+    product so far.  The forward
     op_norm stops once its running lo reaches best / L, where L is a
-    gauge-free lower bound on the inverse's norm: the larger of the probe
-    bound of the inverse ranking point and its bound |<y, x>| <= |x| from
-    the dual witnesses y of the ranking gauges this call made on the same
-    target, shrunk by 1 - 1e-12 for rounding.  If it finishes, the
-    inverse op_norm stops once its lo reaches best / fwd.lo.  Both stop
-    only at lo >= bar * (1 + 1e-12), so a stopped map's product is
-    provably above best and could not have won, while an exact tie runs
-    to the end and the first certified still wins.  The bound, the norms
-    and the map are those of full certificates; a stopped map's log entry
-    carries "lower", the certified lower bound on its product, instead
-    of "certified".  A gauge error that a stopped certification would
-    have met no longer stops the search.
+    gauge-free lower bound on the inverse's norm: every dual probe y of
+    K has h_K(y) = 1, so |T^-1 : K2 -> K| >= h_K2(T^-T y), and L is the
+    largest such support value shrunk by 1 - 1e-12 for rounding.  If the
+    forward side finishes, the inverse op_norm stops once its lo reaches
+    best / fwd.lo.  Both stop only at lo >= bar * (1 + 1e-12), so a
+    stopped map's product is provably above best and could not have
+    won, while an exact tie runs to the end and the first certified
+    still wins.  The bound, the norms and the map are those of full
+    certificates.  The log has one entry per map in the order above:
+    "certified", the product, or for a stopped map "lower", the
+    certified lower bound on its product.  A gauge error that a stopped
+    certification would have met no longer stops the search.
     """
     if k.dim != k2.dim:
         raise ValueError("bodies must share a dimension")
     n = k.dim
     opts = opts or BmOptions()
-    log: list = []
-    cands: list = []
 
-    # dual witnesses of this call's ranking gauges, per target
-    pools = {id(k): [], id(k2): []}
-
-    def rank_lo(x, dst):
-        lo, _, y = _gauge(dst, x, _RANK_TOL)
-        pools[id(dst)].append(y)
-        return lo
-
-    def add(name, mat):
-        mat = np.asarray(mat, dtype=float)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] > 1e-12 * max(1.0, sv[0]):
-            cands.append((name, mat))
-        else:
-            log.append({"name": name, "skipped": "singular"})
-
-    add("identity", np.eye(n))
+    cands = [("identity", np.eye(n))]
     rng = substream(_STREAM_SEED, "distance/bm/diag")
     for i in range(opts.n_diag):
         d = np.exp(rng.uniform(-_DIAG_SPREAD, _DIAG_SPREAD, size=n))
-        add(f"diag{i}", np.diag(d))
-    if n <= opts.signed_perm_limit:
-        for i, mat in enumerate(_signed_perm_maps(n)):
-            add(f"sperm{i}", mat)
+        cands.append((f"diag{i}", np.diag(d)))
+    if n <= _PERM_MAX_DIM:
+        for i, perm in enumerate(permutations(range(n))):
+            cands.append((f"perm{i}", np.eye(n)[list(perm)]))
     had = _hadamard(n)
     if had is not None:
-        add("hadamard", had)
+        cands.append(("hadamard", had))
 
-    scored = []
+    log, best, why = [], None, []
     for name, mat in cands:
         inv = np.linalg.inv(mat)
-        x_fwd, _ = _rank_point(mat, k, k2)
-        x_inv, probe = _rank_point(inv, k2, k)
-        s = rank_lo(x_fwd, k2) * rank_lo(x_inv, k)
-        scored.append((s, name, mat, inv, x_inv, probe))
-        log.append({"name": name, "surrogate": s})
-    # cands[0] is the identity, which is always invertible
-    ranked = sorted(scored[1:], key=lambda item: item[0])
-    witnesses = np.array(pools[id(k)])
-
-    best, why = None, []
-    for _, name, mat, inv, x_inv, probe in [scored[0]] + ranked[: opts.certify_top]:
-        best_upper = math.inf if best is None else best[0]
-        # a gauge-free lower bound on |inv : K2 -> K|: the probe and pool
-        # bound |<y, x>| <= |x|_K of its ranking point, shrunk for rounding
-        other = 0.0
+        best_upper, other = math.inf, 0.0
         if best is not None:
-            other = max(probe, float(np.abs(witnesses @ x_inv).max())) * (1.0 - 1e-12)
+            best_upper = best[0]
+            # a gauge-free lower bound on |inv : K2 -> K|, shrunk for rounding
+            other = float(support_many(k2, _dual_probes(k) @ inv).max()) * (1.0 - 1e-12)
         try:
             with _under_bar(_abort_bar(best_upper, other)):
                 fwd = op_norm(mat, k, k2)

@@ -386,7 +386,7 @@ def __getattr__(name):
     # bench/tracer.py still wraps scipy's linprog and minimize where this
     # module used to bind them; resolve just those two names on demand so
     # that untraced runs never import scipy.  Goes away with the tracer
-    # rewrite of ROADMAP item 3.
+    # rewrite of ROADMAP item 7.
     if name in ("linprog", "minimize"):
         import scipy.optimize
 

@@ -28,7 +28,6 @@ __all__ = [
     "sample_rademacher",
     "sample_body",
     "sample_test_vector",
-    "theorem_subset_count",
 ]
 
 GENERATOR_NAME = "philox4x64"
@@ -87,14 +86,6 @@ class ModelParams:
         object.__setattr__(self, "m", m)
         threshold = self.regime_const * math.sqrt(math.log(max(self.n, 2)) / self.n)
         object.__setattr__(self, "below_regime", bool(self.delta <= threshold))
-
-
-def theorem_subset_count(params: ModelParams, c: float = 1.0) -> float:
-    """Report-only theorem scale exp(c * delta^2 * n); inf on overflow."""
-    try:
-        return math.exp(c * params.delta**2 * params.n)
-    except OverflowError:
-        return float("inf")
 
 
 def check_index_set(idx, n: int) -> np.ndarray:

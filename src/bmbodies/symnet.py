@@ -36,12 +36,10 @@ __all__ = [
     "PairCertificate",
     "level_count",
     "enumerate_steps",
-    "step_norm",
     "log_profile",
     "profile_cell",
     "build_net",
     "certify_pair",
-    "quantize_to_grid",
     "tau_for_separation",
     "net_to_text",
     "net_from_text",
@@ -286,21 +284,6 @@ def enumerate_steps(n: int, levels: int, cap: int = PROFILE_CAP) -> StepFamily:
     return StepFamily(n=n, levels=levels, widths=widths)
 
 
-def step_norm(body: SymmetricBody, step_map, tau: float) -> float:
-    """Norm of the geometric block vector of one step map."""
-    sm = np.asarray(step_map, dtype=np.int64)
-    if sm.ndim != 1 or sm.size < 1:
-        raise ValueError("step map must be a nonempty 1-d index list")
-    if np.any(sm < 1) or np.any(sm > body.dim) or np.any(np.diff(sm) < 0):
-        raise ValueError("step map must be nondecreasing with values in [1, n]")
-    v = np.zeros(body.dim)
-    prev = 0
-    for lvl, cur in enumerate(sm, start=1):
-        v[prev:cur] = float(tau) ** (-lvl)
-        prev = int(cur)
-    return body.norm(v)
-
-
 def log_profile(body: SymmetricBody, family: StepFamily, tau: float) -> np.ndarray:
     """Log of the block-vector norm across the whole family.
 
@@ -472,32 +455,6 @@ def certify_pair(k_body: SymmetricBody, d_body: SymmetricBody, family: StepFamil
         empirical_ok=empirical_ok,
         samples=int(samples),
     )
-
-
-def quantize_to_grid(x, tau: float, levels: int) -> np.ndarray:
-    """Round each entry down to the geometric grid {tau^-j}.
-
-    Entries below tau^-levels are zeroed; every kept entry y satisfies
-    y <= x < tau*y.  Exact powers stay where they are.
-    """
-    a = np.asarray(x, dtype=float)
-    if np.any(a < 0.0):
-        raise ValueError("expects nonnegative entries")
-    tau_f = float(tau)
-    out = np.zeros_like(a)
-    pos = a > 0.0
-    expo = np.floor(np.log(a[pos]) / math.log(tau_f)).astype(np.int64)
-    y = tau_f**expo.astype(float)
-    # rounding of log can misplace exact powers by one grid step
-    too_big = y > a[pos]
-    y[too_big] /= tau_f
-    expo[too_big] -= 1
-    too_small = tau_f * y <= a[pos]
-    y[too_small] *= tau_f
-    expo[too_small] += 1
-    y[expo < -levels] = 0.0
-    out[pos] = y
-    return out
 
 
 def tau_for_separation(t: float) -> float:

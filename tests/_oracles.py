@@ -5,7 +5,8 @@ singular values come from characteristic polynomials, gauges from a
 membership bisection driven by support-direction separations, 2x2
 distance bounds from closed-form norms on a dense map grid,
 restricted quadratic forms and norms from gathered submatrices, and
-step-family norms from mask-built block vectors or rational arithmetic.
+step-family norms from mask-built block vectors, a per-level loop or
+rational arithmetic.
 """
 from __future__ import annotations
 
@@ -550,3 +551,14 @@ def exact_block_norms(body, maps, tau: float) -> list:
             total = Fraction(math.isqrt(num * den * 4**64), den * 2**64)
         out.append(total)
     return out
+
+
+def step_norm(body, step_map, tau: float) -> float:
+    """Norm of one step map's block vector, built by a loop over its
+    levels and evaluated by the body's own norm."""
+    v = np.zeros(body.dim)
+    prev = 0
+    for lvl, cur in enumerate(step_map, start=1):
+        v[prev:cur] = float(tau) ** (-lvl)
+        prev = int(cur)
+    return body.norm(v)

@@ -14,6 +14,7 @@ from bmbodies.bodies import (
     ball_body,
     cap_body,
     subset_body,
+    support_many,
 )
 from bmbodies import distance
 from bmbodies.distance import (
@@ -21,10 +22,8 @@ from bmbodies.distance import (
     CertificationError,
     OpNormResult,
     SeparationOptions,
-    _RANK_TOL,
     _dual_probes,
     _guided_points,
-    _rank_point,
     bm_upper,
     cap_projection_norms,
     check_one_body,
@@ -172,7 +171,7 @@ def test_bm_upper_without_a_certified_candidate_raises_a_typed_error():
     wide = HullBody(n, (SignedPoints(rng.uniform(0.2, 1.0, size=(1, n)), unconditional=True),))
     dst = HullBody(n, (SignedPoints(rng.normal(size=(n + 2, n))),))
     with pytest.raises(CertificationError, match="component 0, generator 0"):
-        bm_upper(wide, dst, BmOptions(n_diag=1, certify_top=1))
+        bm_upper(wide, dst, BmOptions(n_diag=1))
 
 
 def _vertex_reference(t, src, dst):
@@ -348,21 +347,14 @@ def _model_pair(kind, n, seed):
     kind=st.sampled_from(["subset", "cap"]),
 )
 def test_abort_bar_bound_is_below_the_gauge(seed, n, kind):
-    # bm_upper bars a candidate with a gauge-free lower bound on its inverse
-    # norm: the probe or pool bound of a ranking point, times 1 - 1e-12
+    # bm_upper bars a candidate T with a gauge-free lower bound on
+    # |T^-1 : K2 -> K|: h_K2(T^-T y) over the dual probes y of K, which have
+    # h_K(y) = 1, times 1 - 1e-12
     k, k2 = _model_pair(kind, n, seed)
-    rng = np.random.default_rng(seed)
-    t = np.eye(n) + 0.5 * rng.normal(size=(n, n))
-    x, probe = _rank_point(t, k, k2)
-    hi = gauge(k2, x).hi
-    # a pool of dual witnesses from ranking gauges of nearby maps
-    pool = np.array([
-        gauge(k2, _rank_point(t + 0.1 * rng.normal(size=(n, n)), k, k2)[0],
-              tol=_RANK_TOL).dual_witness
-        for _ in range(3)
-    ])
-    for bound in (probe, float(np.abs(pool @ x).max())):
-        assert bound * (1.0 - 1e-12) <= hi
+    t = np.eye(n) + 0.5 * np.random.default_rng(seed).normal(size=(n, n))
+    inv = np.linalg.inv(t)
+    bound = float(support_many(k2, _dual_probes(k) @ inv).max())
+    assert bound * (1.0 - 1e-12) <= op_norm(inv, k2, k).hi
 
 
 # the CLI seed the dist benchmark derives from its seed 701
@@ -406,33 +398,29 @@ def test_bm_upper_abort_bar_changes_no_result(monkeypatch, kind, n, seed):
     if n == 8 and kind == "subset":
         # every other map loses to the identity at the bench seed
         assert [c["name"] for c in barred.candidates if "lower" in c] == [
-            "hadamard", "diag6", "diag5"]
+            *(f"diag{i}" for i in range(8)), "hadamard"]
         assert n_barred < len(calls)
     else:
         assert aborted == 0 or n_barred < len(calls)
 
 
 @pytest.mark.parametrize(
-    "kind,n,seed", [("subset", 8, _BENCH_DIST_SEED), ("cap", 8, _BENCH_DIST_SEED),
-                    ("subset", 4, 3), ("cap", 6, 41)]
+    "kind,n,seed,n_subsets",
+    [("subset", 8, _BENCH_DIST_SEED, None), ("cap", 8, _BENCH_DIST_SEED, None),
+     ("subset", 4, 3, None), ("subset", 4, 3, 4), ("cap", 6, 41, None), ("subset", 2, 5, None)],
 )
-def test_bm_upper_certifies_the_identity_first(kind, n, seed):
-    est = bm_upper(*_dist_pair(kind, n, seed))
-    done = [c for c in est.candidates if "certified" in c or "lower" in c]
-    assert done[0]["name"] == "identity" and "certified" in done[0]
-    assert est.upper <= done[0]["certified"]
-
-
-def test_bm_upper_certifies_an_identity_that_ranks_low():
-    # dist at CLI seed 3, n = 4, 4 subsets: the identity ranks 129th of 394
-    # maps by surrogate, yet it certifies sqrt(2), against 2 for the three
-    # maps ranked first
-    est = bm_upper(*_dist_pair("subset", 4, 3, n_subsets=4))
-    scored = [c for c in est.candidates if "surrogate" in c]
-    ranked = [c["name"] for c in sorted(scored, key=lambda c: c["surrogate"])]
-    assert ranked.index("identity") > 3
-    assert est.upper == 1.414213562373095
-    assert est.best_map.tobytes() == np.eye(4).tobytes()
+def test_bm_upper_certifies_every_candidate_identity_first(kind, n, seed, n_subsets):
+    est = bm_upper(*_dist_pair(kind, n, seed, n_subsets))
+    assert est.candidates[0]["name"] == "identity" and "certified" in est.candidates[0]
+    assert est.upper <= est.candidates[0]["certified"]
+    # every candidate gets exactly one outcome, in generation order
+    names = ["identity", *(f"diag{i}" for i in range(8))]
+    if n <= 4:
+        names += [f"perm{i}" for i in range(math.factorial(n))]
+    if distance._hadamard(n) is not None:
+        names.append("hadamard")
+    assert [c["name"] for c in est.candidates] == names
+    assert all(len(c) == 2 and ("certified" in c) != ("lower" in c) for c in est.candidates)
 
 
 @settings(max_examples=20, deadline=None)
@@ -531,9 +519,7 @@ def test_check_one_body_reports_coverage():
     assert rep2.metadata["op_hi"] >= rep2.metadata["op_lo"] * (1 - 1e-9)
 
 
-_LIGHT = SeparationOptions(
-    bm=BmOptions(n_diag=2, signed_perm_limit=2, certify_top=1)
-)
+_LIGHT = SeparationOptions(bm=BmOptions(n_diag=2))
 
 
 def _model_bodies(count, stream):

@@ -12,7 +12,6 @@ from bmbodies.randmodel import (
     sample_subsets,
     sample_test_vector,
     substream,
-    theorem_subset_count,
 )
 
 
@@ -56,9 +55,6 @@ def test_below_regime_flag_tracks_density_threshold():
     assert ModelParams(n=20, delta=0.25, n_subsets=2).below_regime == (0.25 <= thr)
     assert not ModelParams(n=20, delta=0.5, n_subsets=2).below_regime
     assert ModelParams(n=20, delta=0.5, n_subsets=2, regime_const=2.0).below_regime
-    p = ModelParams(n=20, delta=0.25, n_subsets=2)
-    assert math.isclose(theorem_subset_count(p), math.exp(0.25**2 * 20), rel_tol=1e-12)
-    assert theorem_subset_count(p, c=2.0) > theorem_subset_count(p)
 
 
 def test_sample_subset_shape_and_range():

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from _oracles import exact_block_norms, step_block_vectors
+from _oracles import exact_block_norms, step_block_vectors, step_norm
 from bmbodies.randmodel import substream
 from bmbodies.symnet import (
     SymmetricBody,
@@ -22,9 +22,7 @@ from bmbodies.symnet import (
     net_from_text,
     net_to_text,
     profile_cell,
-    quantize_to_grid,
     SymmetricNet,
-    step_norm,
     tau_for_separation,
     top_k_body,
 )
@@ -136,15 +134,6 @@ def test_family_norms_put_an_exact_edge_on_its_edge():
     assert profile_cell(log_profile(lp_body(n, 1.0), fam, tau), tau)[j] == 2
     net = build_net([lp_body(n, 1.0)], tau)
     assert net.cells[0, j] == 2
-
-
-def test_quantize_to_grid_floor_semantics():
-    x = np.array([1.0, 0.6, 0.5, 0.3, 0.125, 0.124, 0.0])
-    got = quantize_to_grid(x, 2.0, 3)
-    np.testing.assert_allclose(got, [1.0, 0.5, 0.5, 0.25, 0.125, 0.0, 0.0])
-    kept = got[got > 0]
-    src = x[got > 0]
-    assert np.all(kept <= src) and np.all(src < 2.0 * kept)
 
 
 def test_tau_for_separation_is_a_twelfth_root():
