@@ -51,7 +51,7 @@ __all__ = [
 _STREAM_SEED = 0xB0D1E5
 _SIGN_CUTOFF = 16
 _GUIDED_GAUGES = 4
-_RESTARTS = 32
+_BALL2_GAUGES = 2
 _GAUGE_TOL = 1e-6
 _DIAG_SPREAD = 0.75
 _PERM_MAX_DIM = 4
@@ -314,8 +314,6 @@ def _eval_points_max(t_mat, pts, k2, bar):
     _BarReached once the running lo beats bar.
     """
     pts = np.asarray(pts, dtype=float)
-    if pts.size == 0:
-        return 0.0, 0.0, None
     # the batched product only ranks candidates; gauge always sees the
     # per-point product so results cannot depend on BLAS batching
     tx = pts @ t_mat.T
@@ -342,53 +340,31 @@ def _eval_points_max(t_mat, pts, k2, bar):
     return max(best_lo, 0.0), best_hi, witness
 
 
-def _sphere_ascent(t_mat, sup, radius, k2):
-    """Lower bound for a Euclidean source component: iterate the
-    alignment map u -> normalize(T_S^T y(Tu)) from many starts, then
-    certify the best candidates by full gauge."""
-    ts = t_mat[:, sup]
-    k = sup.size
-    probes = _dual_probes(k2)
-    # coordinate directions are exactly representable, so when one of
-    # them attains the maximum the reported bound has no rounding dust
-    finals = [e for e in np.eye(k)]
-    starts = []
-    sv = np.linalg.svd(ts, compute_uv=True)
-    starts.append(sv[2][0])
-    rng = substream(_STREAM_SEED, "distance/sphere")
-    raw = rng.standard_normal((_RESTARTS - 1, k))
-    for row in raw:
-        nrm = float(np.sqrt(row @ row))
-        if nrm > 0:
-            starts.append(row / nrm)
-    for u in starts:
-        u = np.asarray(u, dtype=float)
-        for _ in range(12):
-            v = ts @ u
-            scores = probes @ v
-            idx = int(np.argmax(np.abs(scores)))
-            y = probes[idx] * np.sign(scores[idx])
-            u_new = ts.T @ y
-            nrm = float(np.sqrt(u_new @ u_new))
-            if nrm <= 1e-30:
-                break
-            u_new /= nrm
-            if float(np.abs(u_new @ u)) > 1.0 - 1e-14:
-                u = u_new
-                break
-            u = u_new
-        finals.append(u)
-    finals = np.asarray(finals)
-    vals = np.abs((finals @ ts.T) @ probes.T).max(axis=1)
-    order = np.argsort(-vals, kind="stable")[: min(4, len(finals))]
-    best_lo, witness = -math.inf, None
-    for i in order:
-        point = np.zeros(t_mat.shape[1])
-        point[sup] = radius * finals[i]
-        g_lo = _gauge(k2, t_mat @ point, _GAUGE_TOL)[0]
-        if g_lo > best_lo:
-            best_lo, witness = g_lo, point
-    return max(best_lo, 0.0), witness
+def _ball2_points(t_mat, sup, radius, k2):
+    """Points r * u of the Euclidean piece r * B_2^S, embedded on S: for
+    every dual probe y of K2 with T_S^T y != 0 the maximizer
+    u_y = T_S^T y / |T_S^T y| of <y, T_S u> over the unit sphere, then
+    the exact coordinate directions.  The probes run backwards, so a
+    tie in probe score goes to a Gaussian or sign probe's point, which
+    can gauge above its score; under a diagonal map into a solid target
+    a coordinate point gauges at exactly its score."""
+    dirs = _dual_probes(k2)[::-1] @ t_mat[:, sup]
+    nrm = np.sqrt((dirs * dirs).sum(axis=1))
+    dirs = dirs[nrm > 0.0] / nrm[nrm > 0.0, None]
+    pts = np.zeros((dirs.shape[0] + sup.size, t_mat.shape[1]))
+    pts[:, sup] = radius * np.concatenate([dirs, np.eye(sup.size)])
+    return pts
+
+
+def _probe_ranked_lo(t_mat, pts, k2, count, bar, floor=-math.inf):
+    """(lo, witness) from full gauges of the count points of highest
+    probe score max_y |<y, T p>|, a lower bound on their gauge (ties to
+    the earlier point).  When no score beats floor, no point is sure to
+    raise it, and only the top one is gauged."""
+    scores = np.abs((pts @ t_mat.T) @ _dual_probes(k2).T).max(axis=1)
+    top = np.argsort(-scores, kind="stable")[: count if scores.max() > floor else 1]
+    c_lo, _, c_wit = _eval_points_max(t_mat, pts[top], k2, bar)
+    return c_lo, c_wit
 
 
 def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
@@ -410,8 +386,13 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
     a guided box keeps the bound as its upper bound.  Without a solid
     target a guided box has no upper bound.
 
-    Euclidean components use sphere ascent for the lower bound and the
-    target's Ball(2) inradius for the certified upper bound.
+    A Euclidean component r * B_2^S takes its certified upper bound from
+    the target's Ball(2) inradius and, unless that bound cannot beat the
+    lower bound found so far, its lower bound from closed-form points:
+    for a dual probe y of K2, u_y = T_S^T y / |T_S^T y| maximizes
+    r <y, T_S u> over the unit sphere of S.  The coordinate directions and
+    every r * u_y are ranked by probe score and the top _BALL2_GAUGES get
+    full gauges (the top one only when no score beats the lower bound).
 
     Inside bm_upper's _under_bar the call stops with _BarReached once
     its running lo beats the bar; otherwise the bar is inf.
@@ -447,7 +428,6 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
             gens = _inf_box(comp, k.dim)[None, :]
         else:
             sup = _support(comp, k.dim)
-            c_lo, c_wit = _sphere_ascent(t_mat, sup, comp.radius, k2)
             c_hi = _ball2_source_hi(t_mat, sup, comp.radius, k2)
             if c_hi is None:
                 c_hi = math.inf
@@ -455,6 +435,10 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
                     "target has no Ball(2) component covering the image; "
                     f"upper bound unavailable for Euclidean component {ci}"
                 )
+            c_lo, c_wit = 0.0, None
+            if c_hi > lo:
+                pts = _ball2_points(t_mat, sup, comp.radius, k2)
+                c_lo, c_wit = _probe_ranked_lo(t_mat, pts, k2, _BALL2_GAUGES, bar, lo)
             fold(c_lo, c_hi, c_wit)
             continue
 
@@ -473,11 +457,8 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
             if sup.size <= _SIGN_CUTOFF:
                 fold(*_eval_points_max(t_mat, _box_vertices(g_vec), k2, bar))
                 continue
-            probes = _dual_probes(k2)
-            pts = np.unique(_guided_points(t_mat, g_vec, probes), axis=0)
-            scores = np.abs((pts @ t_mat.T) @ probes.T).max(axis=1)
-            top = np.argsort(-scores, kind="stable")[:_GUIDED_GAUGES]
-            c_lo, _, c_wit = _eval_points_max(t_mat, pts[top], k2, bar)
+            pts = np.unique(_guided_points(t_mat, g_vec, _dual_probes(k2)), axis=0)
+            c_lo, c_wit = _probe_ranked_lo(t_mat, pts, k2, _GUIDED_GAUGES, bar)
             fold(c_lo, dom_hi, c_wit)
             mode = "guided"
             upper = (

@@ -22,6 +22,7 @@ from bmbodies.distance import (
     CertificationError,
     OpNormResult,
     SeparationOptions,
+    _ball2_points,
     _dual_probes,
     _guided_points,
     bm_upper,
@@ -305,6 +306,37 @@ def test_guided_points_attain_the_best_probe_score_over_all_vertices():
     assert math.isclose(float(own.max()), best_all, rel_tol=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    target=st.sampled_from(["subset", "cap"]),
+    spread=st.sampled_from([0.0, 0.05, 0.3]),
+)
+def test_ball2_points_attain_the_best_probe_score_over_the_sphere(seed, n, target, spread):
+    # for a dual probe y, u_y = T_S^T y / |T_S^T y| maximizes <y, T_S u> over
+    # the unit sphere, so r * |T_S^T y| is the best score a point of the
+    # piece r * B_2^S can get from y, and op_norm's lo must reach it
+    params = ModelParams(n=n, delta=0.5, n_subsets=2 * n)
+    draws = [sample_body(params, substream(seed, f"test/ball2/{i}")) for i in range(2)]
+    k = cap_body(params, draws[0].subsets)
+    k2 = cap_body(params, draws[1].subsets) if target == "cap" else draws[1].body
+    t = np.eye(n) + spread * np.random.default_rng(seed).normal(size=(n, n))
+    probes = _dual_probes(k2)
+    best = 0.0
+    for c in k.components:
+        if not (isinstance(c, Ball) and c.p == 2.0):
+            continue
+        sup = np.arange(n) if c.support is None else c.support
+        pts = _ball2_points(t, sup, c.radius, k2)
+        off = np.ones(n, dtype=bool)
+        off[sup] = False
+        assert not np.any(pts[:, off])
+        assert np.allclose(np.linalg.norm(pts, axis=1), c.radius, rtol=1e-12, atol=0.0)
+        best = max(best, c.radius * float(np.linalg.norm(probes @ t[:, sup], axis=1).max()))
+    assert op_norm(t, k, k2).lo >= (1.0 - 1e-6) * best
+
+
 def test_bm_upper_identity_and_structure():
     K = ball_body(4, 1.0, 1.0)
     est = bm_upper(K, K)
@@ -370,6 +402,13 @@ def _dist_pair(kind, n, seed, n_subsets=None):
         draw = sample_body(params, substream(seed, f"dist/0/body/{i}"))
         out.append(cap_body(params, draw.subsets) if kind == "cap" else draw.body)
     return out
+
+
+def test_op_norm_closes_the_identity_bracket_on_the_bench_seed_cap_pair():
+    # a sign probe's closed-form point gauges at sqrt 2 = hi, although a
+    # Gaussian probe's point scores higher and gauges lower
+    res = op_norm(np.eye(4), *_dist_pair("cap", 4, _BENCH_DIST_SEED))
+    assert res.lo >= res.hi * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize(
