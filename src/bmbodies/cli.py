@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .bodies import body_to_text, cap_body
 from .concentration import (
@@ -248,6 +247,23 @@ def _check_keys(table: dict, given: dict, prefix: str, noun: str, command: str,
     return values
 
 
+def _parse_config(text: str):
+    """The document of a config text: JSON when it parses as JSON, YAML
+    otherwise.  PyYAML is imported only for the YAML case, so a JSON
+    config never loads it.  The two differ on some scalars: JSON reads
+    1e5 as 100000.0, YAML 1.1 as the string '1e5'."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    import yaml
+
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def load_config(path: str, command: str, overrides: dict | None = None):
     """Read and validate a config file against one command's key tables.
 
@@ -261,8 +277,8 @@ def load_config(path: str, command: str, overrides: dict | None = None):
     except OSError as exc:
         return None, [f"config: cannot read {path}: {exc}"]
     try:
-        doc = yaml.safe_load(raw.decode("utf-8"))
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        doc = _parse_config(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one; YAML errors are recast
         return None, [f"config: parse failure: {exc}"]
     if doc is None:
         doc = {}
@@ -877,7 +893,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _TABLES:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="YAML config path")
+        sp.add_argument("--config", required=True, help="JSON or YAML config path")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--format", default=None, choices=FORMATS)

@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import check_matrix, hs_norm, spectral_norm
-from .randmodel import sample_subsets
+
+# not called here (_draw samples its own subsets); bench/tracer.py wraps it
+# on this module by name, until the stats file of ROADMAP item 7 replaces it
+from .randmodel import sample_subsets  # noqa: F401
 
 __all__ = [
     "TailCurve",
@@ -274,33 +277,48 @@ def _exceed_counts(stats: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[::-1])[::-1][1:].astype(np.int64)
 
 
+def _floyd_masks(n, m, c, rng):
+    """c iid uniform m-subsets of {0..n-1} as a (c, n) Boolean mask, by
+    Floyd's sequential sampler (Bentley & Floyd 1987) run on every row at
+    once: for j = n-m .. n-1, draw t uniform on {0..j} and take t, or j
+    when t is already taken.  Each step takes one rng.integers call."""
+    mask = np.zeros((c, n), dtype=bool)
+    rows = np.arange(c)
+    for j in range(n - m, n):
+        t = rng.integers(0, j + 1, size=c)
+        mask[rows, np.where(mask[rows, t], j, t)] = True
+    return mask
+
+
 def _draw(n, m, count, rng, cells, stat):
     """stat(v) over count trials.  Row t of v is trial t's signed
     indicator: a uniform m-subset J of {0..n-1} carrying a Rademacher
     sign vector on J, zero off J.
 
     Trials go in chunks of about 4e6 / cells (cells = entries of the
-    restricted array a trial would gather); each chunk draws its subsets,
-    then its signs, so the draws depend on cells alone.  Every statistic
-    is one dense matrix product on v: c*n^2 flops for c trials, against
-    the c*m^2 (quadratic) or c*n*m (norms) reads of gathering A_JJ or
-    B[:, J].  On 4096 trials at n = 100 with one BLAS thread the
-    quadratic takes 4.4 ms against the gather's 24 at m = 25, and 6.7
-    against 1.6 at m = 5; it crosses over near m/n = 0.1 (also at n = 200
-    and 400).  The norms win at every m measured (4.0 against 44 ms at
-    m = 25).  v is filled in row slices of at most 4e6 entries.
+    restricted array a trial would gather); each chunk draws its subsets
+    as a Boolean mask (_floyd_masks), then its signs, so the draws depend
+    on cells alone.  The signs fill a row's subset in increasing
+    coordinate order.  Every statistic is one dense matrix product on v:
+    c*n^2 flops for c trials, against the c*m^2 (quadratic) or c*n*m
+    (norms) reads of gathering A_JJ or B[:, J].  On 4096 trials at
+    n = 100 with one BLAS thread the quadratic takes 4.4 ms against the
+    gather's 24 at m = 25, and 6.7 against 1.6 at m = 5; it crosses over
+    near m/n = 0.1 (also at n = 200 and 400).  The norms win at every m
+    measured (4.0 against 44 ms at m = 25).  v is filled in row slices
+    of at most 4e6 entries.
     """
     chunk = max(1, 4_000_000 // max(cells, 1))
     rows = max(1, 4_000_000 // n)
     out = np.empty(count)
     for done in range(0, count, chunk):
         c = min(chunk, count - done)
-        subs = sample_subsets(n, m, c, rng)
+        mask = _floyd_masks(n, m, c, rng)
         eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
         for lo in range(0, c, rows):
             hi = min(c, lo + rows)
             v = np.zeros((hi - lo, n))
-            np.put_along_axis(v, subs[lo:hi], eps[lo:hi], axis=1)
+            v[mask[lo:hi]] = eps[lo:hi].ravel()
             out[done + lo : done + hi] = stat(v)
     return out
 

@@ -328,7 +328,7 @@ class SymmetricNet:
     levels: int
     profile_count: int
     cell_reps: list  # (cell id, SymmetricBody), ids 0, 1, ... in first-seen order
-    cells: np.ndarray  # int64 grid indices: row = cell id, column = step map
+    cells: np.ndarray  # grid indices: row = cell id, column = step map; int64 when parsed
     members: dict  # cell id -> input positions, empty for parsed nets
     log_log_cell_bound: float
     log_log_separation: float
@@ -351,11 +351,22 @@ def _log_log_separation(n: int, tau: float, c_const: float) -> float:
     return c_const * math.log(max(n, 2)) ** 2 / math.log(tau)
 
 
+def _cell_dtype(n: int, tau: float) -> np.dtype:
+    """Narrowest signed integer type that holds the grid indices of the
+    expected profile range [-log tau^2, log n]: 0 to
+    floor(log n / log tau) + 2 (int8 at n = 12, tau = 1.5)."""
+    top = math.floor(math.log(max(n, 2)) / math.log(tau)) + 2
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= top)
+
+
 def build_net(bodies, tau, cap: int = PROFILE_CAP, c_const: float = 1.0) -> SymmetricNet:
     """Group bodies by quantized log-norm profile.
 
     The level count is recomputed exactly from (n, tau); the first body
-    that lands in a cell becomes its representative.  The bound on the
+    that lands in a cell becomes its representative.  Cells are stored
+    in _cell_dtype(n, tau); a profile whose cell index falls outside
+    that type raises ValueError instead of wrapping.  The bound on the
     number of possible cells and the doubly exponential separated-set
     annotation are report values only, kept as their log log so that
     they stay finite.
@@ -371,15 +382,21 @@ def build_net(bodies, tau, cap: int = PROFILE_CAP, c_const: float = 1.0) -> Symm
         raise ValueError(f"tau must exceed 1, got {tau}")
     levels = level_count(n, tau)
     family = enumerate_steps(n, levels, cap=cap)
-    cells = np.empty((len(bodies), family.count), dtype=np.int64)
+    dtype = _cell_dtype(n, tau_f)
+    low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+    cells = np.empty((len(bodies), family.count), dtype=dtype)
     ids: dict = {}  # hash of an occupied cell's row bytes -> its cell ids
     cell_reps: list = []
     members: dict = {}
     for pos, body in enumerate(bodies):
         # each body's cell goes into the first free row, which is kept only
         # when the cell is new; a repeated cell is overwritten by the next
+        cell_idx = profile_cell(log_profile(body, family, tau_f), tau_f)
+        if cell_idx.min() < low or cell_idx.max() > high:
+            raise ValueError(f"body {pos}: cell indices [{cell_idx.min()}, {cell_idx.max()}] "
+                             f"do not fit the net's {dtype} cells")
         row = cells[len(cell_reps)]
-        row[:] = profile_cell(log_profile(body, family, tau_f), tau_f)
+        row[:] = cell_idx
         same = ids.setdefault(hash(row.tobytes()), [])
         cell = next((c for c in same if np.array_equal(cells[c], row)), None)
         if cell is None:
@@ -473,7 +490,8 @@ def net_to_text(net: SymmetricNet) -> str:
     lo = int(net.cells.min(initial=0))
     text = np.array([str(v) for v in range(lo, int(net.cells.max(initial=0)) + 1)], dtype=object)
     for cell, body in net.cell_reps:
-        lines.append(f"cell {','.join(text[net.cells[cell] - lo].tolist())} rep {body.tag()}")
+        idx = np.subtract(net.cells[cell], lo, dtype=np.intp)  # no wrap in a narrow type
+        lines.append(f"cell {','.join(text[idx].tolist())} rep {body.tag()}")
     return "\n".join([*lines, ""])
 
 

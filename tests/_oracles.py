@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from bmbodies.bodies import Ball, SignedPoints
-from bmbodies.randmodel import sample_subsets
 
 
 def charpoly_singular_values(a: np.ndarray) -> np.ndarray:
@@ -487,13 +486,23 @@ def grid_bm_2x2(p_a, p_b, n_angle: int = 96, n_diag: int = 49) -> float:
 
 def subset_sign_chunks(n: int, m: int, count: int, rng, cells: int):
     """The (subsets, signs) chunks a Monte Carlo run of count trials
-    draws from rng: chunks of 4e6 // cells trials, subsets first."""
+    draws from rng: chunks of 4e6 // cells trials, subsets first.  A
+    chunk's subsets come from one rng.integers(0, j + 1) call per
+    j = n-m .. n-1, then Floyd's rule row by row: take t, or j when t is
+    already taken.  Subsets are returned sorted."""
     chunk = max(1, 4_000_000 // cells)
     for done in range(0, count, chunk):
         c = min(chunk, count - done)
-        subs = sample_subsets(n, m, c, rng)
+        steps = range(n - m, n)
+        picks = [rng.integers(0, j + 1, size=c).tolist() for j in steps]
+        subs = []
+        for row in zip(*picks):
+            taken = set()
+            for j, t in zip(steps, row):
+                taken.add(j if t in taken else t)
+            subs.append(sorted(taken))
         eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
-        yield subs, eps
+        yield np.array(subs, dtype=np.int64), eps
 
 
 def gathered_quadratic(a, subs, eps) -> tuple:

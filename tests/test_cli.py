@@ -1,4 +1,5 @@
 """Command line behavior: validation, determinism, formats, exit codes."""
+import hashlib
 import json
 import math
 import os
@@ -481,6 +482,52 @@ def test_gauge_command_never_imports_scipy(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert len(_read_records(out, "gauge")) == 2
+
+
+def test_json_and_yaml_configs_differ_only_where_their_scalars_do(tmp_path):
+    # JSON is tried first; PyYAML (YAML 1.1) reads 1e5, with no dot, as a string
+    doc = {"command": "conc", "constants": {"c": "EXP"}, "params": _CONC_DOC["params"]}
+    as_json = tmp_path / "cfg.json"
+    as_json.write_text(json.dumps(doc).replace('"EXP"', "1e5"))
+    as_yaml = tmp_path / "cfg.yaml"
+    as_yaml.write_text(yaml.safe_dump(doc).replace("EXP", "1e5"))
+    cfg, errors = cli.load_config(str(as_json), "conc")
+    assert errors == [] and cfg.constants == {"c": 100000.0}
+    assert cfg.config_hash == hashlib.sha256(as_json.read_bytes()).hexdigest()
+    cfg, errors = cli.load_config(str(as_yaml), "conc")
+    assert cfg is None and len(errors) == 1 and errors[0].startswith("constants.c:")
+    # one document read both ways gives one config
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(_CONC_DOC))
+    from_json, _ = cli.load_config(str(plain), "conc")
+    from_yaml, _ = cli.load_config(_cfg(tmp_path, _CONC_DOC), "conc")
+    assert from_json.params == from_yaml.params
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("params: [unclosed\n")
+    cfg, errors = cli.load_config(str(bad), "conc")
+    assert cfg is None and errors[0].startswith("config: parse failure:")
+
+
+def test_a_json_config_never_imports_yaml(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CONC_DOC))
+    out = str(tmp_path / "out")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    # -X importtime lists every module the run imports, on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bmbodies.cli", "conc", "--config",
+         str(cfg), "--out", out],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported and "bmbodies.concentration" in imported
+    assert not [m for m in imported if m.split(".")[0] == "yaml"]
+    assert len(_read_records(out, "conc")) == 1
 
 
 def test_unusable_out_path_is_validation(tmp_path, capsys):

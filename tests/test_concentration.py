@@ -1,4 +1,5 @@
 """Monte Carlo tail machinery: counting, intervals, merging, bounds."""
+import itertools
 import json
 import math
 
@@ -249,3 +250,25 @@ def test_draw_consumes_the_stream_chunk_by_chunk(n, m, cells):
     assert _state(rng) == _state(ref)
     np.testing.assert_array_equal(np.concatenate(seen), np.concatenate(dense))
     assert max(v.size for v in seen) <= 4_000_000
+
+
+def test_draw_gives_every_subset_with_equal_frequency():
+    # all C(6, 3) = 20 subsets, by their bit codes; 19 degrees of freedom,
+    # where P(chi-square >= 43.82) = 0.001 for an exact uniform sampler
+    n, m, count = 6, 3, 40000
+    codes = _draw(n, m, count, substream(13, "floyd/uniform"), m * m,
+                  lambda v: (v != 0) @ (2.0 ** np.arange(n)))
+    seen = np.bincount(codes.astype(np.int64), minlength=2**n)
+    subsets = [sum(2**i for i in s) for s in itertools.combinations(range(n), m)]
+    assert np.count_nonzero(seen) == len(subsets) == 20
+    expected = count / len(subsets)
+    chi2 = float(((seen[subsets] - expected) ** 2 / expected).sum())
+    assert chi2 < 43.82, chi2
+
+
+@pytest.mark.parametrize("m", [1, 99, 25])
+def test_draw_puts_exactly_m_signs_on_every_row(m):
+    n, count = 100, 5000
+    sizes = _draw(n, m, count, substream(14, f"floyd/count/{m}"), m * m,
+                  lambda v: np.count_nonzero(v, axis=1).astype(float))
+    assert np.all(sizes == m)

@@ -324,10 +324,12 @@ def test_certify_pair_evaluates_a_self_pair_once(monkeypatch):
 
 
 def test_net_of_the_default_lp_family_stays_small():
-    # n = 12, tau = 1.5: 167,960 step maps, 14 cells.  The bodies' norms
-    # (18.8 MB), one int64 cell row per body (18.8 MB) and the 4.7 MB text
-    # with its lines make about 47 MB; tuples of cell indices, an int64 map
-    # matrix or a (maps x n) gather would each add 12 MB or more
+    # n = 12, tau = 1.5: 167,960 step maps over 9 levels, 14 cells.  The
+    # bodies' norms (14 x 8 bytes per map, 18.8 MB), the int8 cell rows
+    # (2.4 MB), the uint8 level widths (1.5 MB) and the 4.7 MB text with
+    # its lines (9.4 MB) make about 32 MB, and 33.4 MB was traced; int64
+    # cells (+16.5 MB), tuples of cell indices, an int64 map matrix
+    # (12.1 MB) or a (maps x n) gather (16.1 MB) would each break the bound
     bodies = [lp_body(12, 1 + 0.25 * i) for i in range(13)] + [lp_body(12, math.inf)]
     tracemalloc.start()
     try:
@@ -337,4 +339,33 @@ def test_net_of_the_default_lp_family_stays_small():
     finally:
         tracemalloc.stop()
     assert net.cell_count == 14 and text.count("\n") == 15
-    assert peak < 56e6, peak
+    assert peak < 37e6, peak
+
+
+def test_net_cells_take_the_narrowest_type_of_their_grid():
+    # cell indices of the expected profiles lie in 0 .. floor(log n / log tau) + 2
+    for n, tau, dtype, top in ((12, 1.5, np.int8, 8), (2, 1.005, np.int16, 140)):
+        net = build_net([lp_body(n, 1.0), lp_body(n, math.inf)], tau)
+        assert net.cells.dtype == dtype
+        assert 0 <= net.cells.min() and net.cells.max() <= top
+    # the text form never wraps a narrow row, even at the type's edges
+    net = build_net([lp_body(3, 2.0)], 2.0)
+    row = np.full((1, net.profile_count), np.iinfo(np.int8).max, dtype=np.int8)
+    row[0, 0] = -1
+    net.cells = row
+    line = net_to_text(net).splitlines()[1]
+    assert line.split()[1] == ",".join(["-1"] + ["127"] * (net.profile_count - 1))
+
+
+@pytest.mark.parametrize("far", [128, -129])
+def test_a_cell_index_outside_the_narrow_type_raises(monkeypatch, far):
+    import bmbodies.symnet as symnet
+
+    def far_cell(profile, tau):
+        idx = profile_cell(profile, tau)
+        idx[-1] = far
+        return idx
+
+    monkeypatch.setattr(symnet, "profile_cell", far_cell)
+    with pytest.raises(ValueError, match="do not fit the net's int8 cells"):
+        build_net([lp_body(12, 2.0)], 1.5)
