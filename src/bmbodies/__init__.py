@@ -5,7 +5,17 @@ The public surface re-exported here is stable; the submodules carry
 the implementation detail.  The gauge function is not re-exported:
 `bmbodies.gauge` names its module, and the function is
 `bmbodies.gauge.gauge`.
+
+Importing the package sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless they are already set, before numpy loads its
+BLAS: the CLI's worker pools run one process per core, and a BLAS thread
+pool in each worker would oversubscribe the cores.  The pin only takes
+effect when numpy is first imported after it.
 """
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .linalg import (
     PigeonholeError,

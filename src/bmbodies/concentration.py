@@ -127,11 +127,6 @@ class TailCurve:
         return self._wilson()[1]
 
     @property
-    def half_widths(self) -> np.ndarray:
-        lo, hi = self._wilson()
-        return (hi - lo) / 2.0
-
-    @property
     def raw_mean(self) -> float:
         if self.raw_trials == 0:
             return math.nan

@@ -19,8 +19,6 @@ maps, which is out of reach, so no such number is produced.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
@@ -55,11 +53,8 @@ _BALL2_GAUGES = 2
 _GAUGE_TOL = 1e-6
 _DIAG_SPREAD = 0.75
 _PERM_MAX_DIM = 4
-
-# the abort bar of the op_norm call in progress (see _abort_bar); it is a
-# context variable rather than a parameter so that op_norm keeps its
-# signature and every certification, barred or not, is an op_norm call
-_BAR = ContextVar("op_norm_bar", default=math.inf)
+# a barred op_norm stops at lo >= bar * (1 - _BAR_MARGIN); see bm_upper
+_BAR_MARGIN = 1e-9
 
 
 @dataclass
@@ -154,39 +149,17 @@ def _gauge(k2: HullBody, x: np.ndarray, tol: float):
 
 
 class _BarReached(Exception):
-    """An op_norm under a bar stopped: its running lo beat the bar."""
+    """An op_norm under a bar stopped: its running lo reached the bar."""
 
     def __init__(self, lo: float):
         super().__init__(lo)
         self.lo = lo
 
 
-def _abort_bar(best: float, other_lo: float) -> float:
-    """The bar one side of a candidate map is certified under.
-
-    best is the best certified product so far (inf before the first) and
-    other_lo a certified lower bound on the other side's norm.  A side
-    whose running lo reaches best / other_lo (times 1 + 1e-12 for
-    rounding, see _check_bar) proves the candidate's product is above
-    best, so it could not win and its certification stops.
-    """
-    return best / other_lo if other_lo > 0.0 else math.inf
-
-
-@contextmanager
-def _under_bar(bar: float):
-    """Run the op_norm calls inside under the abort bar."""
-    token = _BAR.set(bar)
-    try:
-        yield
-    finally:
-        _BAR.reset(token)
-
-
 def _check_bar(lo: float, bar: float) -> None:
-    # the margin covers rounding in the bar and in lo, so a candidate whose
-    # product ties the best never stops and the first certified map wins
-    if lo >= bar * (1.0 + 1e-12):
+    # the margin stops an exact tie, and it is wide enough that the rounding
+    # shrink of bm_upper's gauge-free bound cannot cancel it
+    if lo >= bar * (1.0 - _BAR_MARGIN):
         raise _BarReached(lo)
 
 
@@ -245,7 +218,8 @@ def _segment_points(comp, n: int) -> np.ndarray:
 
 def _dual_probes(body: HullBody) -> np.ndarray:
     """Rows y with h_body(y) = 1, used as cheap certified lower-bound
-    probes; cached on the body."""
+    probes; cached on the body.  The last is 1/h(1), which makes
+    bm_upper's gauge-free bound on the Hadamard map's inverse exact."""
     cached = body._cache.get("dual_probes")
     if cached is not None:
         return cached
@@ -255,6 +229,7 @@ def _dual_probes(body: HullBody) -> np.ndarray:
     signs = rng.integers(0, 2, size=(8, n)).astype(float) * 2.0 - 1.0
     dirs.append(signs)
     dirs.append(rng.standard_normal((8, n)))
+    dirs.append(np.ones((1, n)))
     cand = np.concatenate(dirs, axis=0)
     hs = support_many(body, cand)
     keep = hs > 0.0
@@ -311,7 +286,7 @@ def _eval_points_max(t_mat, pts, k2, bar):
     bound cannot beat the best certified lower bound are skipped; the
     skip is sound because their true value is below the reported lo.
     Without that component every point is evaluated.  Raises
-    _BarReached once the running lo beats bar.
+    _BarReached once the running lo reaches bar (see _check_bar).
     """
     pts = np.asarray(pts, dtype=float)
     # the batched product only ranks candidates; gauge always sees the
@@ -367,7 +342,7 @@ def _probe_ranked_lo(t_mat, pts, k2, count, bar, floor=-math.inf):
     return c_lo, c_wit
 
 
-def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
+def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNormResult:
     """Certified bracket of the operator norm of T from K to K2.
 
     Polytopal components are enumerated exactly: every extreme point of
@@ -394,8 +369,11 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
     every r * u_y are ranked by probe score and the top _BALL2_GAUGES get
     full gauges (the top one only when no score beats the lower bound).
 
-    Inside bm_upper's _under_bar the call stops with _BarReached once
-    its running lo beats the bar; otherwise the bar is inf.
+    The unconditional point families of K run last: the few extreme
+    points of the other components raise lo early, so more boxes are
+    skipped and a barred call stops sooner.  Notes keep K's component
+    index.  Under a finite bar the call stops with _BarReached once its
+    running lo reaches bar * (1 - _BAR_MARGIN).
     """
     t_mat = np.asarray(t_mat, dtype=float)
     if t_mat.shape != (k2.dim, k.dim):
@@ -409,7 +387,6 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
     mode = "exhaustive"
     lo, hi, witness = 0.0, 0.0, np.zeros(k.dim)
     solid = _solid(k2)
-    bar = _BAR.get()
 
     def fold(c_lo, c_hi, c_wit):
         nonlocal lo, hi, witness
@@ -418,7 +395,11 @@ def op_norm(t_mat, k: HullBody, k2: HullBody) -> OpNormResult:
             _check_bar(lo, bar)
         hi = max(hi, c_hi)
 
-    for ci, comp in enumerate(k.components):
+    boxes_last = sorted(
+        enumerate(k.components),
+        key=lambda ic: isinstance(ic[1], SignedPoints) and ic[1].unconditional,
+    )
+    for ci, comp in boxes_last:
         if isinstance(comp, SignedPoints) and comp.unconditional:
             gens = comp.points
         elif isinstance(comp, SignedPoints) or comp.p == 1.0:
@@ -515,18 +496,19 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     either body is one, S P has the norms of P.
 
     Once a map has a finite certified product, every later map is
-    certified under an abort bar (_abort_bar) taken from the best
-    product so far.  The forward
-    op_norm stops once its running lo reaches best / L, where L is a
+    certified under an abort bar taken from the best product so far,
+    best.  The forward op_norm gets bar = best / L, where L is a
     gauge-free lower bound on the inverse's norm: every dual probe y of
     K has h_K(y) = 1, so |T^-1 : K2 -> K| >= h_K2(T^-T y), and L is the
     largest such support value shrunk by 1 - 1e-12 for rounding.  If the
-    forward side finishes, the inverse op_norm stops once its lo reaches
-    best / fwd.lo.  Both stop only at lo >= bar * (1 + 1e-12), so a
-    stopped map's product is provably above best and could not have
-    won, while an exact tie runs to the end and the first certified
-    still wins.  The bound, the norms and the map are those of full
-    certificates.  The log has one entry per map in the order above:
+    forward side finishes, the inverse op_norm gets bar = best / fwd.lo
+    (a zero divisor gives an infinite bar).  A side stops at
+    lo >= bar * (1 - _BAR_MARGIN), so a stopped map's product is at
+    least best * (1 - 1e-9): it could have beaten best by at most that
+    factor, and an exact tie stops.  The bound, the norms and the map
+    are always those of a full certificate, so upper stays a certified
+    upper bound, within the factor 1 - 1e-9 of the best over all
+    candidates.  The log has one entry per map in the order above:
     "certified", the product, or for a stopped map "lower", the
     certified lower bound on its product.  A gauge error that a stopped
     certification would have met no longer stops the search.
@@ -556,12 +538,12 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
             best_upper = best[0]
             # a gauge-free lower bound on |inv : K2 -> K|, shrunk for rounding
             other = float(support_many(k2, _dual_probes(k) @ inv).max()) * (1.0 - 1e-12)
+        # module-level op_norm calls with the bar by keyword: bench/tracer.py
+        # wraps the name and reads a fourth positional argument as a mode
         try:
-            with _under_bar(_abort_bar(best_upper, other)):
-                fwd = op_norm(mat, k, k2)
+            fwd = op_norm(mat, k, k2, bar=best_upper / other if other > 0.0 else math.inf)
             other = fwd.lo
-            with _under_bar(_abort_bar(best_upper, other)):
-                bwd = op_norm(inv, k2, k)
+            bwd = op_norm(inv, k2, k, bar=best_upper / other if other > 0.0 else math.inf)
         except _BarReached as stop:
             log.append({"name": name, "lower": float(stop.lo * other)})
             continue
