@@ -97,6 +97,7 @@ from .symnet import (
     lorentz_body,
     lp_body,
     net_from_text,
+    net_lines,
     net_to_text,
     profile_cell,
     tau_for_separation,
@@ -177,6 +178,7 @@ __all__ = [
     "lorentz_body",
     "lp_body",
     "net_from_text",
+    "net_lines",
     "net_to_text",
     "profile_cell",
     "tau_for_separation",

@@ -47,7 +47,7 @@ from .distance import (
 from .gauge import GaugeSolverError, GaugeToleranceError, gauge
 from .linalg import PigeonholeError
 from .randmodel import ModelParams, round_half_up, sample_body, substream
-from .symnet import build_net, certify_pair, lp_body, net_to_text, tau_for_separation
+from .symnet import build_net, certify_pair, lp_body, net_lines, tau_for_separation
 
 # not called here (build_net owns the step family); bench/tracer.py wraps them on this module
 from .symnet import enumerate_steps, log_profile  # noqa: F401
@@ -416,7 +416,7 @@ def _cmd_sample(cfg: ExperimentConfig):
         stream = f"sample/0/body/{i}"
         body, draw = _build_body(p["kind"], params, substream(cfg.seed, stream))
         fname = f"body-0-{i}.txt"
-        files[fname] = body_to_text(body) + "\n"
+        files[fname] = (body_to_text(body), "\n")
         records.append(
             _mk_record(
                 cfg,
@@ -643,7 +643,7 @@ def _cmd_net(cfg: ExperimentConfig):
                 },
             )
         )
-    return records, {"net.txt": net_to_text(net)}
+    return records, {"net.txt": net_lines(net)}
 
 
 _RUNNERS = {
@@ -871,9 +871,9 @@ def run(cfg: ExperimentConfig) -> int:
         return EXIT_VALIDATION
     try:
         records, files = _RUNNERS[cfg.command](cfg)
-        for name, content in files.items():
+        for name, content in files.items():  # content: an iterable of text chunks
             with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(content)
+                fh.writelines(content)
         emit_report(records, cfg.fmt, cfg.out_dir, cfg.command)
     except (GaugeToleranceError, GaugeSolverError, PigeonholeError, CertificationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

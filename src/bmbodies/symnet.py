@@ -10,15 +10,15 @@ that pitch yields a net with certified pair distances.
 
 A test vector's norm depends only on how many coordinates each level
 holds, so the family is one small-int matrix of level widths and no test
-vector is built.  Profile comparisons that feed certificates are plain
-float comparisons of closed-form norms; nothing is sampled except the
-optional identity-map ratio validation.
+vector is built.  Family norms are never cached, so a run holds one
+body's (or one pair's) at a time.  Certificates compare closed-form
+norms exactly; only the optional identity-map ratio check samples.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "build_net",
     "certify_pair",
     "tau_for_separation",
+    "net_lines",
     "net_to_text",
     "net_from_text",
 ]
@@ -211,7 +212,6 @@ class StepFamily:
     n: int
     levels: int
     widths: np.ndarray
-    _norms: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -244,18 +244,6 @@ class StepFamily:
             start, end = end, end + width
             out += c * span[start, end]
         return out
-
-    def norms(self, body: SymmetricBody, tau: float) -> np.ndarray:
-        """Norms of body over every block vector at tau, evaluated once
-        per (body, tau) and shared read-only by profiles and pair
-        certificates."""
-        key = (body, float(tau))
-        got = self._norms.get(key)
-        if got is None:
-            got = body.family_norms(self, tau)
-            got.flags.writeable = False
-            self._norms[key] = got
-        return got
 
 
 def enumerate_steps(n: int, levels: int, cap: int = PROFILE_CAP) -> StepFamily:
@@ -290,7 +278,7 @@ def log_profile(body: SymmetricBody, family: StepFamily, tau: float) -> np.ndarr
     The expected range is [-log tau^2, log n]; values outside it are
     reported as a warning, never an error.
     """
-    norms = family.norms(body, tau)
+    norms = body.family_norms(family, tau)
     if not np.all(norms > 0.0):
         raise AssertionError("block vector with zero norm; not a norm")
     prof = np.log(norms)
@@ -436,18 +424,25 @@ class PairCertificate:
 def certify_pair(k_body: SymmetricBody, d_body: SymmetricBody, family: StepFamily, tau,
                  samples: int = 10**4, stream=None) -> PairCertificate:
     """Exact sandwich check over the whole family, plus a sampled
-    validation that identity-map norm ratios stay below tau^3."""
+    validation that identity-map norm ratios stay below tau^3.
+
+    A self-pair (d_body == k_body) is granted without any norm: equal
+    bodies have equal family norms phi >= 0, fl(tau * phi) >= phi for
+    tau > 1 (+inf too) and a NaN compares false, so no map can fail.
+    Other pairs evaluate both bodies' family norms here, on each call.
+    """
     if k_body.dim != d_body.dim or k_body.dim != family.n:
         raise ValueError("bodies and family must share a dimension")
     tau_f = float(tau)
     if not tau_f > 1.0:
         raise ValueError(f"tau must exceed 1, got {tau}")
-    phi_k = family.norms(k_body, tau_f)
-    phi_d = family.norms(d_body, tau_f)
-    bad = (phi_k > tau_f * phi_d) | (phi_d > tau_f * phi_k)
     witness = None
-    if bad.any():
-        witness = tuple(int(v) for v in np.cumsum(family.widths[:, int(np.argmax(bad))]))
+    if d_body != k_body:
+        phi_k = k_body.family_norms(family, tau_f)
+        phi_d = d_body.family_norms(family, tau_f)
+        bad = (phi_k > tau_f * phi_d) | (phi_d > tau_f * phi_k)
+        if bad.any():
+            witness = tuple(int(v) for v in np.cumsum(family.widths[:, int(np.argmax(bad))]))
     granted = witness is None
 
     ratio_bound = tau_f**3 * (1.0 + 1e-9)
@@ -481,18 +476,21 @@ def tau_for_separation(t: float) -> float:
     return float(t) ** (1.0 / 12.0)
 
 
-def net_to_text(net: SymmetricNet) -> str:
-    """One header line, then one line per occupied cell."""
-    lines = [
-        f"symnet n={net.n} tau={net.tau:.17g} levels={net.levels} "
-        f"profiles={net.profile_count} cells={net.cell_count}"
-    ]
+def net_lines(net: SymmetricNet):
+    """Yield the text form one line at a time, each ending in a newline:
+    the header, then one line per occupied cell."""
+    yield (f"symnet n={net.n} tau={net.tau:.17g} levels={net.levels} "
+           f"profiles={net.profile_count} cells={net.cell_count}\n")
     lo = int(net.cells.min(initial=0))
     text = np.array([str(v) for v in range(lo, int(net.cells.max(initial=0)) + 1)], dtype=object)
     for cell, body in net.cell_reps:
         idx = np.subtract(net.cells[cell], lo, dtype=np.intp)  # no wrap in a narrow type
-        lines.append(f"cell {','.join(text[idx].tolist())} rep {body.tag()}")
-    return "\n".join([*lines, ""])
+        yield f"cell {','.join(text[idx].tolist())} rep {body.tag()}\n"
+
+
+def net_to_text(net: SymmetricNet) -> str:
+    """The whole text form of net_lines as one string."""
+    return "".join(net_lines(net))
 
 
 def net_from_text(text: str) -> SymmetricNet:

@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's own solver paths:
 singular values come from characteristic polynomials, gauges from a
 membership bisection driven by support-direction separations, 2x2
 distance bounds from closed-form norms on a dense map grid,
-restricted quadratic forms and norms from gathered submatrices, and
+restricted quadratic forms and norms from gathered submatrices,
 step-family norms from mask-built block vectors, a per-level loop or
-rational arithmetic.
+rational arithmetic, and pair sandwiches compared over every step map.
 """
 from __future__ import annotations
 
@@ -571,3 +571,16 @@ def step_norm(body, step_map, tau: float) -> float:
         v[prev:cur] = float(tau) ** (-lvl)
         prev = int(cur)
     return body.norm(v)
+
+
+def full_sandwich(k_body, d_body, family, tau: float) -> tuple:
+    """(granted, witness step) of the exact profile sandwich, always
+    compared in full: each body's family norms are evaluated on their
+    own, equal bodies included, and every step map is checked."""
+    tau = float(tau)
+    phi_k = k_body.family_norms(family, tau)
+    phi_d = d_body.family_norms(family, tau)
+    bad = (phi_k > tau * phi_d) | (phi_d > tau * phi_k)
+    if not bad.any():
+        return True, None
+    return False, tuple(int(v) for v in family.maps[int(np.argmax(bad))])

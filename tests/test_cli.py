@@ -15,7 +15,7 @@ import yaml
 from bmbodies import cli, distance
 from bmbodies.distance import CertificationError, separation_scale
 from bmbodies.linalg import PigeonholeError
-from bmbodies.symnet import SymmetricBody
+from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_from_text, net_to_text
 
 
 def _cfg(tmp_path, doc, name="cfg.yaml"):
@@ -405,6 +405,20 @@ def test_net_evaluates_each_body_once_over_the_step_family(tmp_path, monkeypatch
     assert len(bodies) == len(family_calls) == len(set(bodies)) == 14
     assert profiles not in norm_rows  # family norms never go through norm_many
     assert all(r["payload"]["granted"] for r in recs if r["kind"] == "certificate")
+
+
+def test_net_streams_net_txt_without_loss(tmp_path):
+    cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 12, "tau": 1.5, "samples": 50}})
+    out = str(tmp_path / "net-stream")
+    assert cli.main(["net", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    with open(os.path.join(out, "net.txt"), encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    bodies = [lp_body(12, 1 + 0.25 * i) for i in range(13)] + [lp_body(12, math.inf)]
+    net = build_net(bodies, 1.5)
+    assert text == net_to_text(net)
+    back = net_from_text(text)
+    assert back.cell_reps == net.cell_reps and np.array_equal(back.cells, net.cells)
+    assert net_to_text(back) == text
 
 
 def test_conc_on_a_zero_matrix_writes_no_nan(tmp_path):

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from _oracles import exact_block_norms, step_block_vectors, step_norm
+from _oracles import exact_block_norms, full_sandwich, step_block_vectors, step_norm
 from bmbodies.randmodel import substream
 from bmbodies.symnet import (
     SymmetricBody,
@@ -20,6 +20,7 @@ from bmbodies.symnet import (
     lorentz_body,
     lp_body,
     net_from_text,
+    net_lines,
     net_to_text,
     profile_cell,
     SymmetricNet,
@@ -83,15 +84,6 @@ def test_lp_norms_match_the_out_of_place_expression():
     assert np.array_equal(lp_body(6, 3.5).norm_many(np.zeros((3, 6))), np.zeros(3))
 
 
-def test_family_norms_are_evaluated_once_per_body():
-    fam = enumerate_steps(4, 3)
-    first = fam.norms(lp_body(4, 1.5), 2.0)
-    assert fam.norms(lp_body(4, 1.5), 2) is first  # equal body, equal tau
-    assert not first.flags.writeable
-    assert np.array_equal(first, lp_body(4, 1.5).family_norms(fam, 2.0))
-    assert fam.norms(lp_body(4, 1.5), 3.0) is not first
-
-
 # the width formulas sum levels, not coordinates, so they agree with the
 # references to a bound on the rounding of levels + 2 float operations
 _FAMILY_CASES = ((1, 1.1), (4, 2.0), (7, 1.5), (10, 2.0), (12, 3.0))
@@ -130,7 +122,7 @@ def test_family_norms_put_an_exact_edge_on_its_edge():
     n, tau = 12, 3.0
     fam = enumerate_steps(n, level_count(n, tau))
     j = fam.maps.tolist().index([2, 2, 11])
-    assert fam.norms(lp_body(n, 1.0), tau)[j] == 1.0
+    assert lp_body(n, 1.0).family_norms(fam, tau)[j] == 1.0
     assert profile_cell(log_profile(lp_body(n, 1.0), fam, tau), tau)[j] == 2
     net = build_net([lp_body(n, 1.0)], tau)
     assert net.cells[0, j] == 2
@@ -323,23 +315,76 @@ def test_certify_pair_evaluates_a_self_pair_once(monkeypatch):
     assert rows == [300, 300]
 
 
-def test_net_of_the_default_lp_family_stays_small():
-    # n = 12, tau = 1.5: 167,960 step maps over 9 levels, 14 cells.  The
-    # bodies' norms (14 x 8 bytes per map, 18.8 MB), the int8 cell rows
-    # (2.4 MB), the uint8 level widths (1.5 MB) and the 4.7 MB text with
-    # its lines (9.4 MB) make about 32 MB, and 33.4 MB was traced; int64
-    # cells (+16.5 MB), tuples of cell indices, an int64 map matrix
-    # (12.1 MB) or a (maps x n) gather (16.1 MB) would each break the bound
+def test_certify_pair_evaluates_family_norms_only_for_distinct_bodies(monkeypatch):
+    calls = []
+    family_norms = SymmetricBody.family_norms
+
+    def counted(self, family, tau):
+        calls.append(self)
+        return family_norms(self, family, tau)
+
+    monkeypatch.setattr(SymmetricBody, "family_norms", counted)
+    fam = enumerate_steps(4, 3)
+    assert certify_pair(lp_body(4, 1.5), lp_body(4, 1.5), fam, 2.0, samples=0).granted
+    assert calls == []
+    certify_pair(lp_body(4, 1.5), lp_body(4, 2.0), fam, 2.0, samples=0)
+    assert calls == [lp_body(4, 1.5), lp_body(4, 2.0)]
+
+
+def test_certify_pair_matches_the_full_sandwich():
+    def check(k_body, d_body, fam, tau):
+        cert = certify_pair(k_body, d_body, fam, tau, samples=0)
+        assert (cert.granted, cert.witness_step) == full_sandwich(k_body, d_body, fam, tau)
+        assert cert.distance_bound == (tau**6 if cert.granted else None)
+        return cert
+
+    n, tau = 6, 2.0
+    fam = enumerate_steps(n, level_count(n, tau))
+    for body in (lp_body(n, 1.0), lp_body(n, 3.5), lp_body(n, math.inf), top_k_body(n, 2),
+                 lorentz_body(n, np.geomspace(1.0, 1e-3, n))):
+        assert check(body, body, fam, tau).granted
+        assert check(body, SymmetricBody(body.kind, n, body.param), fam, tau).granted
+    # the smallest float tau above 1, where tau * phi exceeds phi by an
+    # ulp or two (by none for a tiny subnormal phi): equal bodies pass
+    tiny = 1.0 + 2.0**-52
+    assert check(lp_body(n, 2.0), lp_body(n, 2.0), enumerate_steps(n, 3), tiny).granted
+    assert not check(lp_body(n, 2.0), lp_body(n, 2.5), enumerate_steps(n, 3), tiny).granted
+    # n = 12, tau = 3: the p = 1 norm of (2, 2, 11) is exactly tau^0
+    fam = enumerate_steps(12, level_count(12, 3.0))
+    j = fam.maps.tolist().index([2, 2, 11])
+    assert lp_body(12, 1.0).family_norms(fam, 3.0)[j] == 1.0
+    assert check(lp_body(12, 1.0), lp_body(12, 1.0), fam, 3.0).granted
+    # a distinct pair that fails, with the first failing map as witness
+    n, tau = 4, 1.2
+    fam = enumerate_steps(n, level_count(n, tau))
+    cert = check(lp_body(n, 1.0), lp_body(n, math.inf), fam, tau)
+    assert not cert.granted and cert.witness_step is not None
+
+
+def test_net_of_the_default_lp_family_stays_small(tmp_path):
+    # n = 12, tau = 1.5: 167,960 step maps over 9 levels, 14 cells, each
+    # member its own representative.  The uint8 level widths (1.5 MB),
+    # the int8 cell rows (2.4 MB) and one body's transients while it is
+    # profiled (its float norms, log profile and cell indices, 1.3 MB
+    # each) make about 9 MB; a norms cache over all bodies (+18.8 MB),
+    # the text built whole from a list of lines (+9.4 MB), int64 cells
+    # (+16.5 MB) or an int64 map matrix (12.1 MB) would each break it
     bodies = [lp_body(12, 1 + 0.25 * i) for i in range(13)] + [lp_body(12, math.inf)]
+    path = tmp_path / "net.txt"
     tracemalloc.start()
     try:
         net = build_net(bodies, 1.5)
-        text = net_to_text(net)
+        rep_of = {pos: rep for cell, rep in net.cell_reps for pos in net.members[cell]}
+        certs = [certify_pair(body, rep_of[i], net.family, 1.5, stream=substream(7, f"cp/{i}"))
+                 for i, body in enumerate(bodies)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(net_lines(net))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert net.cell_count == 14 and text.count("\n") == 15
-    assert peak < 37e6, peak
+    assert net.cell_count == 14 and all(c.granted for c in certs)
+    assert path.read_text(encoding="utf-8").count("\n") == 15
+    assert peak < 14e6, peak
 
 
 def test_net_cells_take_the_narrowest_type_of_their_grid():
