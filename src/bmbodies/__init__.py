@@ -69,7 +69,6 @@ from .concentration import (
 from .distance import (
     BmEstimate,
     BmOptions,
-    CertificationError,
     EventReport,
     OpNormResult,
     SeparationOptions,
@@ -152,7 +151,6 @@ __all__ = [
     "wilson_interval",
     "BmEstimate",
     "BmOptions",
-    "CertificationError",
     "EventReport",
     "OpNormResult",
     "SeparationOptions",

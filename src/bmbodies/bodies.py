@@ -217,22 +217,10 @@ def support_function(body: HullBody, y) -> float:
 
 
 def ball_body(n: int, p, radius: float = 1.0) -> HullBody:
-    """Classical p-ball as a hull body.
-
-    For p = 1 and p = infinity the inscribed Euclidean ball rides along
-    as an extra, geometrically redundant component; operator-norm upper
-    bounds out of Euclidean sources read the target's Ball(2) component,
-    so the redundancy keeps those certified against this body too.
-    """
+    """Classical p-ball of the given radius as a one-component hull body."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    comps = [Ball(p, radius)]
-    pf = float(p)
-    if pf == 1.0:
-        comps.append(Ball(2.0, radius / math.sqrt(n)))
-    elif pf == math.inf:
-        comps.append(Ball(2.0, radius))
-    return HullBody(n, comps)
+    return HullBody(n, [Ball(p, radius)])
 
 
 def _subset_family(subsets, n: int) -> np.ndarray:

@@ -37,7 +37,6 @@ from .concentration import (
 )
 from .distance import (
     BmOptions,
-    CertificationError,
     SeparationOptions,
     bm_upper,
     op_norm,
@@ -576,7 +575,6 @@ def _cmd_separate(cfg: ExperimentConfig):
         "matrix": [[None if math.isnan(v) else v for v in row] for row in report.matrix.tolist()],
         "pairs_done": len(report.estimates),
         "missing_pairs": report.missing_pairs,
-        "failed_pairs": report.failed_pairs,
         "hist_counts": report.hist_counts,
         "hist_edges": report.hist_edges,
         "threshold": report.threshold,
@@ -875,7 +873,7 @@ def run(cfg: ExperimentConfig) -> int:
             with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
                 fh.writelines(content)
         emit_report(records, cfg.fmt, cfg.out_dir, cfg.command)
-    except (GaugeToleranceError, GaugeSolverError, PigeonholeError, CertificationError) as exc:
+    except (GaugeToleranceError, GaugeSolverError, PigeonholeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, RuntimeError) as exc:

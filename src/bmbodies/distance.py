@@ -3,12 +3,12 @@ the map-containment event checkers.
 
 Operator norms report a certified bracket: the lower bound is the gauge
 of a mapped extreme point that was actually found, the upper bound is a
-maximum of per-component certificates.  Euclidean components certify
-their upper bound through the target's Ball(2) inradius; a target with
-no full-dimensional Ball(2) component leaves that bound unavailable and
-the result says so instead of guessing.  Boxes mapped into a solid
-target are bounded by domination: the gauge of |T||g| bounds every sign
-vertex of the box spanned by g.
+finite maximum of per-component certificates.  Euclidean components
+certify their upper bound through the target's inradius (see
+_image_inradius), which is positive for every valid body.  Boxes mapped
+into a solid target are bounded by domination: the gauge of |T||g|
+bounds every sign vertex of the box spanned by g; a box too large to
+enumerate on any other target is bounded through the inradius too.
 
 Distance search only ever reports upper bounds: it minimizes the
 product of the two certified operator norms over a finite candidate
@@ -24,7 +24,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .bodies import Ball, HullBody, SignedPoints, support_many
+from .bodies import Ball, HullBody, SignedPoints, _batched_caps, inradius_lower, support_many
 from .gauge import gauge
 from .linalg import build_projectors, spectral_interval, spectral_norm, svd
 from .randmodel import substream
@@ -32,7 +32,6 @@ from .randmodel import substream
 __all__ = [
     "OpNormResult",
     "BmEstimate",
-    "CertificationError",
     "EventReport",
     "BmOptions",
     "SeparationOptions",
@@ -62,8 +61,7 @@ class OpNormResult:
     """Certified bracket of sup_{x in K} gauge_K2(Tx).
 
     witness is an input point inside K attaining lo; notes name every
-    box searched by probe-guided signs and explain any component whose
-    upper bound could not be certified (hi is infinite in that case).
+    box searched by probe-guided signs and the bound behind its hi.
     """
 
     lo: float
@@ -77,16 +75,6 @@ class OpNormResult:
             raise ValueError(f"negative lower bound {self.lo}")
         if self.lo > self.hi * (1.0 + 1e-9) + 1e-12:
             raise ValueError(f"bounds inverted: lo={self.lo}, hi={self.hi}")
-
-    @property
-    def hi_available(self) -> bool:
-        return math.isfinite(self.hi)
-
-
-class CertificationError(RuntimeError):
-    """No candidate map got a finite certified operator-norm upper bound;
-    the message carries the note naming the component (and generator)
-    whose bound is unavailable."""
 
 
 @dataclass
@@ -238,74 +226,41 @@ def _dual_probes(body: HullBody) -> np.ndarray:
     return probes
 
 
-def _ball2_inradius(body: HullBody):
-    """Radius of the largest full-support Ball(2) component, or None."""
-    cached = body._cache.get("ball2_inradius", False)
-    if cached is not False:
-        return cached
-    best = None
-    for c in body.components:
-        if isinstance(c, Ball) and c.p == 2.0:
-            full = c.support is None or c.support.size == body.dim
-            if full and (best is None or c.radius > best):
-                best = c.radius
-    body._cache["ball2_inradius"] = best
-    return best
-
-
-def _ball2_source_hi(t_mat, sup, radius, k2):
-    """Certified upper bound for a Euclidean source piece, or None.
-
-    Any Ball(2) component of the target whose span contains the image
-    of the piece certifies gauge <= |v|_2 / r2; picking the largest
-    such radius gives the tightest certificate.  A supported component
-    qualifies only when the relevant map columns vanish off its
-    support exactly.
-    """
-    ts = t_mat[:, sup]
-    best = None
-    for c in k2.components:
-        if not (isinstance(c, Ball) and c.p == 2.0):
-            continue
-        if c.support is not None and c.support.size < k2.dim:
-            outside = np.ones(k2.dim, dtype=bool)
-            outside[c.support] = False
-            if np.any(ts[outside, :]):
-                continue
-        if best is None or c.radius > best:
-            best = c.radius
-    if best is None:
-        return None
-    return radius * spectral_norm(ts) / best
+def _image_inradius(k2: HullBody, image: np.ndarray) -> float:
+    """Radius rho with gauge_K2(x) <= |x|_2 / rho for every x in the
+    column span of image: inradius_lower(K2), or the radius of a flat
+    Ball(2) piece of K2 whose span holds the image, whichever is larger.
+    A piece qualifies only when the image rows off its support vanish
+    exactly."""
+    rho = inradius_lower(k2)
+    caps = _batched_caps(k2)
+    if caps is not None:
+        mask, radii = caps
+        live = np.any(image != 0.0, axis=1)
+        holds = np.all(mask[:, live] > 0.0, axis=1)
+        rho = max(rho, float(radii[holds].max(initial=0.0)))
+    return rho
 
 
 def _eval_points_max(t_mat, pts, k2, bar):
     """Exact max of gauge_K2(T p) over the finite point list.
 
-    When K2 carries a full Ball(2) component, points whose cheap upper
-    bound cannot beat the best certified lower bound are skipped; the
-    skip is sound because their true value is below the reported lo.
-    Without that component every point is evaluated.  Raises
-    _BarReached once the running lo reaches bar (see _check_bar).
+    Points run in decreasing order of the cheap upper bound
+    |T p|_2 / rho (see _image_inradius), and the run stops at the first
+    point whose bound cannot beat the best certified lower bound; the
+    skip is sound because the skipped values are below the reported lo.
+    Raises _BarReached once the running lo reaches bar (see _check_bar).
     """
     pts = np.asarray(pts, dtype=float)
     # the batched product only ranks candidates; gauge always sees the
     # per-point product so results cannot depend on BLAS batching
     tx = pts @ t_mat.T
-    probes = _dual_probes(k2)
-    lo0 = np.abs(tx @ probes.T).max(axis=1)
-    rho = _ball2_inradius(k2)
-    if rho is not None:
-        # slack covers the ulp gap between the ranking product and the
-        # per-point product the gauge call actually receives
-        hi0 = (np.sqrt((tx * tx).sum(axis=1)) / rho) * (1.0 + 1e-9)
-        order = np.argsort(-hi0, kind="stable")
-    else:
-        hi0 = None
-        order = np.argsort(-lo0, kind="stable")
+    # slack covers the ulp gap between the ranking product and the
+    # per-point product the gauge call actually receives
+    hi0 = (np.sqrt((tx * tx).sum(axis=1)) / _image_inradius(k2, tx.T)) * (1.0 + 1e-9)
     best_lo, best_hi, witness = -math.inf, 0.0, None
-    for i in order:
-        if hi0 is not None and hi0[i] <= best_lo:
+    for i in np.argsort(-hi0, kind="stable"):
+        if hi0[i] <= best_lo:
             break
         g_lo, g_hi, _ = _gauge(k2, t_mat @ pts[i], _GAUGE_TOL)
         if g_lo > best_lo or witness is None:
@@ -358,11 +313,12 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
     with at most one nonzero per row on the support of g has
     |T(s*g)| = d exactly, and that one gauge is the box's value; a box
     whose bound cannot beat the lower bound found so far is skipped, and
-    a guided box keeps the bound as its upper bound.  Without a solid
-    target a guided box has no upper bound.
+    a guided box keeps the bound as its upper bound.  On a target that is
+    not solid, a guided box takes |g|_2 |T_S|_2 / rho as its upper bound,
+    with rho from _image_inradius.
 
-    A Euclidean component r * B_2^S takes its certified upper bound from
-    the target's Ball(2) inradius and, unless that bound cannot beat the
+    A Euclidean component r * B_2^S takes its certified upper bound
+    r |T_S|_2 / rho the same way and, unless that bound cannot beat the
     lower bound found so far, its lower bound from closed-form points:
     for a dual probe y of K2, u_y = T_S^T y / |T_S^T y| maximizes
     r <y, T_S u> over the unit sphere of S.  The coordinate directions and
@@ -409,13 +365,8 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
             gens = _inf_box(comp, k.dim)[None, :]
         else:
             sup = _support(comp, k.dim)
-            c_hi = _ball2_source_hi(t_mat, sup, comp.radius, k2)
-            if c_hi is None:
-                c_hi = math.inf
-                notes.append(
-                    "target has no Ball(2) component covering the image; "
-                    f"upper bound unavailable for Euclidean component {ci}"
-                )
+            ts = t_mat[:, sup]
+            c_hi = comp.radius * spectral_norm(ts) / _image_inradius(k2, ts)
             c_lo, c_wit = 0.0, None
             if c_hi > lo:
                 pts = _ball2_points(t_mat, sup, comp.radius, k2)
@@ -426,30 +377,29 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
         # unconditional generators (includes the inf-ball vertex box)
         for gi, g_vec in enumerate(gens):
             sup = np.nonzero(g_vec)[0]
-            dom_hi = math.inf
             if solid:
                 t_abs = np.abs(t_mat[:, sup])
-                d_lo, dom_hi, _ = _gauge(k2, t_abs @ np.abs(g_vec[sup]), _GAUGE_TOL)
+                d_lo, box_hi, _ = _gauge(k2, t_abs @ np.abs(g_vec[sup]), _GAUGE_TOL)
                 if np.all(np.count_nonzero(t_abs, axis=1) <= 1):
-                    fold(d_lo, dom_hi, np.abs(g_vec))
+                    fold(d_lo, box_hi, np.abs(g_vec))
                     continue
-                if dom_hi <= lo:
+                if box_hi <= lo:
                     continue
             if sup.size <= _SIGN_CUTOFF:
                 fold(*_eval_points_max(t_mat, _box_vertices(g_vec), k2, bar))
                 continue
+            if not solid:
+                # every sign vertex has the Euclidean norm |g|_2
+                ts = t_mat[:, sup]
+                box_hi = np.linalg.norm(g_vec) * spectral_norm(ts) / _image_inradius(k2, ts)
             pts = np.unique(_guided_points(t_mat, g_vec, _dual_probes(k2)), axis=0)
             c_lo, c_wit = _probe_ranked_lo(t_mat, pts, k2, _GUIDED_GAUGES, bar)
-            fold(c_lo, dom_hi, c_wit)
+            fold(c_lo, box_hi, c_wit)
             mode = "guided"
-            upper = (
-                "upper bound from the domination bound"
-                if solid
-                else "upper bound unavailable for this generator"
-            )
+            upper = "the domination bound" if solid else "the target's inradius"
             notes.append(
                 f"sign search over {sup.size} coordinates probe-guided (component "
-                f"{ci}, generator {gi}); {upper}"
+                f"{ci}, generator {gi}); upper bound from {upper}"
             )
 
     return OpNormResult(lo=lo, hi=hi, witness=witness, mode=mode, notes=notes)
@@ -495,13 +445,13 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     a sign change S is an isometry of a sign-invariant body, so when
     either body is one, S P has the norms of P.
 
-    Once a map has a finite certified product, every later map is
-    certified under an abort bar taken from the best product so far,
-    best.  The forward op_norm gets bar = best / L, where L is a
-    gauge-free lower bound on the inverse's norm: every dual probe y of
-    K has h_K(y) = 1, so |T^-1 : K2 -> K| >= h_K2(T^-T y), and L is the
-    largest such support value shrunk by 1 - 1e-12 for rounding.  If the
-    forward side finishes, the inverse op_norm gets bar = best / fwd.lo
+    Every op_norm upper bound is finite, so the identity always yields a
+    certified product, and every later map is certified under an abort
+    bar taken from the best product so far, best.  The forward op_norm
+    gets bar = best / L, where L is a gauge-free lower bound on the
+    inverse's norm: every dual probe y of K has h_K(y) = 1, so
+    |T^-1 : K2 -> K| >= h_K2(T^-T y), and L is the largest such support
+    value shrunk by 1 - 1e-12 for rounding.  If the forward side finishes, the inverse op_norm gets bar = best / fwd.lo
     (a zero divisor gives an infinite bar).  A side stops at
     lo >= bar * (1 - _BAR_MARGIN), so a stopped map's product is at
     least best * (1 - 1e-9): it could have beaten best by at most that
@@ -530,7 +480,7 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     if had is not None:
         cands.append(("hadamard", had))
 
-    log, best, why = [], None, []
+    log, best = [], None
     for name, mat in cands:
         inv = np.linalg.inv(mat)
         best_upper, other = math.inf, 0.0
@@ -549,17 +499,8 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
             continue
         upper = fwd.hi * bwd.hi
         log.append({"name": name, "certified": upper})
-        if math.isfinite(upper) and (best is None or upper < best[0]):
+        if best is None or upper < best[0]:
             best = (upper, mat, fwd.hi, bwd.hi)
-        for side, res in (("forward", fwd), ("inverse", bwd)):
-            if not res.hi_available:
-                why.extend(
-                    f"{name} {side}: {note}" for note in res.notes if "unavailable" in note
-                )
-    if best is None:
-        raise CertificationError(
-            "no candidate map produced a certified bound; " + "; ".join(why)
-        )
     upper, mat, fwd, bwd = best
     return BmEstimate(
         upper=upper, best_map=mat, norm_fwd=fwd, norm_inv=bwd, candidates=log
@@ -682,13 +623,12 @@ def check_one_body(v_mat, k: HullBody, k2: HullBody, alpha: float, tol: float = 
         "op_hi": res.hi,
         "notes": list(res.notes),
     }
-    hi = res.hi if math.isfinite(res.hi) else math.inf
     return EventReport(
         kind="one-body",
         alpha=alpha,
-        outcome=bool(hi <= alpha * (1.0 + tol)),
+        outcome=bool(res.hi <= alpha * (1.0 + tol)),
         gauge_lo=res.lo,
-        gauge_hi=hi,
+        gauge_hi=res.hi,
         tol=tol,
         metadata=meta,
     )
@@ -713,9 +653,7 @@ class SeparationOptions:
 @dataclass
 class SeparationReport:
     """Pairwise distance upper bounds for a body family; estimates maps
-    each finished pair (i, j), in pair order, to its BmEstimate, and
-    failed_pairs lists (i, j, reason) for each pair whose bound could
-    not be certified."""
+    each finished pair (i, j), in pair order, to its BmEstimate."""
 
     matrix: np.ndarray
     hist_counts: np.ndarray
@@ -724,24 +662,15 @@ class SeparationReport:
     n_below_threshold: int
     missing_pairs: list = field(default_factory=list)
     estimates: dict = field(default_factory=dict)
-    failed_pairs: list = field(default_factory=list)
 
 
 def _pair_upper(job):
-    """The pair's BmEstimate, or the message of the CertificationError
-    that stopped it."""
-    body_i, body_j, opts = job
-    try:
-        return bm_upper(body_i, body_j, opts)
-    except CertificationError as exc:
-        return str(exc)
+    return bm_upper(*job)
 
 
 def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) -> SeparationReport:
     """Upper-bound all pairwise distances of the bodies (or the first
-    max_pairs pairs in row order; the rest are marked missing).  A pair
-    that cannot be certified is listed in failed_pairs with its reason,
-    and the other pairs go on.
+    max_pairs pairs in row order; the rest are marked missing).
 
     map_fn(fn, jobs) runs the pair jobs and yields their results in job
     order; jobs and results pickle, so a process pool's map will do.
@@ -752,13 +681,7 @@ def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) ->
     pairs = [(i, j) for i in range(m_bodies) for j in range(i + 1, m_bodies)]
     budget = len(pairs) if opts.max_pairs is None else min(opts.max_pairs, len(pairs))
     jobs = [(bodies[i], bodies[j], opts.bm) for i, j in pairs[:budget]]
-    results = zip(pairs[:budget], map_fn(_pair_upper, jobs))
-    estimates, failed = {}, []
-    for (i, j), got in results:
-        if isinstance(got, str):
-            failed.append((i, j, got))
-        else:
-            estimates[i, j] = got
+    estimates = dict(zip(pairs[:budget], map_fn(_pair_upper, jobs)))
     matrix = np.full((m_bodies, m_bodies), math.nan)
     np.fill_diagonal(matrix, 1.0)
     for (i, j), est in estimates.items():
@@ -782,5 +705,4 @@ def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) ->
         n_below_threshold=int(np.count_nonzero(vals < opts.threshold)),
         missing_pairs=pairs[budget:],
         estimates=estimates,
-        failed_pairs=failed,
     )

@@ -347,9 +347,10 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
         )
 
     def gap_ok():
-        return hi_best - lo_best <= tol * max(hi_best, 1e-12)
+        # an infinite hi is no certificate, whatever tol * hi reads
+        return math.isfinite(hi_best) and hi_best - lo_best <= tol * max(hi_best, 1e-12)
 
-    if math.isfinite(hi_best) and gap_ok():
+    if gap_ok():
         return finish(0)
 
     static = _cone_program(body)

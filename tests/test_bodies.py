@@ -121,6 +121,15 @@ def test_subset_body_composition_and_radii():
     assert kinds == ["SignedPoints", "Ball", "Ball"]
     # the convex hull is pinched between delta*sqrt(n)*B2 and sqrt(m)*B2
     assert math.isclose(inradius_lower(body), params.delta * math.sqrt(8), rel_tol=1e-12)
+    # with 2 <= m < n the full ball delta*sqrt(n)*B2 is the widest inscribed
+    # piece of both model bodies, exactly: op_norm's certified upper bounds
+    # divide by this radius
+    for n, delta in ((3, 0.5), (6, 0.25), (8, 0.5), (12, 0.25), (20, 0.1), (40, 0.8)):
+        p = ModelParams(n=n, delta=delta, n_subsets=2 * n)
+        assert 2 <= p.m < n
+        subs = sample_subsets(n, p.m, p.n_subsets, substream(n, "sb/inradius"))
+        for build in (subset_body, cap_body):
+            assert inradius_lower(build(p, subs)) == delta * math.sqrt(n)
     assert math.isclose(circumradius_upper(body), math.sqrt(params.m), rel_tol=1e-12)
     y = substream(1, "dir").normal(size=8)
     h = support_function(body, y)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 import yaml
 
-from bmbodies import cli, distance
-from bmbodies.distance import CertificationError, separation_scale
+from bmbodies import cli
+from bmbodies.distance import separation_scale
 from bmbodies.linalg import PigeonholeError
 from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_from_text, net_to_text
 
@@ -218,21 +218,6 @@ def test_dist_certifies_boxes_above_the_sign_cutoff(tmp_path):
     assert op["hi"] < float("inf")
 
 
-def test_dist_without_a_certified_bound_exits_numeric(tmp_path, monkeypatch, capsys):
-    def uncertified(*args, **kwargs):
-        raise CertificationError("no candidate map produced a certified bound; "
-                                 "identity forward: component 0, generator 0")
-
-    monkeypatch.setattr(cli, "bm_upper", uncertified)
-    cfg = _cfg(
-        tmp_path,
-        {"command": "dist", "params": {"n": 4, "delta": 0.5, "n_subsets": 2}},
-    )
-    out = str(tmp_path / "uncert")
-    assert cli.main(["dist", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
-    assert "component 0, generator 0" in capsys.readouterr().err
-
-
 def test_separate_csv_is_a_symmetric_matrix(tmp_path):
     cfg = _cfg(
         tmp_path,
@@ -249,34 +234,6 @@ def test_separate_csv_is_a_symmetric_matrix(tmp_path):
     mat = np.array([[float(x) for x in row] for row in rows])
     np.testing.assert_allclose(mat, mat.T)
     np.testing.assert_allclose(np.diag(mat), 1.0)
-
-
-def test_separate_lists_an_uncertified_pair_and_goes_on(tmp_path, monkeypatch):
-    bm_upper = distance.bm_upper
-    calls = []
-
-    def fails_on_second_pair(body_a, body_b, opts):
-        calls.append(None)
-        if len(calls) == 2:
-            raise CertificationError("identity forward: component 0, generator 0")
-        return bm_upper(body_a, body_b, opts)
-
-    monkeypatch.setattr(distance, "bm_upper", fails_on_second_pair)
-    cfg = _cfg(
-        tmp_path,
-        {
-            "command": "separate",
-            "params": {"n": 6, "delta": 0.5, "n_subsets": 2, "bodies": 3, "refine": False, "n_diag": 2},
-        },
-    )
-    out = str(tmp_path / "sep-failed")
-    assert cli.main(["separate", "--config", cfg, "--workers", "1", "--out", out]) == cli.EXIT_OK
-    recs = _read_records(out, "separate")
-    summary = recs[0]["payload"]
-    assert summary["failed_pairs"] == [[0, 2, "identity forward: component 0, generator 0"]]
-    assert summary["pairs_done"] == 2 and summary["missing_pairs"] == []
-    assert summary["matrix"][0][2] is None and summary["matrix"][2][0] is None
-    assert [(r["payload"]["i"], r["payload"]["j"]) for r in recs[1:]] == [(0, 1), (1, 2)]
 
 
 def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
@@ -299,7 +256,6 @@ def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
     assert runs[0] == runs[1]
     summary = runs[0][0][2]
     assert summary["pairs_done"] == 3 and summary["missing_pairs"] == []
-    assert summary["failed_pairs"] == []
     assert summary["predicted_scale"] == separation_scale(1.0, 0.5)
     pairs = {(p["i"], p["j"]): p["upper"] for _, kind, p in runs[0] if kind == "pair"}
     assert list(pairs) == [(0, 1), (0, 2), (1, 2)]
@@ -437,15 +393,19 @@ def test_conc_on_a_zero_matrix_writes_no_nan(tmp_path):
     assert pl["bound_at_fit"] == [pl["prefactor"]] * len(pl["shape"])
 
 
-def test_numeric_failures_use_their_own_exit_code(tmp_path, monkeypatch):
+def test_numeric_failures_use_their_own_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _cfg(tmp_path, _CONC_DOC)
+    # LinAlgError subclasses ValueError, which must not read as a rejected config
+    for error in (PigeonholeError("no admissible block"),
+                  np.linalg.LinAlgError("SVD did not converge")):
 
-    def explode(cfg_obj):
-        raise PigeonholeError("no admissible block")
+        def explode(cfg_obj, error=error):
+            raise error
 
-    monkeypatch.setitem(cli._RUNNERS, "conc", explode)
-    out = str(tmp_path / "boom")
-    assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+        monkeypatch.setitem(cli._RUNNERS, "conc", explode)
+        out = str(tmp_path / "boom")
+        assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+        assert f"numeric failure: {error}" in capsys.readouterr().err
 
 
 def test_gauge_solver_failure_exits_numeric_and_names_the_status(tmp_path, monkeypatch,

@@ -61,6 +61,18 @@ def test_gauge_of_zero_is_zero():
     assert r.lo == r.hi == 0.0
 
 
+def test_segment_hull_brackets_are_finite_and_closed():
+    # a hull of n + 1 segments has no component that holds most points, so
+    # hi starts infinite and only the cone program can close the bracket
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        body = HullBody(3, (SignedPoints(rng.normal(size=(4, 3))),))
+        for x in rng.normal(size=(10, 3)):
+            r = gauge(body, x)
+            assert math.isfinite(r.hi)
+            assert r.hi - r.lo <= 1e-6 * r.hi
+
+
 def test_bracket_and_scaling():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(3, 5))
