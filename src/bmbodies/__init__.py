@@ -54,7 +54,7 @@ from .bodies import (
     support_many,
     write_body,
 )
-from .gauge import GaugeResult, GaugeSolverError, GaugeToleranceError
+from .gauge import GaugeError, GaugeResult
 from .concentration import (
     SmallBallEstimate,
     TailCurve,
@@ -68,10 +68,8 @@ from .concentration import (
 )
 from .distance import (
     BmEstimate,
-    BmOptions,
     EventReport,
     OpNormResult,
-    SeparationOptions,
     SeparationReport,
     bm_upper,
     cap_projection_norms,
@@ -137,9 +135,8 @@ __all__ = [
     "support_function",
     "support_many",
     "write_body",
+    "GaugeError",
     "GaugeResult",
-    "GaugeSolverError",
-    "GaugeToleranceError",
     "SmallBallEstimate",
     "TailCurve",
     "default_thresholds",
@@ -150,10 +147,8 @@ __all__ = [
     "pilot_thresholds",
     "wilson_interval",
     "BmEstimate",
-    "BmOptions",
     "EventReport",
     "OpNormResult",
-    "SeparationOptions",
     "SeparationReport",
     "bm_upper",
     "cap_projection_norms",

@@ -85,8 +85,10 @@ class Ball:
 class HullBody:
     """Absolute convex hull of components; immutable once constructed.
 
-    Construction validates shapes, finiteness, and that some component
-    makes the hull full-dimensional (so the gauge is finite everywhere).
+    Construction validates shapes and finiteness, and accepts a body
+    exactly when its certified inradius bound (the largest component
+    inradius, see inradius_lower) is positive: every bound divided by it
+    is then finite.
     """
 
     __slots__ = ("dim", "components", "_cache")
@@ -111,7 +113,8 @@ class HullBody:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_cache", {})
-        if not self._full_dimensional():
+        # the helper, not the caching inradius_lower: a new body's cache stays empty
+        if not any(_component_inradius(c, dim) > 0.0 for c in comps):
             raise ValueError(
                 "body is not full-dimensional: no component family spans R^n"
             )
@@ -123,21 +126,6 @@ class HullBody:
         # rebuild through __init__: validation runs again and the cache
         # starts empty instead of travelling with the body
         return (type(self), (self.dim, self.components))
-
-    def _full_dimensional(self) -> bool:
-        n = self.dim
-        for c in self.components:
-            if isinstance(c, Ball):
-                if c.support is None or c.support.size == n:
-                    return True
-            elif c.unconditional:
-                covered = np.any(c.points != 0.0, axis=0)
-                if covered.all():
-                    return True
-            else:
-                if np.linalg.matrix_rank(c.points) == n:
-                    return True
-        return False
 
     def __repr__(self):
         kinds = []
@@ -285,12 +273,12 @@ def _component_inradius(c, n: int) -> float:
         # the hull contains the mean box (C_1 + ... + C_k)/k
         mean_profile = np.abs(pts).sum(axis=0) / k
         return float(mean_profile.min())
-    # hull contains the scaled zonotope (1/k) sum of segments
-    k = pts.shape[0]
-    if np.linalg.matrix_rank(pts) < n:
+    # hull contains the scaled zonotope (1/k) sum of segments; a rank
+    # below n (matrix_rank's cutoff on the same singular values) is flat
+    sv = np.linalg.svd(pts, compute_uv=False)
+    if sv.size < n or sv[-1] <= sv[0] * max(pts.shape) * np.finfo(float).eps:
         return 0.0
-    smin = np.linalg.svd(pts, compute_uv=False)[-1]
-    return float(smin / k)
+    return float(sv[-1] / pts.shape[0])
 
 
 def inradius_lower(body: HullBody) -> float:

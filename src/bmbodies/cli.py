@@ -35,15 +35,8 @@ from .concentration import (
     merge_curves,
     pilot_thresholds,
 )
-from .distance import (
-    BmOptions,
-    SeparationOptions,
-    bm_upper,
-    op_norm,
-    run_separation,
-    separation_scale,
-)
-from .gauge import GaugeSolverError, GaugeToleranceError, gauge
+from .distance import bm_upper, op_norm, run_separation, separation_scale
+from .gauge import GaugeError, gauge
 from .linalg import PigeonholeError
 from .randmodel import ModelParams, round_half_up, sample_body, substream
 from .symnet import build_net, certify_pair, lp_body, net_lines, tau_for_separation
@@ -510,14 +503,10 @@ def _cmd_conc(cfg: ExperimentConfig):
             (cfg.seed, rep, i, stat, mat, n, m, size, thresholds)
             for i, size in enumerate(sizes)
         ]
-        parts = _pool_map(_conc_block, jobs, cfg.workers)
+        merged = merge_curves(_pool_map(_conc_block, jobs, cfg.workers))
         if stat == "small_ball":
-            merged = parts[0]
-            for part in parts[1:]:
-                merged = merged.merge(part)
             payload = _small_ball_payload(merged, cfg.constants)
         else:
-            merged = merge_curves(parts)
             payload = _curve_payload(merged, cfg.constants)
             if stat == "quadratic":
                 payload["center"] = (m / n) * float(np.trace(mat))
@@ -533,7 +522,7 @@ def _cmd_dist(cfg: ExperimentConfig):
     body_a, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/0"))
     body_b, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/1"))
     fwd = op_norm(np.eye(p["n"]), body_a, body_b)
-    est = bm_upper(body_a, body_b, BmOptions(n_diag=p["n_diag"]))
+    est = bm_upper(body_a, body_b, p["n_diag"])
     records = [
         _mk_record(
             cfg,
@@ -563,13 +552,10 @@ def _cmd_separate(cfg: ExperimentConfig):
     params = _model_params(p)
     stream = substream(cfg.seed, "separate/0/body-stream/0")
     bodies = [_build_body(p["kind"], params, stream)[0] for _ in range(p["bodies"])]
-    opts = SeparationOptions(
-        threshold=p["threshold"],
-        bins=p["bins"],
-        max_pairs=p["max_pairs"],
-        bm=BmOptions(n_diag=p["n_diag"]),
+    report = run_separation(
+        bodies, functools.partial(_pool_map, workers=cfg.workers), threshold=p["threshold"],
+        bins=p["bins"], max_pairs=p["max_pairs"], n_diag=p["n_diag"],
     )
-    report = run_separation(bodies, opts, functools.partial(_pool_map, workers=cfg.workers))
     payload = {
         "bodies": len(bodies),
         "matrix": [[None if math.isnan(v) else v for v in row] for row in report.matrix.tolist()],
@@ -873,7 +859,7 @@ def run(cfg: ExperimentConfig) -> int:
             with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
                 fh.writelines(content)
         emit_report(records, cfg.fmt, cfg.out_dir, cfg.command)
-    except (GaugeToleranceError, GaugeSolverError, PigeonholeError, np.linalg.LinAlgError) as exc:
+    except (GaugeError, PigeonholeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, RuntimeError) as exc:

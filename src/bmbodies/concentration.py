@@ -191,7 +191,10 @@ class TailCurve:
         )
 
 
-def merge_curves(curves) -> TailCurve:
+def merge_curves(curves):
+    """Fold independent block results, in order, with their merge: the
+    TailCurves of one threshold grid, or the SmallBallEstimates of one
+    event."""
     curves = list(curves)
     if not curves:
         raise ValueError("nothing to merge")

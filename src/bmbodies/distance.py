@@ -33,8 +33,6 @@ __all__ = [
     "OpNormResult",
     "BmEstimate",
     "EventReport",
-    "BmOptions",
-    "SeparationOptions",
     "SeparationReport",
     "op_norm",
     "bm_upper",
@@ -412,17 +410,6 @@ def _inf_box(comp: Ball, n: int) -> np.ndarray:
     return gen
 
 
-@dataclass
-class BmOptions:
-    """Knobs for the distance upper-bound search."""
-
-    n_diag: int = 8
-
-    def __post_init__(self):
-        if self.n_diag < 0:
-            raise ValueError("invalid search options")
-
-
 def _hadamard(n: int):
     if n & (n - 1) or n < 2:
         return None
@@ -432,18 +419,19 @@ def _hadamard(n: int):
     return h
 
 
-def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEstimate:
+def bm_upper(k: HullBody, k2: HullBody, n_diag: int = 8) -> BmEstimate:
     """Certified upper bound on the Banach-Mazur distance d(K, K2).
 
-    Tries, in this order, the identity, n_diag random diagonal maps, every
-    permutation matrix when the dimension is at most _PERM_MAX_DIM, and a
-    Hadamard rotation when the dimension is a power of two.  Every one is
-    invertible, and each is certified in turn with full operator-norm
-    upper bounds, forward and inverse; the first map of least certified
-    product wins.  The product norm is invariant under scaling of the
-    map, so no scale search is needed.  Signed permutations are left out:
-    a sign change S is an isometry of a sign-invariant body, so when
-    either body is one, S P has the norms of P.
+    Tries, in this order, the identity, n_diag (>= 0) random diagonal
+    maps, every permutation matrix when the dimension is at most
+    _PERM_MAX_DIM, and a Hadamard rotation when the dimension is a power
+    of two.  Every one is invertible, and each is certified in turn with
+    full operator-norm upper bounds, forward and inverse; the first map
+    of least certified product wins.  The product norm is invariant under
+    scaling of the map, so no scale search is needed.  Signed
+    permutations are left out: a sign change S is an isometry of a
+    sign-invariant body, so when either body is one, S P has the norms
+    of P.
 
     Every op_norm upper bound is finite, so the identity always yields a
     certified product, and every later map is certified under an abort
@@ -451,8 +439,9 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     gets bar = best / L, where L is a gauge-free lower bound on the
     inverse's norm: every dual probe y of K has h_K(y) = 1, so
     |T^-1 : K2 -> K| >= h_K2(T^-T y), and L is the largest such support
-    value shrunk by 1 - 1e-12 for rounding.  If the forward side finishes, the inverse op_norm gets bar = best / fwd.lo
-    (a zero divisor gives an infinite bar).  A side stops at
+    value shrunk by 1 - 1e-12 for rounding.  If the forward side
+    finishes, the inverse op_norm gets bar = best / fwd.lo (a zero
+    divisor gives an infinite bar).  A side stops at
     lo >= bar * (1 - _BAR_MARGIN), so a stopped map's product is at
     least best * (1 - 1e-9): it could have beaten best by at most that
     factor, and an exact tie stops.  The bound, the norms and the map
@@ -460,17 +449,18 @@ def bm_upper(k: HullBody, k2: HullBody, opts: BmOptions | None = None) -> BmEsti
     upper bound, within the factor 1 - 1e-9 of the best over all
     candidates.  The log has one entry per map in the order above:
     "certified", the product, or for a stopped map "lower", the
-    certified lower bound on its product.  A gauge error that a stopped
+    certified lower bound on its product.  A GaugeError that a stopped
     certification would have met no longer stops the search.
     """
     if k.dim != k2.dim:
         raise ValueError("bodies must share a dimension")
+    if n_diag < 0:
+        raise ValueError(f"n_diag must be nonnegative, got {n_diag}")
     n = k.dim
-    opts = opts or BmOptions()
 
     cands = [("identity", np.eye(n))]
     rng = substream(_STREAM_SEED, "distance/bm/diag")
-    for i in range(opts.n_diag):
+    for i in range(n_diag):
         d = np.exp(rng.uniform(-_DIAG_SPREAD, _DIAG_SPREAD, size=n))
         cands.append((f"diag{i}", np.diag(d)))
     if n <= _PERM_MAX_DIM:
@@ -635,22 +625,6 @@ def check_one_body(v_mat, k: HullBody, k2: HullBody, alpha: float, tol: float = 
 
 
 @dataclass
-class SeparationOptions:
-    """Budget and reporting knobs for the pairwise distance run."""
-
-    threshold: float = 2.0
-    bins: int = 16
-    max_pairs: int | None = None
-    bm: BmOptions = field(default_factory=BmOptions)
-
-    def __post_init__(self):
-        if self.threshold <= 0 or self.bins < 1:
-            raise ValueError("invalid separation options")
-        if self.max_pairs is not None and self.max_pairs < 0:
-            raise ValueError("max_pairs must be nonnegative")
-
-
-@dataclass
 class SeparationReport:
     """Pairwise distance upper bounds for a body family; estimates maps
     each finished pair (i, j), in pair order, to its BmEstimate."""
@@ -668,19 +642,27 @@ def _pair_upper(job):
     return bm_upper(*job)
 
 
-def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) -> SeparationReport:
+def run_separation(bodies, map_fn=map, *, threshold: float = 2.0, bins: int = 16,
+                   max_pairs: int | None = None, n_diag: int = 8) -> SeparationReport:
     """Upper-bound all pairwise distances of the bodies (or the first
-    max_pairs pairs in row order; the rest are marked missing).
+    max_pairs pairs in row order; the rest are marked missing) with
+    bm_upper(K, K2, n_diag).
+
+    The report histograms the bounds over `bins` equal bins and counts
+    the pairs whose bound is below threshold, which must be positive.
 
     map_fn(fn, jobs) runs the pair jobs and yields their results in job
     order; jobs and results pickle, so a process pool's map will do.
     """
+    if threshold <= 0 or bins < 1:
+        raise ValueError("threshold must be positive and bins at least 1")
+    if max_pairs is not None and max_pairs < 0:
+        raise ValueError("max_pairs must be nonnegative")
     bodies = list(bodies)
-    opts = opts or SeparationOptions()
     m_bodies = len(bodies)
     pairs = [(i, j) for i in range(m_bodies) for j in range(i + 1, m_bodies)]
-    budget = len(pairs) if opts.max_pairs is None else min(opts.max_pairs, len(pairs))
-    jobs = [(bodies[i], bodies[j], opts.bm) for i, j in pairs[:budget]]
+    budget = len(pairs) if max_pairs is None else min(max_pairs, len(pairs))
+    jobs = [(bodies[i], bodies[j], n_diag) for i, j in pairs[:budget]]
     estimates = dict(zip(pairs[:budget], map_fn(_pair_upper, jobs)))
     matrix = np.full((m_bodies, m_bodies), math.nan)
     np.fill_diagonal(matrix, 1.0)
@@ -692,17 +674,17 @@ def run_separation(bodies, opts: SeparationOptions | None = None, map_fn=map) ->
         if hi - lo <= max(abs(lo), abs(hi), 1.0) * 1e-9:
             # all observed distances coincide up to rounding; pad the
             # range so the requested bin count stays representable
-            counts, edges = np.histogram(vals, bins=opts.bins, range=(lo - 0.5, hi + 0.5))
+            counts, edges = np.histogram(vals, bins=bins, range=(lo - 0.5, hi + 0.5))
         else:
-            counts, edges = np.histogram(vals, bins=opts.bins)
+            counts, edges = np.histogram(vals, bins=bins)
     else:
-        counts, edges = np.zeros(opts.bins, dtype=np.int64), np.linspace(1.0, 2.0, opts.bins + 1)
+        counts, edges = np.zeros(bins, dtype=np.int64), np.linspace(1.0, 2.0, bins + 1)
     return SeparationReport(
         matrix=matrix,
         hist_counts=counts,
         hist_edges=edges,
-        threshold=opts.threshold,
-        n_below_threshold=int(np.count_nonzero(vals < opts.threshold)),
+        threshold=threshold,
+        n_below_threshold=int(np.count_nonzero(vals < threshold)),
         missing_pairs=pairs[budget:],
         estimates=estimates,
     )

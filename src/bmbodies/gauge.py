@@ -40,26 +40,17 @@ from .cone import ConeError, SocProgram, iterates, polish
 _POLISH_REL = 0.1
 __all__ = [
     "GaugeResult",
-    "GaugeSolverError",
-    "GaugeToleranceError",
+    "GaugeError",
     "gauge",
     "component_value",
 ]
 
 
-class GaugeToleranceError(RuntimeError):
-    """Gap failed to close within the iteration budget; carries the best
-    certified bounds found."""
-
-    def __init__(self, message: str, lo: float, hi: float):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
-
-
-class GaugeSolverError(RuntimeError):
-    """The interior-point solver broke down; carries its status (a short
-    name of the breakdown) and the best certified bounds found before."""
+class GaugeError(RuntimeError):
+    """The gap did not close; carries its status and the best certified
+    bounds found.  status is "tolerance" when the iteration budget ran
+    out, and otherwise the interior-point solver's short name of its
+    breakdown."""
 
     def __init__(self, message: str, status: str, lo: float, hi: float):
         super().__init__(message)
@@ -313,10 +304,10 @@ def _certify(body, static, x, z, xs, zs):
 def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeResult:
     """Certified gauge bracket of x with respect to body.
 
-    rounds counts interior-point iterations.  Raises GaugeToleranceError
-    (carrying the best lo/hi) if the relative gap cannot be closed within
-    max_rounds of them, and GaugeSolverError (carrying the solver status
-    and the best lo/hi) if the iteration breaks down.
+    rounds counts interior-point iterations.  Raises GaugeError, carrying
+    the best lo/hi, if the relative gap cannot be closed: with status
+    "tolerance" after max_rounds of them, and with the solver's status if
+    the iteration breaks down.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (body.dim,):
@@ -373,11 +364,13 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
             if gap_ok():
                 return finish(rounds)
     except ConeError as exc:
-        raise GaugeSolverError(
+        raise GaugeError(
             f"gauge solver failed (status {exc.status})", exc.status, lo_best, hi_best
         ) from exc
-    raise GaugeToleranceError(
-        f"tolerance not reached: lo={lo_best:.12g}, hi={hi_best:.12g}, tol={tol}",
+    raise GaugeError(
+        f"gauge tolerance not reached (status tolerance): lo={lo_best:.12g}, "
+        f"hi={hi_best:.12g}, tol={tol}",
+        "tolerance",
         lo_best,
         hi_best,
     )

@@ -100,6 +100,14 @@ def test_hull_body_requires_full_dimension():
     assert ok.dim == 3
 
 
+def test_a_body_whose_inradius_bound_underflows_is_refused():
+    # every coordinate is covered, but the mean box's first side 5e-324 / 3
+    # rounds to 0: the inradius bound every certificate divides by is zero
+    pts = [[5e-324, 1.0], [0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        HullBody(2, [SignedPoints(pts, unconditional=True)])
+
+
 def test_ball_body_radii():
     n, r = 5, 2.0
     b1 = ball_body(n, 1.0, r)

@@ -1,4 +1,5 @@
 """Command line behavior: validation, determinism, formats, exit codes."""
+import functools
 import hashlib
 import json
 import math
@@ -13,8 +14,11 @@ import pytest
 import yaml
 
 from bmbodies import cli
+from bmbodies.concentration import mc_small_ball
 from bmbodies.distance import separation_scale
+from bmbodies.gauge import gauge
 from bmbodies.linalg import PigeonholeError
+from bmbodies.randmodel import substream
 from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_from_text, net_to_text
 
 
@@ -108,6 +112,29 @@ def test_conc_payloads_identical_across_worker_counts(tmp_path):
         a, b = outs
         assert len(a) == len(b) > 0
         assert [r["payload"] for r in a] == [r["payload"] for r in b]
+
+
+@pytest.mark.parametrize("statistic", ["small_ball", "large_deviation"])
+def test_conc_block_statistics_merge_identically_across_worker_counts(tmp_path, statistic):
+    # 10,000 trials run as three blocks, so every statistic's merge runs
+    params = {"n": 30, "m": 8, "trials": 10000, "statistic": statistic, "matrix": "gaussian"}
+    cfg = _cfg(tmp_path, {"command": "conc", "seed": 4, "params": params})
+    payloads = []
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}")
+        argv = ["conc", "--config", cfg, "--workers", str(workers), "--out", out]
+        assert cli.main(argv) == cli.EXIT_OK
+        payloads.append([r["payload"] for r in _read_records(out, "conc")])
+    assert payloads[0] == payloads[1]
+    (pl,) = payloads[0]
+    assert pl["trials"] == 10000
+    if statistic == "small_ball":
+        mat = cli._conc_matrix("gaussian", 30, None, 4, 0)
+        sizes = [cli.BLOCK_TRIALS, cli.BLOCK_TRIALS, 10000 - 2 * cli.BLOCK_TRIALS]
+        streams = [substream(4, f"conc/0/trial-block/{i}") for i in range(3)]
+        counts = [mc_small_ball(mat, 30, 8, size, stream=rng).count
+                  for size, rng in zip(sizes, streams)]
+        assert pl["count"] == sum(counts)
 
 
 def test_record_envelope_fields(tmp_path):
@@ -311,6 +338,38 @@ def test_settings_that_reach_no_code_are_rejected(tmp_path, capsys, command, par
     assert not os.path.exists(out)
 
 
+# (command, params, format, csv header, rows): one csv row per record, but
+# five quantities for dist and one per certificate for net; svg bars per bin
+_VIEWS = [
+    ("sample", dict(_MODEL, count=2), "csv",
+     "index,file,kind,n,m,n_subsets,covers_all", 2),
+    ("gauge", dict(_MODEL, count=1, points=3), "csv", "body,point,lo,hi,width,rounds", 3),
+    ("dist", dict(_MODEL, n_diag=1), "csv", "kind,quantity,value", 5),
+    ("net", {"n": 6, "tau": 2.0, "p_values": [1.0, 2.0, "inf"], "samples": 50}, "csv",
+     "kind,member,representative,granted,max_ratio", 3),
+    ("separate", dict(_MODEL, bodies=3, n_diag=1, bins=5), "svg", None, 5),
+]
+
+
+@pytest.mark.parametrize("command, params, fmt, header, rows", _VIEWS,
+                         ids=[v[0] for v in _VIEWS])
+def test_csv_and_svg_views_have_their_documented_layout(tmp_path, command, params, fmt,
+                                                         header, rows):
+    cfg = _cfg(tmp_path, {"command": command, "params": params})
+    out = str(tmp_path / "view")
+    assert cli.main([command, "--config", cfg, "--out", out, "--format", fmt]) == cli.EXIT_OK
+    if fmt == "svg":
+        art = open(os.path.join(out, f"{command}-plot.svg"), encoding="utf-8").read()
+        assert art.count('<rect class="bar"') == rows
+        assert art.count('<line class="threshold-mark"') == 1
+        return
+    with open(os.path.join(out, f"{command}-records.csv"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
+    assert all(len(ln.split(",")) == len(header.split(",")) for ln in lines[1:])
+
+
 def test_net_enumeration_cap_refusal(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 10, "tau": 2.0, "cap": 100}})
     out = str(tmp_path / "net")
@@ -425,6 +484,20 @@ def test_gauge_solver_failure_exits_numeric_and_names_the_status(tmp_path, monke
     out = str(tmp_path / "stall")
     assert cli.main(["gauge", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
     assert "status factorization-failed" in capsys.readouterr().err
+
+
+def test_gauge_tolerance_failure_exits_numeric_and_names_the_status(tmp_path, monkeypatch,
+                                                                   capsys):
+    # no interior-point round is allowed, so the closed forms alone must close
+    monkeypatch.setattr(cli, "gauge", functools.partial(gauge, max_rounds=0))
+    cfg = _cfg(
+        tmp_path,
+        {"command": "gauge", "params": {"n": 12, "delta": 0.25, "n_subsets": 24, "count": 1,
+                                        "points": 2}},
+    )
+    out = str(tmp_path / "budget")
+    assert cli.main(["gauge", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+    assert "status tolerance" in capsys.readouterr().err
 
 
 def test_gauge_command_never_imports_scipy(tmp_path):

@@ -18,9 +18,7 @@ from bmbodies.bodies import (
 )
 from bmbodies import distance
 from bmbodies.distance import (
-    BmOptions,
     OpNormResult,
-    SeparationOptions,
     _ball2_points,
     _dual_probes,
     _guided_points,
@@ -176,7 +174,7 @@ def test_op_norm_guided_box_on_a_conditional_target_is_bounded_by_the_inradius()
 
 def test_bm_upper_on_a_conditional_target_is_finite():
     _, wide, dst = _wide_box_and_segments(4)
-    est = bm_upper(wide, dst, BmOptions(n_diag=1))
+    est = bm_upper(wide, dst, n_diag=1)
     assert 1.0 - 1e-9 <= est.upper < math.inf
 
 
@@ -609,16 +607,13 @@ def test_check_one_body_reports_coverage():
     assert rep2.metadata["op_hi"] >= rep2.metadata["op_lo"] * (1 - 1e-9)
 
 
-_LIGHT = SeparationOptions(bm=BmOptions(n_diag=2))
-
-
 def _model_bodies(count, stream):
     params = ModelParams(n=8, delta=0.5, n_subsets=3)
     return [sample_body(params, stream).body for _ in range(count)]
 
 
 def test_run_separation_report_shape():
-    rep = run_separation(_model_bodies(3, substream(11, "sep")), opts=_LIGHT)
+    rep = run_separation(_model_bodies(3, substream(11, "sep")), n_diag=2)
     m = rep.matrix
     assert m.shape == (3, 3)
     np.testing.assert_allclose(np.diag(m), 1.0)
@@ -633,10 +628,7 @@ def test_run_separation_report_shape():
 
 
 def test_run_separation_budget_marks_missing_pairs():
-    rep = run_separation(
-        _model_bodies(3, substream(11, "sep")),
-        opts=SeparationOptions(max_pairs=1, bm=_LIGHT.bm),
-    )
+    rep = run_separation(_model_bodies(3, substream(11, "sep")), max_pairs=1, n_diag=2)
     assert rep.missing_pairs == [(0, 2), (1, 2)]
     assert list(rep.estimates) == [(0, 1)]
     assert int(np.sum(np.isnan(rep.matrix))) == 4
@@ -644,6 +636,6 @@ def test_run_separation_budget_marks_missing_pairs():
 
 
 def test_run_separation_is_reproducible():
-    a = run_separation(_model_bodies(3, substream(14, "sep")), opts=_LIGHT)
-    b = run_separation(_model_bodies(3, substream(14, "sep")), opts=_LIGHT)
+    a = run_separation(_model_bodies(3, substream(14, "sep")), n_diag=2)
+    b = run_separation(_model_bodies(3, substream(14, "sep")), n_diag=2)
     np.testing.assert_array_equal(a.matrix, b.matrix)

@@ -44,3 +44,21 @@ def test_import_pins_blas_threads_unless_the_user_set_them(preset):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [preset or "1", "1", "1"]
+
+
+def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
+    # bench/tracer.py wraps these names in place; a module that stops
+    # importing one of them would break `bench/run.py --trace 1`
+    import bmbodies.cli  # noqa: F401  (loads every module the tracer names)
+
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    monkeypatch.syspath_prepend(bench)
+    wrapped = importlib.import_module("tracer").WRAPPED
+    missing = []
+    for module, attr, _, _ in wrapped:
+        owner = sys.modules[module]
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
