@@ -16,12 +16,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .randmodel import ModelParams, check_index_set
+if TYPE_CHECKING:  # randmodel imports this module
+    from .randmodel import ModelParams
 
 __all__ = [
+    "check_index_set",
     "SignedPoints",
     "Ball",
     "HullBody",
@@ -211,9 +214,19 @@ def ball_body(n: int, p, radius: float = 1.0) -> HullBody:
     return HullBody(n, [Ball(p, radius)])
 
 
+def check_index_set(idx, n: int) -> np.ndarray:
+    """Validate a sorted array of distinct 0-based indices below n."""
+    a = np.asarray(idx, dtype=np.int64)
+    if a.ndim != 1:
+        raise ValueError("index set must be 1-D")
+    if a.size:
+        _subset_family(a, n)
+    return a
+
+
 def _subset_family(subsets, n: int) -> np.ndarray:
-    """The family as a (k, m) int64 array, every row checked at once with
-    check_index_set's tests and messages (the first bad row reports)."""
+    """The family as a (k, m) int64 array, every row checked at once as
+    check_index_set checks one (the first bad row reports)."""
     subs = np.atleast_2d(np.asarray(subsets, dtype=np.int64))
     if subs.size == 0:
         raise ValueError("subset family must be nonempty")

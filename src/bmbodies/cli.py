@@ -39,7 +39,8 @@ from .distance import bm_upper, op_norm, run_separation, separation_scale
 from .gauge import GaugeError, gauge
 from .linalg import PigeonholeError
 from .randmodel import ModelParams, round_half_up, sample_body, substream
-from .symnet import build_net, certify_pair, lp_body, net_lines, tau_for_separation
+from .symnet import (build_net, certify_pair, log_log_separation, lp_body, net_lines,
+                     tau_for_separation)
 
 # not called here (build_net owns the step family); bench/tracer.py wraps them on this module
 from .symnet import enumerate_steps, log_profile  # noqa: F401
@@ -584,7 +585,7 @@ def _cmd_net(cfg: ExperimentConfig):
         raw_ps = [1 + 0.25 * i for i in range(13)] + ["inf"]
     ps = [math.inf if v in ("inf", "Infinity") else float(v) for v in raw_ps]
     bodies = [lp_body(n, v) for v in ps]
-    net = build_net(bodies, tau, cap=p["cap"], c_const=cfg.constants["C"])
+    net = build_net(bodies, tau, cap=p["cap"])
     rep_of = {pos: rep for cell, rep in net.cell_reps for pos in net.members[cell]}
     records = [
         _mk_record(
@@ -598,7 +599,7 @@ def _cmd_net(cfg: ExperimentConfig):
                 "profile_count": net.profile_count,
                 "cell_count": net.cell_count,
                 "log_log_cell_bound": net.log_log_cell_bound,
-                "log_log_separation": net.log_log_separation,
+                "log_log_separation": log_log_separation(n, tau, cfg.constants["C"]),
                 "file": "net.txt",
             },
         )
@@ -816,30 +817,25 @@ def _svg_hist(records) -> str:
     return _svg_frame(parts, "pairwise distance upper bounds")
 
 
-def emit_report(records, fmt: str, out_dir: str, command: str):
-    """Write the records in the chosen format; returns written paths."""
-    paths = []
+def _report_file(records, fmt: str, command: str) -> dict:
+    """The records in the chosen format, as {file name: text chunks}; the
+    jsonl lines are rendered as they are written."""
     if fmt == "jsonl":
-        path = os.path.join(out_dir, f"{command}-records.jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(json.dumps(r, sort_keys=True))
-                fh.write("\n")
-        paths.append(path)
-    elif fmt == "csv":
-        path = os.path.join(out_dir, f"{command}-records.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_csv_for(command, records))
-        paths.append(path)
-    elif fmt == "svg":
-        path = os.path.join(out_dir, f"{command}-plot.svg")
-        art = _svg_tail(records) if command == "conc" else _svg_hist(records)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(art)
-        paths.append(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return paths
+        return {f"{command}-records.jsonl":
+                (json.dumps(r, sort_keys=True) + "\n" for r in records)}
+    if fmt == "csv":
+        return {f"{command}-records.csv": (_csv_for(command, records),)}
+    art = _svg_tail(records) if command == "conc" else _svg_hist(records)
+    return {f"{command}-plot.svg": (art,)}
+
+
+def emit_report(files: dict, out_dir: str) -> None:
+    """Write every output file of a run: files maps a name in out_dir to
+    an iterable of text chunks, written in order.  A str would be written
+    one character at a time, so a whole text comes as a 1-tuple."""
+    for name, chunks in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -855,10 +851,7 @@ def run(cfg: ExperimentConfig) -> int:
         return EXIT_VALIDATION
     try:
         records, files = _RUNNERS[cfg.command](cfg)
-        for name, content in files.items():  # content: an iterable of text chunks
-            with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
-                fh.writelines(content)
-        emit_report(records, cfg.fmt, cfg.out_dir, cfg.command)
+        emit_report({**files, **_report_file(records, cfg.fmt, cfg.command)}, cfg.out_dir)
     except (GaugeError, PigeonholeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -38,7 +38,6 @@ __all__ = [
 WILSON_Z99 = 2.5758293035489004
 
 _PILOT = 1024
-_DEFAULT_GRID = 32
 
 
 def wilson_interval(count: int, trials: int, z: float = WILSON_Z99):
@@ -260,12 +259,12 @@ class SmallBallEstimate:
         )
 
 
-def default_thresholds(pilot_stats, grid: int = _DEFAULT_GRID) -> np.ndarray:
-    """Log-spaced grid covering [0.1, 10] times the pilot spread."""
+def default_thresholds(pilot_stats) -> np.ndarray:
+    """32 log-spaced thresholds covering [0.1, 10] times the pilot spread."""
     sigma = float(np.std(np.asarray(pilot_stats, dtype=float)))
     if not math.isfinite(sigma) or sigma <= 0.0:
         sigma = 1e-12
-    return np.geomspace(0.1 * sigma, 10.0 * sigma, grid)
+    return np.geomspace(0.1 * sigma, 10.0 * sigma, 32)
 
 
 def _exceed_counts(stats: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -336,7 +335,7 @@ def _restricted_norms(b, n, m, count, rng):
     return _draw(n, m, count, rng, n * m, norms)
 
 
-def _checked(a, n: int, m: int, trials: int, stream) -> np.ndarray:
+def _checked(a, n: int, m: int, trials: int) -> np.ndarray:
     """The inputs every Monte Carlo estimator shares, checked; returns a
     as a float matrix."""
     a = check_matrix(np.asarray(a, dtype=float), square=True)
@@ -346,14 +345,14 @@ def _checked(a, n: int, m: int, trials: int, stream) -> np.ndarray:
         raise ValueError(f"subset size {m} outside [1, {n - 1}]")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if stream is None:
-        raise ValueError("a random stream is required")
     return a
 
 
 def pilot_thresholds(statistic: str, a, n: int, m: int, trials: int, stream) -> np.ndarray:
     """default_thresholds over the first min(1024, trials) draws of the
-    statistic ("quadratic" or "large_deviation") from the stream."""
+    statistic ("quadratic" or "large_deviation") from the stream.  A run
+    given no thresholds takes this grid, drawn from a stream its trials
+    do not use (conc/<replicate>/trial-block/pilot in the CLI)."""
     a = check_matrix(a, square=True)
     count = min(_PILOT, trials)
     if statistic == "quadratic":
@@ -364,16 +363,15 @@ def pilot_thresholds(statistic: str, a, n: int, m: int, trials: int, stream) -> 
     raise ValueError(f"no pilot for statistic {statistic!r}")
 
 
-def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=None) -> TailCurve:
-    """Tail of |eps^T A_JJ eps - (m/n) tr A| over random (J, eps).
+def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds, stream) -> TailCurve:
+    """Tail of |eps^T A_JJ eps - (m/n) tr A| over random (J, eps), at the
+    given thresholds, with trials drawn from the stream.
 
     The centering constant is the exact mean of the restricted form, so
     the curve's raw moments double as a centering self-check.
     """
-    a = _checked(a, n, m, trials, stream)
+    a = _checked(a, n, m, trials)
     center = (m / n) * float(np.trace(a))
-    if thresholds is None:
-        thresholds = pilot_thresholds("quadratic", a, n, m, trials, stream)
     thresholds = np.asarray(thresholds, dtype=float)
 
     raw = _quad_stats(a, n, m, trials, stream)
@@ -399,9 +397,10 @@ def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds=None, stream=No
     )
 
 
-def mc_small_ball(b, n: int, m: int, trials: int, stream=None) -> SmallBallEstimate:
-    """P(|B R_J eps|_2 <= sqrt(m/2n) * |B|_HS) with Wilson interval."""
-    b = _checked(b, n, m, trials, stream)
+def mc_small_ball(b, n: int, m: int, trials: int, stream) -> SmallBallEstimate:
+    """P(|B R_J eps|_2 <= sqrt(m/2n) * |B|_HS) with Wilson interval, with
+    trials drawn from the stream."""
+    b = _checked(b, n, m, trials)
     hs = hs_norm(b)
     threshold = math.sqrt(m / (2 * n)) * hs
     stats = _restricted_norms(b, n, m, trials, stream)
@@ -413,12 +412,11 @@ def mc_small_ball(b, n: int, m: int, trials: int, stream=None) -> SmallBallEstim
     )
 
 
-def mc_large_deviation(b, n: int, m: int, trials: int, thresholds=None, stream=None) -> TailCurve:
-    """Tail of |B R_J eps|_2; thresholds at or below sqrt(4m/n)*|B|_HS
-    are kept in the report but flagged inadmissible for the bound."""
-    b = _checked(b, n, m, trials, stream)
-    if thresholds is None:
-        thresholds = pilot_thresholds("large_deviation", b, n, m, trials, stream)
+def mc_large_deviation(b, n: int, m: int, trials: int, thresholds, stream) -> TailCurve:
+    """Tail of |B R_J eps|_2 at the given thresholds, with trials drawn
+    from the stream; thresholds at or below sqrt(4m/n)*|B|_HS are kept
+    in the report but flagged inadmissible for the bound."""
+    b = _checked(b, n, m, trials)
     thresholds = np.asarray(thresholds, dtype=float)
 
     stats = _restricted_norms(b, n, m, trials, stream)

@@ -41,6 +41,7 @@ __all__ = [
     "run_separation",
     "event_alpha",
     "separation_scale",
+    "cap_projection_norms",
 ]
 
 _STREAM_SEED = 0xB0D1E5

@@ -15,22 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bodies
+
 __all__ = [
-    "GENERATOR_NAME",
     "ModelParams",
     "TestVector",
     "BodySample",
     "round_half_up",
     "substream",
-    "check_index_set",
     "sample_subset",
     "sample_subsets",
     "sample_rademacher",
     "sample_body",
     "sample_test_vector",
 ]
-
-GENERATOR_NAME = "philox4x64"
 
 
 def round_half_up(x: float) -> int:
@@ -58,16 +56,14 @@ class ModelParams:
     """Parameters of the random subset model.
 
     n is the ambient dimension, delta the subset density, n_subsets the
-    number of subsets actually drawn (a direct input; the theorem-scale
-    count exp(c*delta^2*n) is available separately as a report value).
-    m = round_half_up(delta * n) is the subset size.  below_regime flags
-    delta at or below regime_const * sqrt(log(n)/n); it never raises.
+    number of subsets drawn.  m = round_half_up(delta * n) is the subset
+    size.  below_regime flags delta at or below sqrt(log(n)/n); it never
+    raises.
     """
 
     n: int
     delta: float
     n_subsets: int
-    regime_const: float = 1.0
     m: int = field(init=False)
     below_regime: bool = field(init=False)
 
@@ -84,20 +80,8 @@ class ModelParams:
                 f"delta*n rounds to {m}; subsets would be empty (n={self.n}, delta={self.delta})"
             )
         object.__setattr__(self, "m", m)
-        threshold = self.regime_const * math.sqrt(math.log(max(self.n, 2)) / self.n)
+        threshold = math.sqrt(math.log(max(self.n, 2)) / self.n)
         object.__setattr__(self, "below_regime", bool(self.delta <= threshold))
-
-
-def check_index_set(idx, n: int) -> np.ndarray:
-    """Validate a sorted array of distinct 0-based indices below n."""
-    a = np.asarray(idx, dtype=np.int64)
-    if a.ndim != 1:
-        raise ValueError("index set must be 1-D")
-    if a.size and (a[0] < 0 or a[-1] >= n):
-        raise ValueError(f"indices must lie in [0, {n}), got range [{a[0]}, {a[-1]}]")
-    if np.any(np.diff(a) <= 0):
-        raise ValueError("indices must be strictly increasing")
-    return a
 
 
 def sample_subset(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,10 +149,9 @@ def sample_body(params: ModelParams, rng: np.random.Generator) -> BodySample:
     coordinate set; the theorem conditions on that event (failure
     probability at most n*(1-delta)^n_subsets) but sampling never rejects.
     """
-    from . import bodies
-
     subsets = sample_subsets(params.n, params.m, params.n_subsets, rng)
     covered = np.zeros(params.n, dtype=bool)
     covered[subsets.ravel()] = True
+    # through the module, where bench/tracer.py wraps subset_body
     body = bodies.subset_body(params, subsets)
     return BodySample(body=body, subsets=subsets, covers_all=bool(covered.all()))

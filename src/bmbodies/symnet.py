@@ -41,6 +41,7 @@ __all__ = [
     "build_net",
     "certify_pair",
     "tau_for_separation",
+    "log_log_separation",
     "net_lines",
     "net_to_text",
     "net_from_text",
@@ -318,46 +319,48 @@ class SymmetricNet:
     cell_reps: list  # (cell id, SymmetricBody), ids 0, 1, ... in first-seen order
     cells: np.ndarray  # grid indices: row = cell id, column = step map; int64 when parsed
     members: dict  # cell id -> input positions, empty for parsed nets
-    log_log_cell_bound: float
-    log_log_separation: float
     family: StepFamily | None = None  # the profiled step family; None for parsed nets
 
     @property
     def cell_count(self) -> int:
         return len(self.cell_reps)
 
+    @property
+    def log_log_cell_bound(self) -> float:
+        """log log of the bound base^profiles on the number of possible
+        cells, base = _grid_top(n, tau): the bound itself overflows a
+        float long before its exponent does.  A report value only."""
+        return math.log(self.profile_count) + math.log(math.log(_grid_top(self.n, self.tau)))
 
-def _log_log_cell_bound(n: int, tau: float, profiles: int) -> float:
-    """log log of the cell-count bound base^profiles, which overflows a
-    float long before the exponents do."""
-    base = math.floor(math.log(max(n, 2)) / math.log(tau)) + 2
-    return math.log(profiles) + math.log(math.log(base))
+
+def _grid_top(n: int, tau: float) -> int:
+    """floor(log n / log tau) + 2: the top grid index of the expected
+    profile range [-log tau^2, log n], and the base of the cell-count
+    bound."""
+    return math.floor(math.log(max(n, 2)) / math.log(tau)) + 2
 
 
-def _log_log_separation(n: int, tau: float, c_const: float) -> float:
-    """log log of the separated-set annotation exp(exp(C log^2 n / log tau))."""
-    return c_const * math.log(max(n, 2)) ** 2 / math.log(tau)
+def log_log_separation(n: int, tau: float, c: float) -> float:
+    """log log of the separated-set annotation exp(exp(c log^2 n / log tau)),
+    a report value only."""
+    return c * math.log(max(n, 2)) ** 2 / math.log(tau)
 
 
 def _cell_dtype(n: int, tau: float) -> np.dtype:
-    """Narrowest signed integer type that holds the grid indices of the
-    expected profile range [-log tau^2, log n]: 0 to
-    floor(log n / log tau) + 2 (int8 at n = 12, tau = 1.5)."""
-    top = math.floor(math.log(max(n, 2)) / math.log(tau)) + 2
+    """Narrowest signed integer type that holds the grid indices 0 to
+    _grid_top(n, tau) (int8 at n = 12, tau = 1.5)."""
+    top = _grid_top(n, tau)
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
                 if np.iinfo(t).max >= top)
 
 
-def build_net(bodies, tau, cap: int = PROFILE_CAP, c_const: float = 1.0) -> SymmetricNet:
+def build_net(bodies, tau, cap: int = PROFILE_CAP) -> SymmetricNet:
     """Group bodies by quantized log-norm profile.
 
     The level count is recomputed exactly from (n, tau); the first body
     that lands in a cell becomes its representative.  Cells are stored
     in _cell_dtype(n, tau); a profile whose cell index falls outside
-    that type raises ValueError instead of wrapping.  The bound on the
-    number of possible cells and the doubly exponential separated-set
-    annotation are report values only, kept as their log log so that
-    they stay finite.
+    that type raises ValueError instead of wrapping.
     """
     bodies = list(bodies)
     if not bodies:
@@ -395,9 +398,7 @@ def build_net(bodies, tau, cap: int = PROFILE_CAP, c_const: float = 1.0) -> Symm
         members[cell].append(pos)
     return SymmetricNet(
         n=n, tau=tau_f, levels=levels, profile_count=family.count,
-        cell_reps=cell_reps, cells=cells[: len(cell_reps)], members=members,
-        log_log_cell_bound=_log_log_cell_bound(n, tau_f, family.count),
-        log_log_separation=_log_log_separation(n, tau_f, c_const), family=family,
+        cell_reps=cell_reps, cells=cells[: len(cell_reps)], members=members, family=family,
     )
 
 
@@ -526,6 +527,4 @@ def net_from_text(text: str) -> SymmetricNet:
         n=n, tau=tau, levels=levels, profile_count=profiles, cell_reps=cell_reps,
         cells=np.array(rows, dtype=np.int64).reshape(len(rows), profiles),
         members={cell: [] for cell, _ in cell_reps},
-        log_log_cell_bound=_log_log_cell_bound(n, tau, profiles),
-        log_log_separation=_log_log_separation(n, tau, 1.0),
     )

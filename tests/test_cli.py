@@ -338,8 +338,9 @@ def test_settings_that_reach_no_code_are_rejected(tmp_path, capsys, command, par
     assert not os.path.exists(out)
 
 
-# (command, params, format, csv header, rows): one csv row per record, but
-# five quantities for dist and one per certificate for net; svg bars per bin
+# (command, params, format, csv header, rows): one csv row per record (a
+# small-ball record too), but five quantities for dist and one per
+# certificate for net; svg bars per bin
 _VIEWS = [
     ("sample", dict(_MODEL, count=2), "csv",
      "index,file,kind,n,m,n_subsets,covers_all", 2),
@@ -348,6 +349,8 @@ _VIEWS = [
     ("net", {"n": 6, "tau": 2.0, "p_values": [1.0, 2.0, "inf"], "samples": 50}, "csv",
      "kind,member,representative,granted,max_ratio", 3),
     ("separate", dict(_MODEL, bodies=3, n_diag=1, bins=5), "svg", None, 5),
+    ("conc", dict(_CONC, statistic="small_ball", replicates=2), "csv",
+     "replicate,statistic,threshold,count,trials,p_hat,wilson_lo,wilson_hi,shape,admissible", 2),
 ]
 
 
@@ -368,6 +371,47 @@ def test_csv_and_svg_views_have_their_documented_layout(tmp_path, command, param
     assert lines[0] == header
     assert len(lines) == 1 + rows
     assert all(len(ln.split(",")) == len(header.split(",")) for ln in lines[1:])
+
+
+@pytest.mark.parametrize("statistic", ["quadratic", "small_ball", "large_deviation"])
+def test_conc_delta_gives_the_payloads_of_its_subset_size(tmp_path, statistic):
+    # round_half_up(0.25 * 32) = 8, on the default identity matrix
+    payloads = []
+    for key, size in (("delta", 0.25), ("m", 8)):
+        params = {"n": 32, key: size, "trials": 2000, "statistic": statistic}
+        cfg = _cfg(tmp_path, {"command": "conc", "params": params}, name=f"{key}.yaml")
+        out = str(tmp_path / key)
+        assert cli.main(["conc", "--config", cfg, "--out", out, "--seed", "3"]) == cli.EXIT_OK
+        payloads.append([r["payload"] for r in _read_records(out, "conc")])
+    assert payloads[0] == payloads[1]
+    assert payloads[0][0]["m"] == 8 and payloads[0][0]["matrix"] == "identity"
+
+
+@pytest.mark.parametrize("delta", [0.01, 1.0])
+def test_conc_delta_outside_the_subset_range_is_rejected(tmp_path, capsys, delta):
+    # at n = 32, delta 0.01 rounds to m = 0 and delta 1.0 gives m = n
+    params = {"n": 32, "delta": delta, "trials": 100, "statistic": "quadratic"}
+    cfg = _cfg(tmp_path, {"command": "conc", "params": params})
+    out = str(tmp_path / "out")
+    assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+    assert "params.delta: gives subset size m = " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_separate_without_pairs_writes_every_format(tmp_path):
+    params = dict(_MODEL, bodies=3, max_pairs=0, n_diag=1)
+    cfg = _cfg(tmp_path, {"command": "separate", "params": params})
+    outs = {fmt: str(tmp_path / fmt) for fmt in ("jsonl", "csv", "svg")}
+    for fmt, out in outs.items():
+        assert cli.main(["separate", "--config", cfg, "--out", out, "--format", fmt]) == cli.EXIT_OK
+    (summary,) = [r["payload"] for r in _read_records(outs["jsonl"], "separate")]
+    assert summary["pairs_done"] == 0 and summary["missing_pairs"] == [[0, 1], [0, 2], [1, 2]]
+    assert summary["hist_counts"] == [0] * 16
+    with open(os.path.join(outs["csv"], "separate-records.csv"), encoding="utf-8") as fh:
+        rows = [ln.split(",")[1:] for ln in fh.read().splitlines()[1:]]
+    assert rows == [["1.0" if i == j else "nan" for j in range(3)] for i in range(3)]
+    art = open(os.path.join(outs["svg"], "separate-plot.svg"), encoding="utf-8").read()
+    assert art.count('<rect class="bar"') == 16 and art.count('height="0.00"') == 16
 
 
 def test_net_enumeration_cap_refusal(tmp_path, capsys):

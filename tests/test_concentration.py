@@ -16,6 +16,7 @@ from bmbodies.concentration import (
     mc_quadratic_tail,
     mc_small_ball,
     merge_curves,
+    pilot_thresholds,
     wilson_interval,
 )
 from bmbodies.concentration import _draw, _quad_stats, _restricted_norms
@@ -78,7 +79,9 @@ def test_counts_are_nonincreasing_in_threshold():
     n, m = 16, 4
     a = rng.normal(size=(n, n))
     a = 0.5 * (a + a.T)
-    curve = mc_quadratic_tail(a, n, m, 2000, stream=substream(3, "qt"))
+    stream = substream(3, "qt")
+    thr = pilot_thresholds("quadratic", a, n, m, 2000, stream)
+    curve = mc_quadratic_tail(a, n, m, 2000, thresholds=thr, stream=stream)
     assert np.all(np.diff(curve.counts) <= 0)
     assert np.all(np.diff(curve.thresholds) > 0)
 
@@ -100,8 +103,10 @@ def test_streams_make_runs_reproducible():
     n, m = 12, 3
     a = substream(9, "a").normal(size=(n, n))
     a = 0.5 * (a + a.T)
-    c1 = mc_quadratic_tail(a, n, m, 800, stream=substream(9, "run"))
-    c2 = mc_quadratic_tail(a, n, m, 800, stream=substream(9, "run"))
+    c1, c2 = [
+        mc_quadratic_tail(a, n, m, 800, pilot_thresholds("quadratic", a, n, m, 800, rng), rng)
+        for rng in (substream(9, "run"), substream(9, "run"))
+    ]
     np.testing.assert_array_equal(c1.counts, c2.counts)
     np.testing.assert_array_equal(c1.thresholds, c2.thresholds)
     assert c1.raw_sum == c2.raw_sum
@@ -174,7 +179,9 @@ def test_small_ball_fit_inverts_the_bound():
 
 def test_large_deviation_admissibility_cut():
     n, m = 20, 5
-    curve = mc_large_deviation(np.eye(n), n, m, 400, stream=substream(9, "ld"))
+    rng = substream(9, "ld")
+    thr = pilot_thresholds("large_deviation", np.eye(n), n, m, 400, rng)
+    curve = mc_large_deviation(np.eye(n), n, m, 400, thresholds=thr, stream=rng)
     cut = math.sqrt(4.0 * m / n) * math.sqrt(n)
     np.testing.assert_array_equal(curve.admissible, curve.thresholds > cut)
     assert curve.prefactor == 2.0
@@ -182,7 +189,9 @@ def test_large_deviation_admissibility_cut():
 
 def test_bound_values_dominate_wilson_upper_on_admissible_part():
     n, m = 24, 6
-    curve = mc_large_deviation(np.eye(n), n, m, 2000, stream=substream(10, "ld2"))
+    rng = substream(10, "ld2")
+    thr = pilot_thresholds("large_deviation", np.eye(n), n, m, 2000, rng)
+    curve = mc_large_deviation(np.eye(n), n, m, 2000, thresholds=thr, stream=rng)
     c = curve.fitted_c()
     bounds = curve.bound_values(c)
     ok = curve.admissible

@@ -1,5 +1,6 @@
 """The package's public names and its import-time BLAS thread pin."""
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -62,3 +63,36 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
         if owner is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+# the package's public names before it republished its modules' __all__
+_EARLIER_NAMES = """
+PigeonholeError SpectralInterval SvdResult build_projectors check_matrix hs_norm
+spectral_interval spectral_norm svd BodySample ModelParams TestVector round_half_up
+sample_body sample_test_vector substream Ball HullBody SignedPoints ball_body
+body_from_dict body_to_dict body_to_text cap_body circumradius_upper inradius_lower
+read_body subset_body support_function support_many write_body GaugeError GaugeResult
+SmallBallEstimate TailCurve default_thresholds mc_large_deviation mc_quadratic_tail
+mc_small_ball merge_curves pilot_thresholds wilson_interval BmEstimate EventReport
+OpNormResult SeparationReport bm_upper cap_projection_norms check_one_body
+check_one_vector event_alpha op_norm run_separation separation_scale PairCertificate
+StepFamily SymmetricBody SymmetricNet body_from_tag build_net certify_pair
+enumerate_steps level_count log_profile lorentz_body lp_body net_from_text net_lines
+net_to_text profile_cell tau_for_separation top_k_body __version__
+""".split()
+
+
+def test_the_package_republishes_each_public_name_from_one_module():
+    owners: dict = {}
+    for name in _MODULES[1:]:
+        for attr in importlib.import_module(name).__all__:
+            owners.setdefault(attr, []).append(name)
+    # a name public in two modules would be shadowed silently by a wildcard
+    assert {attr: mods for attr, mods in owners.items() if len(mods) > 1} == {}
+    for attr in bmbodies.__all__:
+        if attr != "__version__":
+            (owner,) = owners[attr]
+            assert getattr(bmbodies, attr) is getattr(sys.modules[owner], attr), attr
+    assert len(set(bmbodies.__all__)) == len(bmbodies.__all__)
+    assert inspect.ismodule(bmbodies.gauge)
+    assert [name for name in _EARLIER_NAMES if not hasattr(bmbodies, name)] == []

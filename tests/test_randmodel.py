@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+from bmbodies.bodies import check_index_set
 from bmbodies.randmodel import (
     ModelParams,
-    check_index_set,
     round_half_up,
     sample_body,
     sample_rademacher,
@@ -48,13 +48,12 @@ def test_model_params_derives_subset_size():
 
 
 def test_below_regime_flag_tracks_density_threshold():
-    # the sparse regime holds while delta <= const * sqrt(log(n)/n)
+    # the sparse regime holds while delta <= sqrt(log(n)/n)
     import math
 
     thr = math.sqrt(math.log(20) / 20)
     assert ModelParams(n=20, delta=0.25, n_subsets=2).below_regime == (0.25 <= thr)
     assert not ModelParams(n=20, delta=0.5, n_subsets=2).below_regime
-    assert ModelParams(n=20, delta=0.5, n_subsets=2, regime_const=2.0).below_regime
 
 
 def test_sample_subset_shape_and_range():

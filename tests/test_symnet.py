@@ -16,6 +16,7 @@ from bmbodies.symnet import (
     certify_pair,
     enumerate_steps,
     level_count,
+    log_log_separation,
     log_profile,
     lorentz_body,
     lp_body,
@@ -239,13 +240,14 @@ def test_net_log_log_fields_match_closed_forms():
     net = net_from_text(text)
     assert math.isclose(net.log_log_cell_bound,
                         math.log(profiles) + math.log(math.log(8)), rel_tol=1e-12)
-    assert math.isclose(net.log_log_separation, math.log(n) ** 2 / math.log(tau), rel_tol=1e-12)
     assert round(net.log_log_cell_bound, 2) == 12.76
-    assert round(net.log_log_separation, 2) == 15.23
-    built = build_net([lp_body(3, 2.0)], 2.0, c_const=2.5)
+    assert math.isclose(log_log_separation(n, tau, 1.0), math.log(n) ** 2 / math.log(tau),
+                        rel_tol=1e-12)
+    assert round(log_log_separation(n, tau, 1.0), 2) == 15.23
+    built = build_net([lp_body(3, 2.0)], 2.0)
     assert math.isclose(built.log_log_cell_bound,
                         math.log(built.profile_count) + math.log(math.log(3)), rel_tol=1e-12)
-    assert math.isclose(built.log_log_separation, 2.5 * math.log(3) ** 2 / math.log(2.0),
+    assert math.isclose(log_log_separation(3, 2.0, 2.5), 2.5 * math.log(3) ** 2 / math.log(2.0),
                         rel_tol=1e-12)
 
 
@@ -256,7 +258,6 @@ def test_net_text_formats_negative_and_multi_digit_indices():
         n=3, tau=tau, levels=level_count(3, tau), profile_count=5,
         cell_reps=[(c, lp_body(3, p)) for c, p in enumerate((1.0, 2.5, math.inf))],
         cells=np.array(cells), members={c: [] for c in range(3)},
-        log_log_cell_bound=0.0, log_log_separation=0.0,
     )
     text = net_to_text(net)
     for line, cell in zip(text.splitlines()[1:], cells):
