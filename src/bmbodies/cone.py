@@ -53,9 +53,9 @@ class SocProgram:
         self.a = np.asarray(a, dtype=float)
         self.nx = nx = self.a.shape[1]
         self.n_lin = n_lin = self.a.shape[0]
-        sizes = np.array([1] * n_lin + [1 + len(s) for s in supports], dtype=np.int64)
+        self.sizes = sizes = np.array([1] * n_lin + [1 + len(s) for s in supports],
+                                      dtype=np.int64)
         self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-        self.bid = np.repeat(np.arange(sizes.size), sizes)
         self.js = -np.ones(int(sizes.sum()))
         self.js[self.starts] = 1.0
         self.e = (self.js > 0.0).astype(float)
@@ -63,7 +63,7 @@ class SocProgram:
         self.tail = np.nonzero(self.js < 0.0)[0]
         sups = [np.asarray(sup, dtype=np.int64) for sup in supports]
         self.tail_x = np.concatenate(sups) if sups else np.zeros(0, dtype=np.int64)
-        self.tail_k = self.bid[self.tail] - n_lin
+        self.tail_k = np.repeat(np.arange(len(supports)), sizes[n_lin:] - 1)
         self.r = np.asarray(radius, dtype=float).reshape(len(supports))
         self.tail_r = self.r[self.tail_k]
         self.h = self.e.copy()
@@ -97,14 +97,18 @@ def iterates(prog: SocProgram, c, max_iter: int):
     on a failed factorization or an iterate that leaves the cone."""
     c = np.asarray(c, dtype=float)
     a, h, nx, n_lin = prog.a, prog.h, prog.nx, prog.n_lin
-    starts, bid, js, e = prog.starts, prog.bid, prog.js, prog.e
+    starts, sizes, js, e = prog.starts, prog.sizes, prog.js, prog.e
     tail_x, cone_rows = prog.tail_x, prog.tail_k
     off = 1.0 - e
     reduceat = np.add.reduceat
     diag = np.arange(nx)
 
+    def spread(u):
+        # per-block values to the flat layout, along the last axis
+        return np.repeat(u, sizes, axis=-1)
+
     def jprod(u, v):
-        out = u[starts][bid] * v + v[starts][bid] * u
+        out = spread(u[starts]) * v + spread(v[starts]) * u
         out[starts] = reduceat(u * v, starts)
         return out
 
@@ -155,24 +159,24 @@ def iterates(prog: SocProgram, c, max_iter: int):
         if not (sdet.min() > 0.0 and zdet.min() > 0.0 and s[starts].min() > 0.0):
             raise ConeError("left-cone")
         sn, zn = np.sqrt(sdet), np.sqrt(zdet)
-        sb, zb = s / sn[bid], z / zn[bid]
+        sb, zb = s / spread(sn), z / spread(zn)
         gam = np.sqrt(0.5 + 0.5 * reduceat(sb * zb, starts))
-        wb = (sb + zb * js) / (2.0 * gam[bid])
-        v = (wb + e) / np.sqrt(2.0 * wb[starts] + 2.0)[bid]
+        wb = (sb + zb * js) / (2.0 * spread(gam))
+        v = (wb + e) / spread(np.sqrt(2.0 * wb[starts] + 2.0))
         jv = v * js
         beta = np.sqrt(sn / zn)
-        bb = beta[bid]
+        bb = spread(beta)
         det = sn * zn
-        lnorm = np.sqrt(det)[bid]
+        lnorm = spread(np.sqrt(det))
 
         def w_apply(u):
-            return bb * (2.0 * v * reduceat(v * u, starts)[bid] - u * js)
+            return bb * (2.0 * v * spread(reduceat(v * u, starts)) - u * js)
 
         def w_inv(u):
-            return (2.0 * jv * reduceat(jv * u, starts)[bid] - u * js) / bb
+            return (2.0 * jv * spread(reduceat(jv * u, starts)) - u * js) / bb
 
         lam = w_apply(z)
-        lam0 = lam[starts][bid]
+        lam0 = spread(lam[starts])
         lbar = lam / lnorm
         lbar1 = lbar[starts] + 1.0
 
@@ -181,7 +185,7 @@ def iterates(prog: SocProgram, c, max_iter: int):
             # (ECOS's closed form), or 0 when every t >= 0 is feasible
             d = np.stack([ds, dz])
             ld = reduceat(lbar * d * js, starts, axis=1)
-            rho = (d - ((ld + d[:, starts]) / lbar1)[:, bid] * lbar) / lnorm
+            rho = (d - spread((ld + d[:, starts]) / lbar1) * lbar) / lnorm
             rho1 = np.sqrt(reduceat(rho * rho * off, starts, axis=1))
             return max(0.0, float((rho1 - ld / lnorm[starts]).max()))
 
@@ -200,7 +204,7 @@ def iterates(prog: SocProgram, c, max_iter: int):
             # G' dz = -rx, G dx + ds = -rz, lam o (W dz + W^-1 ds) = dc,
             # given wrz_ = W^-1 rz; returns dx and the scaled W dz, W^-1 ds
             d0 = reduceat(lam * dc * js, starts) / det
-            ds = (dc - d0[bid] * lam) / lam0
+            ds = (dc - spread(d0) * lam) / lam0
             ds[starts] = d0
             dx = li.T @ (li @ (-rx_ - prog.gtz(w_inv(wrz_ + ds))))
             dz = w_inv(prog.gx(dx)) + wrz_ + ds

@@ -12,7 +12,8 @@ A test vector's norm depends only on how many coordinates each level
 holds, so the family is one small-int matrix of level widths and no test
 vector is built.  Family norms are never cached, so a run holds one
 body's (or one pair's) at a time.  Certificates compare closed-form
-norms exactly; only the optional identity-map ratio check samples.
+norms exactly; only a distinct pair's optional identity-map ratio check
+samples.
 """
 from __future__ import annotations
 
@@ -427,18 +428,24 @@ def certify_pair(k_body: SymmetricBody, d_body: SymmetricBody, family: StepFamil
     """Exact sandwich check over the whole family, plus a sampled
     validation that identity-map norm ratios stay below tau^3.
 
-    A self-pair (d_body == k_body) is granted without any norm: equal
-    bodies have equal family norms phi >= 0, fl(tau * phi) >= phi for
-    tau > 1 (+inf too) and a NaN compares false, so no map can fail.
-    Other pairs evaluate both bodies' family norms here, on each call.
+    A self-pair (d_body == k_body) is settled without any norm or draw.
+    Its sandwich is granted: equal bodies have equal family norms
+    phi >= 0, fl(tau * phi) >= phi for tau > 1 (+inf too) and a NaN
+    compares false, so no map can fail.  Its ratio check reads
+    max_ratio = 1.0, which is what sampling would give: nk / nk is
+    exactly 1.0 for every finite nonzero norm, and nanmax skips the NaN
+    of a zero one.  stream is left untouched.  Other pairs evaluate both
+    bodies' family norms here, on each call, and draw their samples
+    from stream.
     """
     if k_body.dim != d_body.dim or k_body.dim != family.n:
         raise ValueError("bodies and family must share a dimension")
     tau_f = float(tau)
     if not tau_f > 1.0:
         raise ValueError(f"tau must exceed 1, got {tau}")
+    same = d_body == k_body
     witness = None
-    if d_body != k_body:
+    if not same:
         phi_k = k_body.family_norms(family, tau_f)
         phi_d = d_body.family_norms(family, tau_f)
         bad = (phi_k > tau_f * phi_d) | (phi_d > tau_f * phi_k)
@@ -447,16 +454,15 @@ def certify_pair(k_body: SymmetricBody, d_body: SymmetricBody, family: StepFamil
     granted = witness is None
 
     ratio_bound = tau_f**3 * (1.0 + 1e-9)
-    max_ratio = math.nan
-    empirical_ok = True
+    max_ratio, empirical_ok = math.nan, True
     if samples > 0:
-        rng = stream if stream is not None else substream(_STREAM_SEED, "certify")
-        x = rng.standard_normal((samples, family.n))
-        nk = k_body.norm_many(x)
-        nd = nk if d_body == k_body else d_body.norm_many(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.maximum(nk / nd, nd / nk)
-        max_ratio = float(np.nanmax(r)) if r.size else math.nan
+        max_ratio = 1.0  # a self-pair's sampled ratios, without drawing them
+        if not same:
+            rng = stream if stream is not None else substream(_STREAM_SEED, "certify")
+            x = rng.standard_normal((samples, family.n))
+            nk, nd = k_body.norm_many(x), d_body.norm_many(x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                max_ratio = float(np.nanmax(np.maximum(nk / nd, nd / nk)))
         empirical_ok = bool(max_ratio <= ratio_bound)
     return PairCertificate(
         granted=granted,
@@ -479,14 +485,22 @@ def tau_for_separation(t: float) -> float:
 
 def net_lines(net: SymmetricNet):
     """Yield the text form one line at a time, each ending in a newline:
-    the header, then one line per occupied cell."""
+    the header, then one line per occupied cell.
+
+    A cell's indices are written through one token table per net: the
+    text "v," of every grid index v from the smallest cell value to the
+    largest, NUL-padded to a fixed width.  A row is one gather from the
+    table, with the padding and the last comma dropped from its bytes.
+    """
     yield (f"symnet n={net.n} tau={net.tau:.17g} levels={net.levels} "
            f"profiles={net.profile_count} cells={net.cell_count}\n")
     lo = int(net.cells.min(initial=0))
-    text = np.array([str(v) for v in range(lo, int(net.cells.max(initial=0)) + 1)], dtype=object)
+    tokens = [f"{v}," for v in range(lo, int(net.cells.max(initial=0)) + 1)]
+    table = np.array(tokens, dtype=f"S{max(map(len, tokens))}")
     for cell, body in net.cell_reps:
         idx = np.subtract(net.cells[cell], lo, dtype=np.intp)  # no wrap in a narrow type
-        yield f"cell {','.join(text[idx].tolist())} rep {body.tag()}\n"
+        row = table[idx].tobytes().replace(b"\0", b"")[:-1].decode("ascii")
+        yield f"cell {row} rep {body.tag()}\n"
 
 
 def net_to_text(net: SymmetricNet) -> str:

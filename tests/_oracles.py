@@ -6,7 +6,8 @@ membership bisection driven by support-direction separations, 2x2
 distance bounds from closed-form norms on a dense map grid,
 restricted quadratic forms and norms from gathered submatrices,
 step-family norms from mask-built block vectors, a per-level loop or
-rational arithmetic, and pair sandwiches compared over every step map.
+rational arithmetic, pair sandwiches compared over every step map, and
+net text joined from one string per cell index.
 """
 from __future__ import annotations
 
@@ -584,3 +585,16 @@ def full_sandwich(k_body, d_body, family, tau: float) -> tuple:
     if not bad.any():
         return True, None
     return False, tuple(int(v) for v in family.maps[int(np.argmax(bad))])
+
+
+def joined_net_text(net) -> str:
+    """The net's text form with each cell row joined from one Python
+    string per index: the header, then one line per occupied cell."""
+    lines = [f"symnet n={net.n} tau={net.tau:.17g} levels={net.levels} "
+             f"profiles={net.profile_count} cells={net.cell_count}\n"]
+    lo = int(net.cells.min(initial=0))
+    text = np.array([str(v) for v in range(lo, int(net.cells.max(initial=0)) + 1)], dtype=object)
+    for cell, body in net.cell_reps:
+        idx = np.subtract(net.cells[cell], lo, dtype=np.intp)
+        lines.append(f"cell {','.join(text[idx].tolist())} rep {body.tag()}\n")
+    return "".join(lines)

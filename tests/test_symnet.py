@@ -7,7 +7,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from _oracles import exact_block_norms, full_sandwich, step_block_vectors, step_norm
+from _oracles import (exact_block_norms, full_sandwich, joined_net_text, step_block_vectors,
+                      step_norm)
 from bmbodies.randmodel import substream
 from bmbodies.symnet import (
     SymmetricBody,
@@ -266,6 +267,44 @@ def test_net_text_formats_negative_and_multi_digit_indices():
     assert back.cell_reps == net.cell_reps and np.array_equal(back.cells, net.cells)
 
 
+def _hand_net(cells, dtype):
+    cells = np.array(cells, dtype=dtype)
+    tau = 2.0
+    return SymmetricNet(
+        n=3, tau=tau, levels=level_count(3, tau), profile_count=cells.shape[1],
+        cell_reps=[(c, lp_body(3, 1.0 + c)) for c in range(cells.shape[0])],
+        cells=cells, members={c: [] for c in range(cells.shape[0])},
+    )
+
+
+def test_net_lines_match_the_joined_formatter_on_the_default_net():
+    bodies = [lp_body(12, 1 + 0.25 * i) for i in range(13)] + [lp_body(12, math.inf)]
+    net = build_net(bodies, 1.5)
+    assert net.cells.dtype == np.int8 and net.cell_count == 14
+    assert "".join(net_lines(net)) == joined_net_text(net)
+    empty = _hand_net(np.zeros((0, 5)), np.int8)
+    assert "".join(net_lines(empty)) == joined_net_text(empty)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_net_lines_match_the_joined_formatter_on_hand_built_cells(dtype):
+    # -3..12 gives tokens of two, three and four bytes ("-3,", "12,")
+    # side by side; int16 also holds indices of four and five digits
+    cells = [(-3, 0, 12, 9, -1, 10), (12, 12, -3, -3, 5, 11), (0, 1, 2, 3, 4, 5)]
+    if dtype == np.int16:
+        cells.append((-1200, 32767, -32768, 7, 100, -99))
+    net = _hand_net(cells, dtype)
+    assert "".join(net_lines(net)) == joined_net_text(net)
+    assert net_from_text(net_to_text(net)).cells.tolist() == net.cells.tolist()
+
+
+@pytest.mark.parametrize("value", [0, 7, -4, 100])
+def test_net_lines_match_the_joined_formatter_on_single_valued_cells(value):
+    net = _hand_net([(value,) * 5, (value,) * 5], np.int8)
+    assert "".join(net_lines(net)) == joined_net_text(net)
+    assert net_to_text(net).splitlines()[1].split()[1] == ",".join([str(value)] * 5)
+
+
 def test_certify_pair_grants_close_bodies():
     fam = enumerate_steps(4, level_count(4, 2.0))
     cert = certify_pair(lp_body(4, 2.0), lp_body(4, 2.25), fam, 2.0, samples=500, stream=substream(3, "cp"))
@@ -296,7 +335,7 @@ def test_certify_pair_is_reproducible():
     assert a == b
 
 
-def test_certify_pair_evaluates_a_self_pair_once(monkeypatch):
+def test_certify_pair_settles_a_self_pair_without_norms_or_draws(monkeypatch):
     rows = []
     norm_many = SymmetricBody.norm_many
 
@@ -307,13 +346,30 @@ def test_certify_pair_evaluates_a_self_pair_once(monkeypatch):
 
     monkeypatch.setattr(SymmetricBody, "norm_many", counted)
     fam = enumerate_steps(4, 3)
-    cert = certify_pair(lp_body(4, 1.5), lp_body(4, 1.5), fam, 2.0, samples=300,
-                        stream=substream(6, "cp4"))
-    assert rows == [300]
+    stream = substream(6, "cp4")
+    cert = certify_pair(lp_body(4, 1.5), lp_body(4, 1.5), fam, 2.0, samples=300, stream=stream)
+    assert rows == []
     assert cert.granted and cert.max_ratio == 1.0
-    rows.clear()
+    assert cert.empirical_ok and cert.samples == 300
+    assert stream.standard_normal() == substream(6, "cp4").standard_normal()
     certify_pair(lp_body(4, 1.5), lp_body(4, 2.0), fam, 2.0, samples=300, stream=substream(6, "cp4"))
     assert rows == [300, 300]
+
+
+def test_a_self_pair_reads_the_ratio_that_sampling_gives():
+    # nk / nk is exactly 1.0 for a finite nonzero norm, and nanmax skips
+    # the NaN of a zero row, so the sampled maximum is 1.0 for every kind
+    n = 6
+    fam = enumerate_steps(n, 3)
+    x = substream(8, "cp5").standard_normal((2000, n))
+    x[0] = 0.0
+    for body in (lp_body(n, 1.0), lp_body(n, 3.5), lp_body(n, 60.0), lp_body(n, math.inf),
+                 top_k_body(n, 2), lorentz_body(n, np.geomspace(1.0, 1e-3, n))):
+        nk = body.norm_many(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sampled = float(np.nanmax(np.maximum(nk / nk, nk / nk)))
+        cert = certify_pair(body, body, fam, 2.0, samples=2000, stream=substream(8, "cp5"))
+        assert cert.max_ratio == sampled == 1.0 and cert.empirical_ok
 
 
 def test_certify_pair_evaluates_family_norms_only_for_distinct_bodies(monkeypatch):
