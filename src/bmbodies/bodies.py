@@ -36,10 +36,7 @@ __all__ = [
     "inradius_lower",
     "circumradius_upper",
     "body_to_dict",
-    "body_from_dict",
     "body_to_text",
-    "write_body",
-    "read_body",
 ]
 
 
@@ -352,32 +349,6 @@ def body_to_dict(body: HullBody) -> dict:
     return {"dim": body.dim, "components": comps}
 
 
-def body_from_dict(doc: dict) -> HullBody:
-    try:
-        dim = int(doc["dim"])
-        comps = []
-        for c in doc["components"]:
-            kind = c["kind"]
-            if kind == "signed_points":
-                comps.append(
-                    SignedPoints(
-                        np.asarray(c["points"], dtype=float),
-                        unconditional=bool(c["unconditional"]),
-                    )
-                )
-            elif kind == "ball":
-                p = math.inf if c["p"] == "inf" else float(c["p"])
-                sup = c.get("support")
-                comps.append(
-                    Ball(p, float(c["radius"]), None if sup is None else np.asarray(sup))
-                )
-            else:
-                raise ValueError(f"unknown component kind {kind!r}")
-    except KeyError as exc:
-        raise ValueError(f"missing body field {exc}") from exc
-    return HullBody(dim, comps)
-
-
 def _emit(obj, indent: int = 0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
@@ -407,14 +378,3 @@ def _emit(obj, indent: int = 0) -> str:
 def body_to_text(body: HullBody) -> str:
     """The body's text document, without a trailing newline."""
     return _emit(body_to_dict(body))
-
-
-def write_body(body: HullBody, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body_to_text(body))
-        fh.write("\n")
-
-
-def read_body(path) -> HullBody:
-    with open(path, "r", encoding="utf-8") as fh:
-        return body_from_dict(json.load(fh))

@@ -132,10 +132,13 @@ _NAT = _rule(lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
 _POS_NUM = _rule(lambda v: _is_num(v) and v > 0, "needs a positive number")
 _ABOVE_ONE = _rule(lambda v: _is_num(v) and v > 1, "needs a number > 1")
 _FRACTION = _rule(lambda v: _is_num(v) and 0 < v <= 1, "needs a number in (0, 1]")
+# separation_scale divides by log^2(1/delta), which vanishes at delta = 1
+_OPEN_FRACTION = _rule(lambda v: _is_num(v) and 0 < v < 1, "needs a number in (0, 1)")
 # bm_upper has no refinement search: the refine key stays so that a config
 # asking for one is refused instead of being accepted and ignored
 _NO_REFINE = _rule(lambda v: v is False, "must be false: bm_upper has no refinement search")
 _NUMBER = _rule(_is_num, "needs a number")
+_NONNEG = _rule(lambda v: _is_num(v) and v >= 0, "needs a number >= 0")
 _MAPPING = _rule(lambda v: isinstance(v, dict), "must be a mapping")
 _THRESHOLDS = _unset_or(_rule(
     lambda v: isinstance(v, list) and bool(v) and all(_is_num(t) and t > 0 for t in v)
@@ -174,11 +177,12 @@ _MODEL_KEYS = {
     "kind": ("subset", _choice(_BODY_KINDS)),
 }
 
-# per command: its params table and the constants it reads (default 1.0)
+# per command: its params table and the checks of the constants it reads
+# (each defaults to 1.0)
 _TABLES = {
-    "sample": (dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT)), ()),
+    "sample": (dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT)), {}),
     "gauge": (dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT), points=(_REQUIRED, _POS_INT),
-                   tol=(1e-6, _POS_NUM)), ()),
+                   tol=(1e-6, _POS_NUM)), {}),
     "conc": ({
         "n": (_REQUIRED, _POS_INT),
         "trials": (_REQUIRED, _POS_INT),
@@ -192,11 +196,12 @@ _TABLES = {
         "thresholds": (None, _only_if(lambda p: p["statistic"] != "small_ball",
                                       "with statistic small_ball", _THRESHOLDS)),
         "replicates": (1, _POS_INT),
-    }, ("c",)),
-    "dist": (dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(False, _NO_REFINE)), ()),
-    "separate": (dict(_MODEL_KEYS, bodies=(_REQUIRED, _POS_INT), threshold=(2.0, _POS_NUM),
+    }, {"c": _NONNEG}),
+    "dist": (dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(False, _NO_REFINE)), {}),
+    "separate": (dict(_MODEL_KEYS, delta=(_REQUIRED, _OPEN_FRACTION),
+                      bodies=(_REQUIRED, _POS_INT), threshold=(2.0, _POS_NUM),
                       bins=(16, _POS_INT), max_pairs=(None, _unset_or(_NAT)),
-                      n_diag=(8, _NAT), refine=(False, _NO_REFINE)), ("c1",)),
+                      n_diag=(8, _NAT), refine=(False, _NO_REFINE)), {"c1": _NUMBER}),
     "net": ({
         "n": (_REQUIRED, _POS_INT),
         "tau": (None, _this_or("t", _ABOVE_ONE)),
@@ -205,7 +210,7 @@ _TABLES = {
         "p_values": (None, _P_VALUES),
         "samples": (10**4, _POS_INT),
         "cap": (10**6, _POS_INT),
-    }, ("C",)),
+    }, {"C": _NUMBER}),
 }
 
 
@@ -284,9 +289,9 @@ def load_config(path: str, command: str, overrides: dict | None = None):
     top = _check_keys(_top_table(command), {**doc, **(overrides or {})}, "config", "key",
                       command, errors)
     given = {k: v if isinstance(v, dict) else {} for k, v in top.items()}
-    table, constant_names = _TABLES[command]
+    table, constant_checks = _TABLES[command]
     params = _check_keys(table, given["params"], "params", "key", command, errors)
-    constants = _check_keys({name: (1.0, _NUMBER) for name in constant_names},
+    constants = _check_keys({name: (1.0, check) for name, check in constant_checks.items()},
                             given["constants"], "constants", "constant", command, errors)
     if errors:
         return None, errors
@@ -818,15 +823,17 @@ def _svg_hist(records) -> str:
 
 
 def _report_file(records, fmt: str, command: str) -> dict:
-    """The records in the chosen format, as {file name: text chunks}; the
-    jsonl lines are rendered as they are written."""
-    if fmt == "jsonl":
-        return {f"{command}-records.jsonl":
-                (json.dumps(r, sort_keys=True) + "\n" for r in records)}
+    """The jsonl records, plus the csv or svg view when fmt asks for one,
+    as {file name: text chunks}; the jsonl lines are rendered as they are
+    written."""
+    files = {f"{command}-records.jsonl":
+             (json.dumps(r, sort_keys=True) + "\n" for r in records)}
     if fmt == "csv":
-        return {f"{command}-records.csv": (_csv_for(command, records),)}
-    art = _svg_tail(records) if command == "conc" else _svg_hist(records)
-    return {f"{command}-plot.svg": (art,)}
+        files[f"{command}-records.csv"] = (_csv_for(command, records),)
+    elif fmt == "svg":
+        art = _svg_tail(records) if command == "conc" else _svg_hist(records)
+        files[f"{command}-plot.svg"] = (art,)
+    return files
 
 
 def emit_report(files: dict, out_dir: str) -> None:

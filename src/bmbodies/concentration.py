@@ -72,19 +72,18 @@ class TailCurve:
     theoretical bound, so bound_values(c) = prefactor * exp(-c*shape).
     admissible marks thresholds that the bound claims to cover; the
     rest stay reported but are excluded from fitting.  raw_sum and
-    raw_sq_sum carry the uncentered statistic's first two moments when
-    the experiment tracks them (quadratic-form runs do).
+    raw_sq_sum are the sums over all trials of the uncentered statistic
+    and of its square.
     """
 
     thresholds: np.ndarray
     counts: np.ndarray
     trials: int
     shape: np.ndarray
+    raw_sum: float
+    raw_sq_sum: float
     prefactor: float = 1.0
     admissible: np.ndarray | None = None
-    raw_sum: float = 0.0
-    raw_sq_sum: float = 0.0
-    raw_trials: int = 0
 
     def __post_init__(self):
         self.thresholds = np.asarray(self.thresholds, dtype=float)
@@ -127,17 +126,15 @@ class TailCurve:
 
     @property
     def raw_mean(self) -> float:
-        if self.raw_trials == 0:
-            return math.nan
-        return self.raw_sum / self.raw_trials
+        return self.raw_sum / self.trials
 
     @property
     def raw_se(self) -> float:
-        if self.raw_trials < 2:
+        if self.trials < 2:
             return math.nan
         mean = self.raw_mean
-        var = max(0.0, self.raw_sq_sum / self.raw_trials - mean * mean)
-        return math.sqrt(var / self.raw_trials)
+        var = max(0.0, self.raw_sq_sum / self.trials - mean * mean)
+        return math.sqrt(var / self.trials)
 
     def bound_values(self, c: float) -> np.ndarray:
         if c < 0:
@@ -186,7 +183,6 @@ class TailCurve:
             admissible=self.admissible,
             raw_sum=self.raw_sum + other.raw_sum,
             raw_sq_sum=self.raw_sq_sum + other.raw_sq_sum,
-            raw_trials=self.raw_trials + other.raw_trials,
         )
 
 
@@ -393,7 +389,6 @@ def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds, stream) -> Tai
         prefactor=1.0,
         raw_sum=float(raw.sum()),
         raw_sq_sum=float((raw * raw).sum()),
-        raw_trials=trials,
     )
 
 
@@ -436,6 +431,8 @@ def mc_large_deviation(b, n: int, m: int, trials: int, thresholds, stream) -> Ta
         counts=counts,
         trials=trials,
         shape=shape,
+        raw_sum=float(stats.sum()),
+        raw_sq_sum=float((stats * stats).sum()),
         prefactor=2.0,
         admissible=admissible,
     )

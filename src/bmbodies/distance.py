@@ -585,13 +585,6 @@ def check_one_vector(
     )
 
 
-def _indicator_supports(body: HullBody):
-    for c in body.components:
-        if isinstance(c, SignedPoints) and c.unconditional:
-            return [np.nonzero(g)[0] for g in c.points]
-    return []
-
-
 def check_one_body(v_mat, k: HullBody, k2: HullBody, alpha: float, tol: float = 0.0) -> EventReport:
     """Does the mapped body K land inside alpha times K2?
 
@@ -605,8 +598,11 @@ def check_one_body(v_mat, k: HullBody, k2: HullBody, alpha: float, tol: float = 
         raise ValueError("map shape incompatible with the bodies")
     v_mat = _normalize_half_spectrum(v_mat)
     covered = np.zeros(k2.dim, dtype=bool)
-    for sup in _indicator_supports(k2):
-        covered[sup] = True
+    for c in k2.components:  # the subset pieces: unconditional generators and caps
+        if isinstance(c, SignedPoints) and c.unconditional:
+            covered |= np.any(c.points != 0.0, axis=0)
+        elif isinstance(c, Ball) and c.p == 2.0 and c.support is not None:
+            covered[c.support] = True
     res = op_norm(v_mat, k, k2)
     meta = {
         "coverage": bool(covered.all()),

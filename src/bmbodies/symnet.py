@@ -44,8 +44,6 @@ __all__ = [
     "tau_for_separation",
     "log_log_separation",
     "net_lines",
-    "net_to_text",
-    "net_from_text",
 ]
 
 _STREAM_SEED = 0x5E75E7
@@ -318,9 +316,9 @@ class SymmetricNet:
     levels: int
     profile_count: int
     cell_reps: list  # (cell id, SymmetricBody), ids 0, 1, ... in first-seen order
-    cells: np.ndarray  # grid indices: row = cell id, column = step map; int64 when parsed
-    members: dict  # cell id -> input positions, empty for parsed nets
-    family: StepFamily | None = None  # the profiled step family; None for parsed nets
+    cells: np.ndarray  # grid indices: row = cell id, column = step map
+    members: dict  # cell id -> input positions
+    family: StepFamily | None = None  # the profiled step family; net_lines never reads it
 
     @property
     def cell_count(self) -> int:
@@ -501,44 +499,3 @@ def net_lines(net: SymmetricNet):
         idx = np.subtract(net.cells[cell], lo, dtype=np.intp)  # no wrap in a narrow type
         row = table[idx].tobytes().replace(b"\0", b"")[:-1].decode("ascii")
         yield f"cell {row} rep {body.tag()}\n"
-
-
-def net_to_text(net: SymmetricNet) -> str:
-    """The whole text form of net_lines as one string."""
-    return "".join(net_lines(net))
-
-
-def net_from_text(text: str) -> SymmetricNet:
-    """Rebuild a net record from its text form.
-
-    Membership lists are not serialized, so they come back empty; the
-    representatives and cell indices round-trip exactly.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("symnet "):
-        raise ValueError("not a net serialization")
-    head = dict(kv.split("=") for kv in lines[0].split()[1:])
-    n = int(head["n"])
-    tau = float(head["tau"])
-    levels = int(head["levels"])
-    profiles = int(head["profiles"])
-    declared = int(head["cells"])
-    if level_count(n, tau) != levels:
-        raise ValueError("level count inconsistent with (n, tau)")
-    cell_reps = []
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(None, 3)
-        if len(parts) != 4 or parts[0] != "cell" or parts[2] != "rep":
-            raise ValueError(f"malformed cell line {ln!r}")
-        rows.append([int(v) for v in parts[1].split(",")])
-        if len(rows[-1]) != profiles:
-            raise ValueError("cell index length differs from profile count")
-        cell_reps.append((len(cell_reps), body_from_tag(n, parts[3])))
-    if len(cell_reps) != declared:
-        raise ValueError("cell count differs from header")
-    return SymmetricNet(
-        n=n, tau=tau, levels=levels, profile_count=profiles, cell_reps=cell_reps,
-        cells=np.array(rows, dtype=np.int64).reshape(len(rows), profiles),
-        members={cell: [] for cell, _ in cell_reps},
-    )

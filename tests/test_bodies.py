@@ -11,16 +11,13 @@ from bmbodies.bodies import (
     HullBody,
     SignedPoints,
     ball_body,
-    body_from_dict,
     body_to_dict,
     cap_body,
     circumradius_upper,
     inradius_lower,
-    read_body,
     subset_body,
     support_function,
     support_many,
-    write_body,
 )
 from bmbodies.randmodel import ModelParams, sample_subsets, substream
 
@@ -190,29 +187,6 @@ def test_dict_round_trip_preserves_supports():
         json.dumps(doc)  # must already be plain data
         inradius_lower(body)  # fills the cache, which pickling must not carry
         ys = substream(4, "dirs").normal(size=(20, 7))
-        for back in (body_from_dict(doc), pickle.loads(pickle.dumps(body))):
-            assert back._cache == {}
-            np.testing.assert_allclose(
-                support_many(back, ys), support_many(body, ys), rtol=0, atol=0
-            )
-
-
-def test_file_round_trip(tmp_path):
-    body = subset_body(
-        ModelParams(n=6, delta=0.5, n_subsets=2),
-        sample_subsets(6, 3, 2, substream(6, "fr")),
-    )
-    path = tmp_path / "body.json"
-    write_body(body, path)
-    back = read_body(path)
-    ys = substream(6, "frd").normal(size=(10, 6))
-    np.testing.assert_array_equal(support_many(back, ys), support_many(body, ys))
-
-
-def test_body_from_dict_rejects_malformed():
-    with pytest.raises(ValueError):
-        body_from_dict({"dim": 3})
-    doc = body_to_dict(ball_body(4, 1.0, 1.0))
-    doc["components"][0]["kind"] = "mystery"
-    with pytest.raises(ValueError):
-        body_from_dict(doc)
+        back = pickle.loads(pickle.dumps(body))
+        assert back._cache == {}
+        np.testing.assert_allclose(support_many(back, ys), support_many(body, ys), rtol=0, atol=0)

@@ -14,12 +14,13 @@ import pytest
 import yaml
 
 from bmbodies import cli
+from bmbodies.bodies import body_to_text, cap_body
 from bmbodies.concentration import mc_small_ball
 from bmbodies.distance import separation_scale
 from bmbodies.gauge import gauge
 from bmbodies.linalg import PigeonholeError
-from bmbodies.randmodel import substream
-from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_from_text, net_to_text
+from bmbodies.randmodel import ModelParams, sample_body, substream
+from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_lines
 
 
 def _cfg(tmp_path, doc, name="cfg.yaml"):
@@ -373,6 +374,74 @@ def test_csv_and_svg_views_have_their_documented_layout(tmp_path, command, param
     assert all(len(ln.split(",")) == len(header.split(",")) for ln in lines[1:])
 
 
+_VIEW_PARAMS = {command: params for command, params, *_ in _VIEWS}
+
+
+@pytest.mark.parametrize("command, fmt", [(command, "csv") for command in _VIEW_PARAMS]
+                         + [("conc", "svg"), ("separate", "svg")])
+def test_every_format_writes_the_jsonl_records(tmp_path, command, fmt):
+    params = _CONC if (command, fmt) == ("conc", "svg") else _VIEW_PARAMS[command]
+    cfg = _cfg(tmp_path, {"command": command, "params": params})
+    lines = {}
+    for f in ("jsonl", fmt):
+        out = str(tmp_path / f)
+        assert cli.main([command, "--config", cfg, "--out", out, "--format", f]) == cli.EXIT_OK
+        with open(os.path.join(out, f"{command}-records.jsonl"), encoding="utf-8") as fh:
+            lines[f] = [re.sub(r'"timestamp": "[^"]*"', "", ln) for ln in fh]
+    assert lines["jsonl"] and lines[fmt] == lines["jsonl"]
+
+
+@pytest.mark.parametrize(
+    "command, params, constants, needle",
+    [
+        # separation_scale divides by log^2(1/delta)
+        ("separate", dict(_MODEL, delta=1.0, bodies=2), {},
+         "params.delta: needs a number in (0, 1)"),
+        ("conc", _CONC, {"c": -1}, "constants.c: needs a number >= 0"),
+        ("conc", dict(_CONC, statistic="small_ball"), {"c": -0.5}, "constants.c: needs"),
+    ],
+    ids=["separate-delta", "conc-curve-c", "conc-small-ball-c"],
+)
+def test_settings_the_run_would_refuse_at_its_end_are_refused_at_load(
+        tmp_path, capsys, command, params, constants, needle):
+    cfg = _cfg(tmp_path, {"command": command, "params": params, "constants": constants})
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+    assert needle in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_large_deviation_records_carry_finite_raw_moments(tmp_path):
+    params = {"n": 20, "m": 5, "trials": 2000, "statistic": "large_deviation",
+              "matrix": "gaussian"}
+    cfg = _cfg(tmp_path, {"command": "conc", "params": params})
+    out = str(tmp_path / "ld")
+    assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    with open(os.path.join(out, "conc-records.jsonl"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "NaN" not in text
+    (pl,) = [json.loads(line)["payload"] for line in text.splitlines()]
+    assert math.isfinite(pl["raw_mean"]) and pl["raw_mean"] > 0.0
+    assert math.isfinite(pl["raw_se"]) and pl["raw_se"] > 0.0
+
+
+@pytest.mark.parametrize("kind", ["subset", "cap"])
+def test_sample_body_files_are_the_bodies_regenerated_from_their_records(tmp_path, kind):
+    cfg = _cfg(tmp_path, {"command": "sample", "seed": 4,
+                          "params": dict(_MODEL, count=3, kind=kind)})
+    out = str(tmp_path / "sample")
+    assert cli.main(["sample", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    recs = _read_records(out, "sample")
+    assert len(recs) == 3
+    params = ModelParams(n=_MODEL["n"], delta=_MODEL["delta"], n_subsets=_MODEL["n_subsets"])
+    for rec in recs:
+        draw = sample_body(params, substream(rec["seed"], rec["stream"]))
+        body = draw.body if kind == "subset" else cap_body(params, draw.subsets)
+        with open(os.path.join(out, rec["payload"]["file"]), encoding="utf-8",
+                  newline="") as fh:
+            assert fh.read() == body_to_text(body) + "\n"
+
+
 @pytest.mark.parametrize("statistic", ["quadratic", "small_ball", "large_deviation"])
 def test_conc_delta_gives_the_payloads_of_its_subset_size(tmp_path, statistic):
     # round_half_up(0.25 * 32) = 8, on the default identity matrix
@@ -474,10 +543,7 @@ def test_net_streams_net_txt_without_loss(tmp_path):
         text = fh.read()
     bodies = [lp_body(12, 1 + 0.25 * i) for i in range(13)] + [lp_body(12, math.inf)]
     net = build_net(bodies, 1.5)
-    assert text == net_to_text(net)
-    back = net_from_text(text)
-    assert back.cell_reps == net.cell_reps and np.array_equal(back.cells, net.cells)
-    assert net_to_text(back) == text
+    assert text == "".join(net_lines(net))
 
 
 def test_conc_on_a_zero_matrix_writes_no_nan(tmp_path):

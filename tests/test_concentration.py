@@ -94,7 +94,6 @@ def test_quadratic_raw_moments_track_uncentered_form():
         a, n, m, 5000, thresholds=np.array([1.0]), stream=substream(4, "raw")
     )
     # the uncentered form is the subset indicator, mean m/n
-    assert curve.raw_trials == 5000
     assert abs(curve.raw_mean - m / n) <= 4.0 * curve.raw_se
     assert curve.raw_se > 0
 
@@ -201,7 +200,7 @@ def test_bound_values_dominate_wilson_upper_on_admissible_part():
 def test_bounds_at_zero_constant_are_the_prefactor():
     # 0 * inf = 0: a shape that never binds gives the prefactor, not NaN
     curve = TailCurve(thresholds=[0.5, 1.0], counts=[0, 0], trials=10,
-                      shape=[math.inf, 2.0], prefactor=1.0)
+                      shape=[math.inf, 2.0], raw_sum=0.0, raw_sq_sum=0.0, prefactor=1.0)
     assert curve.bound_values(0.0).tolist() == [1.0, 1.0]
     assert curve.bound_values(1.0).tolist() == [0.0, math.exp(-2.0)]
     est = SmallBallEstimate(count=0, trials=10, threshold=0.1, shape=math.inf)

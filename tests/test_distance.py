@@ -591,20 +591,26 @@ def test_cap_projection_norms_bounded_by_block_norm():
     assert all(x <= qy * (1 + 1e-9) for x in norms)
 
 
-def test_check_one_body_reports_coverage():
+@pytest.mark.parametrize("build", [subset_body, cap_body], ids=["subset", "cap"])
+def test_check_one_body_reports_coverage(build):
     params = ModelParams(n=6, delta=0.5, n_subsets=2)
     # force a family that misses coordinate 5
     subs = np.array([[0, 1, 2], [1, 2, 3]])
-    K = subset_body(params, subs)
+    K = build(params, subs)
     v = 2.0 * np.eye(6)
     rep = check_one_body(v, K, K, alpha=10.0)
     assert rep.kind == "one-body"
     assert rep.metadata["coverage"] is False
-    covered = subset_body(params, np.array([[0, 1, 2], [3, 4, 5]]))
+    covered = build(params, np.array([[0, 1, 2], [3, 4, 5]]))
     rep2 = check_one_body(v, covered, covered, alpha=10.0)
     assert rep2.metadata["coverage"] is True
     assert rep2.outcome == (rep2.gauge_hi <= 10.0)
     assert rep2.metadata["op_hi"] >= rep2.metadata["op_lo"] * (1 - 1e-9)
+    # a sampled family: the flag agrees with the draw's own coverage
+    drawn = ModelParams(n=6, delta=0.5, n_subsets=12)
+    draw = sample_body(drawn, substream(1, "x"))
+    body = build(drawn, draw.subsets)
+    assert check_one_body(v, body, body, alpha=10.0).metadata["coverage"] is draw.covers_all
 
 
 def _model_bodies(count, stream):

@@ -65,20 +65,21 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
     assert missing == []
 
 
-# the package's public names before it republished its modules' __all__
+# the package's public names before it republished its modules' __all__, less
+# the body-file and net.txt parsers deleted since
 _EARLIER_NAMES = """
 PigeonholeError SpectralInterval SvdResult build_projectors check_matrix hs_norm
 spectral_interval spectral_norm svd BodySample ModelParams TestVector round_half_up
 sample_body sample_test_vector substream Ball HullBody SignedPoints ball_body
-body_from_dict body_to_dict body_to_text cap_body circumradius_upper inradius_lower
-read_body subset_body support_function support_many write_body GaugeError GaugeResult
+body_to_dict body_to_text cap_body circumradius_upper inradius_lower
+subset_body support_function support_many GaugeError GaugeResult
 SmallBallEstimate TailCurve default_thresholds mc_large_deviation mc_quadratic_tail
 mc_small_ball merge_curves pilot_thresholds wilson_interval BmEstimate EventReport
 OpNormResult SeparationReport bm_upper cap_projection_norms check_one_body
 check_one_vector event_alpha op_norm run_separation separation_scale PairCertificate
 StepFamily SymmetricBody SymmetricNet body_from_tag build_net certify_pair
-enumerate_steps level_count log_profile lorentz_body lp_body net_from_text net_lines
-net_to_text profile_cell tau_for_separation top_k_body __version__
+enumerate_steps level_count log_profile lorentz_body lp_body net_lines
+profile_cell tau_for_separation top_k_body __version__
 """.split()
 
 

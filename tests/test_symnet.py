@@ -21,9 +21,7 @@ from bmbodies.symnet import (
     log_profile,
     lorentz_body,
     lp_body,
-    net_from_text,
     net_lines,
-    net_to_text,
     profile_cell,
     SymmetricNet,
     tau_for_separation,
@@ -219,26 +217,21 @@ def test_build_net_groups_equal_profiles():
 
 def test_net_text_round_trip():
     net = build_net([lp_body(3, p) for p in (1.0, 2.0, np.inf)], 2.0)
-    text = net_to_text(net)
-    for line, (cell, _) in zip(text.splitlines()[1:], net.cell_reps):
+    lines = "".join(net_lines(net)).splitlines()
+    assert lines[0] == (f"symnet n=3 tau=2 levels={net.levels} "
+                        f"profiles={net.profile_count} cells={net.cell_count}")
+    assert len(lines) == 1 + net.cell_count
+    for line, (cell, body) in zip(lines[1:], net.cell_reps):
         assert line.split()[1] == ",".join(str(i) for i in net.cells[cell])
-    back = net_from_text(text)
-    assert back.n == net.n and back.tau == net.tau and back.levels == net.levels
-    assert back.cell_reps == net.cell_reps
-    assert back.cells.dtype == np.int64 and np.array_equal(back.cells, net.cells)
-    assert back.profile_count == net.profile_count
-    assert set(back.members) == set(net.members)
-    assert math.isclose(back.log_log_cell_bound, net.log_log_cell_bound, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        net_from_text("not a net\n")
+        assert body_from_tag(3, line.split(None, 3)[3]) == body
 
 
 def test_net_log_log_fields_match_closed_forms():
     # the bench's net config: 8 = floor(log 12 / log 1.5) + 2 grid values
     # per profile entry, over the 167,960 maps of its step family
     n, tau, profiles = 12, 1.5, 167960
-    text = f"symnet n={n} tau={tau} levels={level_count(n, tau)} profiles={profiles} cells=0\n"
-    net = net_from_text(text)
+    net = SymmetricNet(n=n, tau=tau, levels=level_count(n, tau), profile_count=profiles,
+                       cell_reps=[], cells=np.zeros((0, profiles), dtype=np.int8), members={})
     assert math.isclose(net.log_log_cell_bound,
                         math.log(profiles) + math.log(math.log(8)), rel_tol=1e-12)
     assert round(net.log_log_cell_bound, 2) == 12.76
@@ -260,11 +253,10 @@ def test_net_text_formats_negative_and_multi_digit_indices():
         cell_reps=[(c, lp_body(3, p)) for c, p in enumerate((1.0, 2.5, math.inf))],
         cells=np.array(cells), members={c: [] for c in range(3)},
     )
-    text = net_to_text(net)
-    for line, cell in zip(text.splitlines()[1:], cells):
-        assert line.split()[1] == ",".join(str(i) for i in cell)
-    back = net_from_text(text)
-    assert back.cell_reps == net.cell_reps and np.array_equal(back.cells, net.cells)
+    lines = "".join(net_lines(net)).splitlines()
+    assert len(lines) == 1 + len(cells)
+    for line, cell, (_, body) in zip(lines[1:], cells, net.cell_reps):
+        assert line == f"cell {','.join(str(i) for i in cell)} rep {body.tag()}"
 
 
 def _hand_net(cells, dtype):
@@ -294,15 +286,17 @@ def test_net_lines_match_the_joined_formatter_on_hand_built_cells(dtype):
     if dtype == np.int16:
         cells.append((-1200, 32767, -32768, 7, 100, -99))
     net = _hand_net(cells, dtype)
-    assert "".join(net_lines(net)) == joined_net_text(net)
-    assert net_from_text(net_to_text(net)).cells.tolist() == net.cells.tolist()
+    text = "".join(net_lines(net))
+    assert text == joined_net_text(net)
+    rows = [ln.split()[1].split(",") for ln in text.splitlines()[1:]]
+    assert rows == [[str(v) for v in row] for row in net.cells.tolist()]
 
 
 @pytest.mark.parametrize("value", [0, 7, -4, 100])
 def test_net_lines_match_the_joined_formatter_on_single_valued_cells(value):
     net = _hand_net([(value,) * 5, (value,) * 5], np.int8)
     assert "".join(net_lines(net)) == joined_net_text(net)
-    assert net_to_text(net).splitlines()[1].split()[1] == ",".join([str(value)] * 5)
+    assert "".join(net_lines(net)).splitlines()[1].split()[1] == ",".join([str(value)] * 5)
 
 
 def test_certify_pair_grants_close_bodies():
@@ -455,7 +449,7 @@ def test_net_cells_take_the_narrowest_type_of_their_grid():
     row = np.full((1, net.profile_count), np.iinfo(np.int8).max, dtype=np.int8)
     row[0, 0] = -1
     net.cells = row
-    line = net_to_text(net).splitlines()[1]
+    line = "".join(net_lines(net)).splitlines()[1]
     assert line.split()[1] == ",".join(["-1"] + ["127"] * (net.profile_count - 1))
 
 
