@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import body_to_text, cap_body
-from .concentration import (
-    SmallBallEstimate,
-    TailCurve,
-    mc_large_deviation,
-    mc_quadratic_tail,
-    mc_small_ball,
-    merge_curves,
-    pilot_thresholds,
-)
+from .concentration import SmallBallEstimate, TailCurve, mc_curve, mc_tally, pilot_thresholds
 from .distance import bm_upper, op_norm, run_separation, separation_scale
 from .gauge import GaugeError, gauge
 from .linalg import PigeonholeError
@@ -44,6 +36,8 @@ from .symnet import (build_net, certify_pair, log_log_separation, lp_body, net_l
 
 # not called here (build_net owns the step family); bench/tracer.py wraps them on this module
 from .symnet import enumerate_steps, log_profile  # noqa: F401
+# not called here (a block returns mc_tally's tally); bench/tracer.py wraps them on this module
+from .concentration import mc_large_deviation, mc_quadratic_tail, mc_small_ball  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -156,6 +150,13 @@ def _conc_m(v, p):
         return f"needs an integer in [1, n - 1], got {v!r}"
 
 
+def _conc_trials(v, p):
+    # a tail curve's raw_se needs two trials: one would write NaN, which is not JSON
+    if (err := _POS_INT(v, p)) or v > 1 or p["statistic"] == "small_ball":
+        return err
+    return f"needs an integer >= 2 unless statistic is 'small_ball', got {v!r}"
+
+
 def _conc_delta(v, p):
     if (err := _FRACTION(v, p)) or not _is_int(p["n"]):
         return err
@@ -185,7 +186,7 @@ _TABLES = {
                    tol=(1e-6, _POS_NUM)), {}),
     "conc": ({
         "n": (_REQUIRED, _POS_INT),
-        "trials": (_REQUIRED, _POS_INT),
+        "trials": (_REQUIRED, _conc_trials),
         "statistic": (_REQUIRED, _choice(_STATISTICS)),
         "m": (None, _this_or("delta", _conc_m)),
         "delta": (None, _only_if(lambda p: p["m"] is None, "when params.m is set",
@@ -379,12 +380,7 @@ def _conc_matrix(kind: str, n: int, diag, seed: int, rep: int) -> np.ndarray:
 def _conc_block(job):
     (seed, rep, idx, stat, mat, n, m, trials, thresholds) = job
     rng = substream(seed, f"conc/{rep}/trial-block/{idx}")
-    if stat == "small_ball":
-        return mc_small_ball(mat, n, m, trials, stream=rng)
-    thr = np.asarray(thresholds, dtype=float)
-    if stat == "quadratic":
-        return mc_quadratic_tail(mat, n, m, trials, thresholds=thr, stream=rng)
-    return mc_large_deviation(mat, n, m, trials, thresholds=thr, stream=rng)
+    return mc_tally(stat, mat, n, m, trials, thresholds, rng)
 
 
 def _gauge_job(job):
@@ -495,13 +491,10 @@ def _cmd_conc(cfg: ExperimentConfig):
     records = []
     for rep in range(p["replicates"]):
         mat = _conc_matrix(p["matrix"], n, p["diag"], cfg.seed, rep)
-        if stat == "small_ball":
-            thresholds = None
-        elif p["thresholds"] is not None:
-            thresholds = [float(v) for v in p["thresholds"]]
-        else:
+        thresholds = p["thresholds"]
+        if thresholds is None:
             pilot = substream(cfg.seed, f"conc/{rep}/trial-block/pilot")
-            thresholds = [float(v) for v in pilot_thresholds(stat, mat, n, m, trials, pilot)]
+            thresholds = pilot_thresholds(stat, mat, n, m, trials, pilot)
         sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
         if trials % BLOCK_TRIALS:
             sizes.append(trials % BLOCK_TRIALS)
@@ -509,11 +502,12 @@ def _cmd_conc(cfg: ExperimentConfig):
             (cfg.seed, rep, i, stat, mat, n, m, size, thresholds)
             for i, size in enumerate(sizes)
         ]
-        merged = merge_curves(_pool_map(_conc_block, jobs, cfg.workers))
+        tallies = _pool_map(_conc_block, jobs, cfg.workers)
+        curve = mc_curve(stat, mat, n, m, trials, thresholds, tallies)
         if stat == "small_ball":
-            payload = _small_ball_payload(merged, cfg.constants)
+            payload = _small_ball_payload(curve, cfg.constants)
         else:
-            payload = _curve_payload(merged, cfg.constants)
+            payload = _curve_payload(curve, cfg.constants)
             if stat == "quadratic":
                 payload["center"] = (m / n) * float(np.trace(mat))
         payload.update({"replicate": rep, "statistic": stat, "matrix": p["matrix"],

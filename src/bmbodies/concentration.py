@@ -2,11 +2,14 @@
 
 Each experiment draws a uniform m-subset J of the coordinates and a
 Rademacher sign vector, evaluates a statistic of the restricted matrix,
-and counts threshold exceedances.  Counting is exact integer work, so
-partial runs merge associatively and empirical tails are nonincreasing
-by construction.  Theoretical bound shapes are stored per threshold
-with the leading constant left pluggable; fitting reports the largest
-constant consistent with what was observed.
+and counts threshold exceedances.  A block of trials returns only its
+tally (mc_tally): integer counts and the raw sums of the statistic and
+its square.  Tallies of independent blocks add exactly, counts as
+integers and sums in block order, so mc_curve adds a run's tallies and
+then checks the matrix and builds the bound shape once.  Empirical
+tails are nonincreasing by construction.  Theoretical bound shapes are
+stored per threshold with the leading constant left pluggable; fitting
+reports the largest constant consistent with what was observed.
 """
 from __future__ import annotations
 
@@ -28,10 +31,11 @@ __all__ = [
     "wilson_interval",
     "default_thresholds",
     "pilot_thresholds",
+    "mc_tally",
+    "mc_curve",
     "mc_quadratic_tail",
     "mc_small_ball",
     "mc_large_deviation",
-    "merge_curves",
 ]
 
 # two-sided 99% normal quantile, Phi^{-1}(0.995)
@@ -163,41 +167,6 @@ class TailCurve:
             best = min(best, math.log(self.prefactor / p[k]) / self.shape[k])
         return best
 
-    def merge(self, other: "TailCurve") -> "TailCurve":
-        """Combine with an independent run over the same grid; exact
-        because only integer counts and raw sums are added."""
-        if not np.array_equal(self.thresholds, other.thresholds):
-            raise ValueError("cannot merge curves with different thresholds")
-        if not np.array_equal(self.shape, other.shape):
-            raise ValueError("cannot merge curves with different bound shapes")
-        if self.prefactor != other.prefactor:
-            raise ValueError("cannot merge curves with different prefactors")
-        if not np.array_equal(self.admissible, other.admissible):
-            raise ValueError("cannot merge curves with different admissibility")
-        return TailCurve(
-            thresholds=self.thresholds,
-            counts=self.counts + other.counts,
-            trials=self.trials + other.trials,
-            shape=self.shape,
-            prefactor=self.prefactor,
-            admissible=self.admissible,
-            raw_sum=self.raw_sum + other.raw_sum,
-            raw_sq_sum=self.raw_sq_sum + other.raw_sq_sum,
-        )
-
-
-def merge_curves(curves):
-    """Fold independent block results, in order, with their merge: the
-    TailCurves of one threshold grid, or the SmallBallEstimates of one
-    event."""
-    curves = list(curves)
-    if not curves:
-        raise ValueError("nothing to merge")
-    out = curves[0]
-    for cur in curves[1:]:
-        out = out.merge(cur)
-    return out
-
 
 @dataclass
 class SmallBallEstimate:
@@ -238,21 +207,6 @@ class SmallBallEstimate:
         if p >= self.prefactor:
             return 0.0
         return math.log(self.prefactor / p) / self.shape
-
-    def merge(self, other: "SmallBallEstimate") -> "SmallBallEstimate":
-        if (self.threshold, self.shape, self.prefactor) != (
-            other.threshold,
-            other.shape,
-            other.prefactor,
-        ):
-            raise ValueError("cannot merge estimates of different events")
-        return SmallBallEstimate(
-            count=self.count + other.count,
-            trials=self.trials + other.trials,
-            threshold=self.threshold,
-            shape=self.shape,
-            prefactor=self.prefactor,
-        )
 
 
 def default_thresholds(pilot_stats) -> np.ndarray:
@@ -344,95 +298,102 @@ def _checked(a, n: int, m: int, trials: int) -> np.ndarray:
     return a
 
 
-def pilot_thresholds(statistic: str, a, n: int, m: int, trials: int, stream) -> np.ndarray:
-    """default_thresholds over the first min(1024, trials) draws of the
-    statistic ("quadratic" or "large_deviation") from the stream.  A run
-    given no thresholds takes this grid, drawn from a stream its trials
-    do not use (conc/<replicate>/trial-block/pilot in the CLI)."""
-    a = check_matrix(a, square=True)
-    count = min(_PILOT, trials)
+def _draws(statistic: str, a, n: int, m: int, count: int, rng):
+    """(raw, stats) over count trials: raw holds the uncentered draws
+    whose sums a tally keeps, stats the draws the thresholds apply to.
+    They are the same restricted norms for "small_ball" and
+    "large_deviation"; for "quadratic", stats = |raw - (m/n) tr A|,
+    centered at the exact mean of the restricted form."""
     if statistic == "quadratic":
-        raw = _quad_stats(a, n, m, count, stream)
-        return default_thresholds(np.abs(raw - (m / n) * float(np.trace(a))))
-    if statistic == "large_deviation":
-        return default_thresholds(_restricted_norms(a, n, m, count, stream))
-    raise ValueError(f"no pilot for statistic {statistic!r}")
+        raw = _quad_stats(a, n, m, count, rng)
+        return raw, np.abs(raw - (m / n) * float(np.trace(a)))
+    if statistic in ("small_ball", "large_deviation"):
+        raw = _restricted_norms(a, n, m, count, rng)
+        return raw, raw
+    raise ValueError(f"unknown statistic {statistic!r}")
+
+
+def pilot_thresholds(statistic: str, a, n: int, m: int, trials: int, stream) -> np.ndarray:
+    """The thresholds of a run given none.  For "quadratic" and
+    "large_deviation", default_thresholds over the first
+    min(1024, trials) draws of the statistic from the stream, which the
+    run's trials do not use (conc/<replicate>/trial-block/pilot in the
+    CLI).  For "small_ball", its one fixed threshold
+    sqrt(m/2n) * |B|_HS, without drawing."""
+    a = check_matrix(a, square=True)
+    if statistic == "small_ball":
+        return np.array([math.sqrt(m / (2 * n)) * hs_norm(a)])
+    return default_thresholds(_draws(statistic, a, n, m, min(_PILOT, trials), stream)[1])
+
+
+def mc_tally(statistic: str, a, n: int, m: int, trials: int, thresholds, stream):
+    """One block's tally of trials draws of the statistic from the stream:
+    (counts, raw_sum, raw_sq_sum).  counts[k] is the number of draws at
+    or above thresholds[k]; for "small_ball" counts has one entry, the
+    draws at or below its threshold.  raw_sum and raw_sq_sum sum the
+    uncentered draws and their squares.  Nothing is checked here:
+    mc_curve checks the inputs once for all of a run's blocks."""
+    raw, stats = _draws(statistic, np.asarray(a, dtype=float), n, m, trials, stream)
+    thresholds = np.asarray(thresholds, dtype=float)
+    if statistic == "small_ball":
+        counts = np.array([np.count_nonzero(stats <= thresholds[0])], dtype=np.int64)
+    else:
+        counts = _exceed_counts(stats, thresholds)
+    return counts, float(raw.sum()), float((raw * raw).sum())
+
+
+def mc_curve(statistic: str, a, n: int, m: int, trials: int, thresholds, tallies):
+    """The TailCurve ("quadratic", "large_deviation") or SmallBallEstimate
+    ("small_ball") of a run of trials trials in all, from its blocks'
+    tallies (mc_tally) in block order.  Counts and raw sums are added in
+    that order; the inputs are checked, and the norms and the bound
+    shape computed, once per call.  A zero matrix gives infinite shapes:
+    its bound never binds."""
+    a = _checked(a, n, m, trials)
+    thresholds = np.asarray(thresholds, dtype=float)
+    (counts, raw_sum, raw_sq_sum), *rest = tallies
+    for c, s, s2 in rest:
+        counts, raw_sum, raw_sq_sum = counts + c, raw_sum + s, raw_sq_sum + s2
+    norm = spectral_norm(a)
+    if statistic == "small_ball":
+        hs = hs_norm(a)
+        shape = (m / n**2) * hs**4 / norm**4 if norm > 0.0 else math.inf
+        return SmallBallEstimate(count=int(counts[0]), trials=trials,
+                                 threshold=float(thresholds[0]), shape=shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if statistic == "quadratic":
+            prefactor, admissible = 1.0, None
+            shape = np.minimum(thresholds**2 / (m * norm * norm), thresholds / norm)
+        elif statistic == "large_deviation":
+            prefactor, admissible = 2.0, thresholds > math.sqrt(4 * m / n) * hs_norm(a)
+            shape = thresholds**2 / (norm * norm)
+        else:
+            raise ValueError(f"unknown statistic {statistic!r}")
+    return TailCurve(thresholds=thresholds, counts=counts, trials=trials,
+                     shape=np.where(norm > 0.0, shape, math.inf), raw_sum=raw_sum,
+                     raw_sq_sum=raw_sq_sum, prefactor=prefactor, admissible=admissible)
 
 
 def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds, stream) -> TailCurve:
     """Tail of |eps^T A_JJ eps - (m/n) tr A| over random (J, eps), at the
-    given thresholds, with trials drawn from the stream.
-
-    The centering constant is the exact mean of the restricted form, so
-    the curve's raw moments double as a centering self-check.
-    """
-    a = _checked(a, n, m, trials)
-    center = (m / n) * float(np.trace(a))
-    thresholds = np.asarray(thresholds, dtype=float)
-
-    raw = _quad_stats(a, n, m, trials, stream)
-    stats = np.abs(raw - center)
-    counts = _exceed_counts(stats, thresholds)
-
-    norm = spectral_norm(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shape = np.where(
-            norm > 0.0,
-            np.minimum(thresholds**2 / (m * norm * norm), thresholds / norm),
-            math.inf,
-        )
-    return TailCurve(
-        thresholds=thresholds,
-        counts=counts,
-        trials=trials,
-        shape=shape,
-        prefactor=1.0,
-        raw_sum=float(raw.sum()),
-        raw_sq_sum=float((raw * raw).sum()),
-    )
+    given thresholds, with trials drawn from the stream.  The centering
+    constant is the exact mean of the restricted form, so the curve's
+    raw moments double as a centering self-check."""
+    tally = mc_tally("quadratic", a, n, m, trials, thresholds, stream)
+    return mc_curve("quadratic", a, n, m, trials, thresholds, [tally])
 
 
 def mc_small_ball(b, n: int, m: int, trials: int, stream) -> SmallBallEstimate:
     """P(|B R_J eps|_2 <= sqrt(m/2n) * |B|_HS) with Wilson interval, with
     trials drawn from the stream."""
-    b = _checked(b, n, m, trials)
-    hs = hs_norm(b)
-    threshold = math.sqrt(m / (2 * n)) * hs
-    stats = _restricted_norms(b, n, m, trials, stream)
-    count = int(np.count_nonzero(stats <= threshold))
-    norm = spectral_norm(b)
-    shape = (m / n**2) * hs**4 / norm**4 if norm > 0.0 else math.inf
-    return SmallBallEstimate(
-        count=count, trials=trials, threshold=threshold, shape=shape
-    )
+    thresholds = pilot_thresholds("small_ball", b, n, m, trials, stream)
+    tally = mc_tally("small_ball", b, n, m, trials, thresholds, stream)
+    return mc_curve("small_ball", b, n, m, trials, thresholds, [tally])
 
 
 def mc_large_deviation(b, n: int, m: int, trials: int, thresholds, stream) -> TailCurve:
     """Tail of |B R_J eps|_2 at the given thresholds, with trials drawn
     from the stream; thresholds at or below sqrt(4m/n)*|B|_HS are kept
     in the report but flagged inadmissible for the bound."""
-    b = _checked(b, n, m, trials)
-    thresholds = np.asarray(thresholds, dtype=float)
-
-    stats = _restricted_norms(b, n, m, trials, stream)
-    counts = _exceed_counts(stats, thresholds)
-
-    hs = hs_norm(b)
-    norm = spectral_norm(b)
-    admissible = thresholds > math.sqrt(4 * m / n) * hs
-    with np.errstate(divide="ignore"):
-        shape = (
-            thresholds**2 / (norm * norm)
-            if norm > 0.0
-            else np.full(thresholds.size, math.inf)
-        )
-    return TailCurve(
-        thresholds=thresholds,
-        counts=counts,
-        trials=trials,
-        shape=shape,
-        raw_sum=float(stats.sum()),
-        raw_sq_sum=float((stats * stats).sum()),
-        prefactor=2.0,
-        admissible=admissible,
-    )
+    tally = mc_tally("large_deviation", b, n, m, trials, thresholds, stream)
+    return mc_curve("large_deviation", b, n, m, trials, thresholds, [tally])

@@ -138,6 +138,26 @@ def test_conc_block_statistics_merge_identically_across_worker_counts(tmp_path, 
         assert pl["count"] == sum(counts)
 
 
+def test_conc_takes_one_spectral_norm_per_replicate(tmp_path, monkeypatch):
+    # 9,000 trials run as three blocks; the bound shape is built once per
+    # replicate from the blocks' tallies, not once per block
+    from bmbodies import concentration
+
+    calls, real = [], concentration.spectral_norm
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(concentration, "spectral_norm", counted)
+    params = dict(_CONC_DOC["params"], trials=9000, replicates=2)
+    cfg = _cfg(tmp_path, dict(_CONC_DOC, params=params))
+    out = str(tmp_path / "out")
+    assert cli.main(["conc", "--config", cfg, "--workers", "1", "--out", out]) == cli.EXIT_OK
+    assert len(_read_records(out, "conc")) == 2
+    assert calls == [(12, 12)] * 2
+
+
 def test_record_envelope_fields(tmp_path):
     cfg = _cfg(tmp_path, _CONC_DOC)
     out = str(tmp_path / "env")
@@ -399,8 +419,10 @@ def test_every_format_writes_the_jsonl_records(tmp_path, command, fmt):
          "params.delta: needs a number in (0, 1)"),
         ("conc", _CONC, {"c": -1}, "constants.c: needs a number >= 0"),
         ("conc", dict(_CONC, statistic="small_ball"), {"c": -0.5}, "constants.c: needs"),
+        # a tail curve from one trial has no standard error: raw_se would be NaN
+        ("conc", dict(_CONC, trials=1), {}, "params.trials: needs an integer >= 2"),
     ],
-    ids=["separate-delta", "conc-curve-c", "conc-small-ball-c"],
+    ids=["separate-delta", "conc-curve-c", "conc-small-ball-c", "conc-one-trial"],
 )
 def test_settings_the_run_would_refuse_at_its_end_are_refused_at_load(
         tmp_path, capsys, command, params, constants, needle):

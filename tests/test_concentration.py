@@ -1,4 +1,4 @@
-"""Monte Carlo tail machinery: counting, intervals, merging, bounds."""
+"""Monte Carlo tail machinery: counting, intervals, tallies, bounds."""
 import itertools
 import json
 import math
@@ -12,10 +12,11 @@ from bmbodies.concentration import (
     SmallBallEstimate,
     TailCurve,
     default_thresholds,
+    mc_curve,
     mc_large_deviation,
     mc_quadratic_tail,
     mc_small_ball,
-    merge_curves,
+    mc_tally,
     pilot_thresholds,
     wilson_interval,
 )
@@ -111,32 +112,63 @@ def test_streams_make_runs_reproducible():
     assert c1.raw_sum == c2.raw_sum
 
 
-def test_merge_adds_counts_and_moments():
-    n, m = 12, 3
-    a = substream(5, "a").normal(size=(n, n))
-    a = 0.5 * (a + a.T)
-    thr = np.array([0.2, 0.7, 1.4])
-    c1 = mc_quadratic_tail(a, n, m, 700, thresholds=thr, stream=substream(5, "r1"))
-    c2 = mc_quadratic_tail(a, n, m, 900, thresholds=thr, stream=substream(5, "r2"))
-    merged = merge_curves([c1, c2])
-    assert merged.trials == 1600
-    np.testing.assert_array_equal(merged.counts, c1.counts + c2.counts)
-    assert math.isclose(merged.raw_sum, c1.raw_sum + c2.raw_sum, rel_tol=1e-15)
-    assert math.isclose(merged.raw_sq_sum, c1.raw_sq_sum + c2.raw_sq_sum, rel_tol=1e-15)
-    np.testing.assert_array_equal(np.asarray(merged.shape), np.asarray(c1.shape))
-    assert merged.prefactor == c1.prefactor
+def _sym(seed, n):
+    a = substream(seed, "a").normal(size=(n, n))
+    return 0.5 * (a + a.T)
 
 
-def test_merge_rejects_mismatched_curves():
-    n, m = 12, 3
-    a = substream(6, "a").normal(size=(n, n))
-    a = 0.5 * (a + a.T)
-    c1 = mc_quadratic_tail(a, n, m, 100, thresholds=np.array([0.5]), stream=substream(6, "r"))
-    c2 = mc_quadratic_tail(a, n, m, 100, thresholds=np.array([0.6]), stream=substream(6, "r"))
-    with pytest.raises(ValueError):
-        merge_curves([c1, c2])
-    with pytest.raises(ValueError):
-        merge_curves([])
+@pytest.mark.parametrize("statistic", ["quadratic", "small_ball", "large_deviation"])
+def test_curve_adds_block_tallies_that_match_their_estimators(statistic):
+    n, m, sizes = 12, 3, (700, 900, 300)
+    a = _sym(5, n)
+    thr = (pilot_thresholds("small_ball", a, n, m, 1, substream(5, "pilot"))
+           if statistic == "small_ball" else np.array([0.2, 0.7, 1.4]))
+    streams = [f"r{i}" for i in range(len(sizes))]
+    tallies = [mc_tally(statistic, a, n, m, size, thr, substream(5, s))
+               for size, s in zip(sizes, streams)]
+    curve = mc_curve(statistic, a, n, m, sum(sizes), thr, tallies)
+    assert curve.trials == 1900
+    counts = [t[0] for t in tallies]
+    if statistic == "small_ball":
+        assert curve.count == sum(int(c[0]) for c in counts)
+        blocks = [mc_small_ball(a, n, m, size, substream(5, s)).count
+                  for size, s in zip(sizes, streams)]
+        assert blocks == [int(c[0]) for c in counts]
+        return
+    np.testing.assert_array_equal(curve.counts, sum(counts))
+    assert curve.raw_sum == (tallies[0][1] + tallies[1][1]) + tallies[2][1]
+    assert curve.raw_sq_sum == (tallies[0][2] + tallies[1][2]) + tallies[2][2]
+    est = mc_quadratic_tail if statistic == "quadratic" else mc_large_deviation
+    for size, s, c in zip(sizes, streams, counts):
+        np.testing.assert_array_equal(est(a, n, m, size, thr, substream(5, s)).counts, c)
+
+
+@pytest.mark.parametrize("statistic", ["quadratic", "small_ball", "large_deviation"])
+def test_a_one_tally_curve_is_its_estimator(statistic):
+    n, m, trials = 12, 3, 800
+    a = _sym(6, n)
+    thr = pilot_thresholds(statistic, a, n, m, trials, substream(6, "pilot"))
+    tally = mc_tally(statistic, a, n, m, trials, thr, substream(6, "r"))
+    got = mc_curve(statistic, a, n, m, trials, thr, [tally])
+    if statistic == "small_ball":
+        assert got == mc_small_ball(a, n, m, trials, substream(6, "r"))
+        return
+    est = mc_quadratic_tail if statistic == "quadratic" else mc_large_deviation
+    want = est(a, n, m, trials, thr, substream(6, "r"))
+    for key in ("thresholds", "counts", "shape", "admissible"):
+        np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
+    assert (got.trials, got.raw_sum, got.raw_sq_sum, got.prefactor) == (
+        want.trials, want.raw_sum, want.raw_sq_sum, want.prefactor)
+
+
+def test_the_small_ball_pilot_is_its_fixed_threshold_and_draws_nothing():
+    n, m = 20, 5
+    b = _sym(7, n)
+    rng = substream(7, "sb-pilot")
+    before = _state(rng)
+    (thr,) = pilot_thresholds("small_ball", b, n, m, 100, rng)
+    assert _state(rng) == before
+    assert thr == mc_small_ball(b, n, m, 100, substream(7, "sb")).threshold
 
 
 def test_small_ball_identity_count_is_zero():

@@ -66,7 +66,8 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
 
 
 # the package's public names before it republished its modules' __all__, less
-# the body-file and net.txt parsers deleted since
+# the body-file and net.txt parsers deleted since, and merge_curves, which
+# went when a conc block began to return a tally instead of a curve
 _EARLIER_NAMES = """
 PigeonholeError SpectralInterval SvdResult build_projectors check_matrix hs_norm
 spectral_interval spectral_norm svd BodySample ModelParams TestVector round_half_up
@@ -74,7 +75,7 @@ sample_body sample_test_vector substream Ball HullBody SignedPoints ball_body
 body_to_dict body_to_text cap_body circumradius_upper inradius_lower
 subset_body support_function support_many GaugeError GaugeResult
 SmallBallEstimate TailCurve default_thresholds mc_large_deviation mc_quadratic_tail
-mc_small_ball merge_curves pilot_thresholds wilson_interval BmEstimate EventReport
+mc_small_ball pilot_thresholds wilson_interval BmEstimate EventReport
 OpNormResult SeparationReport bm_upper cap_projection_norms check_one_body
 check_one_vector event_alpha op_norm run_separation separation_scale PairCertificate
 StepFamily SymmetricBody SymmetricNet body_from_tag build_net certify_pair
