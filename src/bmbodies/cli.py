@@ -29,7 +29,6 @@ from .bodies import body_to_text, cap_body
 from .concentration import SmallBallEstimate, TailCurve, mc_curve, mc_tally, pilot_thresholds
 from .distance import bm_upper, op_norm, run_separation, separation_scale
 from .gauge import GaugeError, gauge
-from .linalg import PigeonholeError
 from .randmodel import ModelParams, round_half_up, sample_body, substream
 from .symnet import (build_net, certify_pair, log_log_separation, lp_body, net_lines,
                      tau_for_separation)
@@ -478,7 +477,7 @@ def _small_ball_payload(est: SmallBallEstimate, constants: dict) -> dict:
         "wilson_hi": hi,
         "shape": est.shape,
         "prefactor": est.prefactor,
-        "fitted_c": est.fitted_c(),
+        "fitted_c": est.fitted_c(conservative=True),
         "bound_at_c": est.bound_value(constants["c"]),
     }
 
@@ -742,29 +741,29 @@ def _svg_frame(body_parts, title: str) -> str:
 
 
 def _svg_tail(records) -> str:
+    """Every replicate's tail curve on one frame: one log-x range over all
+    thresholds, and one label listing the fitted c of each, in order."""
     curves = [r["payload"] for r in records if r["kind"] != "small_ball"]
+    if not curves:
+        return _svg_frame([], "exceedance tails")
+    lx = math.log10(min(float(pl["thresholds"][0]) for pl in curves))
+    hx = math.log10(max(float(pl["thresholds"][-1]) for pl in curves))
+    span = (hx - lx) or 1.0
+    floor_p = 1.0 / (2.0 * curves[0]["trials"])  # every replicate runs the same trials
+
+    def x_of(t):
+        return _SVG_PAD + (_SVG_W - 2 * _SVG_PAD) * (math.log10(t) - lx) / span
+
+    def y_of(p):
+        p = max(float(p), floor_p)
+        frac = (math.log10(p) - math.log10(floor_p)) / (0.0 - math.log10(floor_p))
+        return _SVG_H - _SVG_PAD - (_SVG_H - 2 * _SVG_PAD) * max(0.0, min(frac, 1.0))
+
     parts = []
     for pl in curves:
         thr = [float(v) for v in pl["thresholds"]]
-        if not thr:
-            continue
-        trials = pl["trials"]
-        floor_p = 1.0 / (2.0 * trials)
-        lx, hx = math.log10(thr[0]), math.log10(thr[-1])
-        span = (hx - lx) or 1.0
-
-        def x_of(t):
-            return _SVG_PAD + (_SVG_W - 2 * _SVG_PAD) * (math.log10(t) - lx) / span
-
-        def y_of(p):
-            p = max(float(p), floor_p)
-            frac = (math.log10(p) - math.log10(floor_p)) / (0.0 - math.log10(floor_p))
-            return _SVG_H - _SVG_PAD - (_SVG_H - 2 * _SVG_PAD) * max(0.0, min(frac, 1.0))
-
-        fit = pl["fitted_c"]
-        bound = pl["bound_at_fit"]
         pts = " ".join(
-            f"{x_of(t):.2f},{y_of(b):.2f}" for t, b in zip(thr, bound)
+            f"{x_of(t):.2f},{y_of(b):.2f}" for t, b in zip(thr, pl["bound_at_fit"])
         )
         parts.append(f'<polyline class="bound" fill="none" stroke="red" points="{pts}"/>\n')
         for k, t in enumerate(thr):
@@ -779,10 +778,10 @@ def _svg_tail(records) -> str:
                 f'<circle class="{cls}" r="3" cx="{x_of(t):.2f}" '
                 f'cy="{y_of(pl["p_hat"][k]):.2f}" fill="black"/>\n'
             )
-        parts.append(
-            f'<text class="label" x="{_SVG_PAD}" y="{_SVG_PAD - 8}">'
-            f'fitted c = {fit:.6g}</text>\n'
-        )
+    fits = ", ".join(f"{pl['fitted_c']:.6g}" for pl in curves)
+    parts.append(
+        f'<text class="label" x="{_SVG_PAD}" y="{_SVG_PAD - 8}">fitted c = {fits}</text>\n'
+    )
     return _svg_frame(parts, "exceedance tails")
 
 
@@ -853,7 +852,7 @@ def run(cfg: ExperimentConfig) -> int:
     try:
         records, files = _RUNNERS[cfg.command](cfg)
         emit_report({**files, **_report_file(records, cfg.fmt, cfg.command)}, cfg.out_dir)
-    except (GaugeError, PigeonholeError, np.linalg.LinAlgError) as exc:
+    except (GaugeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, RuntimeError) as exc:

@@ -14,7 +14,7 @@ reports the largest constant consistent with what was observed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,5 +1,5 @@
 """Operator norms between hull bodies, Banach-Mazur upper bounds, and
-the map-containment event checkers.
+the pairwise separation run over a body family.
 
 Operator norms report a certified bracket: the lower bound is the gauge
 of a mapped extreme point that was actually found, the upper bound is a
@@ -26,22 +26,19 @@ import numpy as np
 
 from .bodies import Ball, HullBody, SignedPoints, _batched_caps, inradius_lower, support_many
 from .gauge import gauge
-from .linalg import build_projectors, spectral_interval, spectral_norm, svd
+from .linalg import spectral_norm
+# not called here (op_norm needs no decomposition); bench/tracer.py wraps it on this module
+from .linalg import svd  # noqa: F401
 from .randmodel import substream
 
 __all__ = [
     "OpNormResult",
     "BmEstimate",
-    "EventReport",
     "SeparationReport",
     "op_norm",
     "bm_upper",
-    "check_one_vector",
-    "check_one_body",
     "run_separation",
-    "event_alpha",
     "separation_scale",
-    "cap_projection_norms",
 ]
 
 _STREAM_SEED = 0xB0D1E5
@@ -93,29 +90,6 @@ class BmEstimate:
         prod = self.norm_fwd * self.norm_inv
         if abs(prod - self.upper) > 1e-9 * max(1.0, abs(prod)):
             raise ValueError("upper bound must equal the product of the norms")
-
-
-@dataclass
-class EventReport:
-    """Outcome of a containment event at level alpha.
-
-    The outcome is exactly (gauge_hi <= alpha * (1 + tol)); the stored
-    fields let a reader recompute it.
-    """
-
-    kind: str
-    alpha: float
-    outcome: bool
-    gauge_lo: float
-    gauge_hi: float
-    tol: float = 0.0
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.outcome != (self.gauge_hi <= self.alpha * (1.0 + self.tol)):
-            raise ValueError("outcome inconsistent with stored gauge value")
 
 
 def _gauge(k2: HullBody, x: np.ndarray, tol: float):
@@ -498,127 +472,11 @@ def bm_upper(k: HullBody, k2: HullBody, n_diag: int = 8) -> BmEstimate:
     )
 
 
-def event_alpha(c: float, delta: float, norm_v: float) -> float:
-    """Containment level c / (sqrt(delta) * log norm_v)."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if norm_v <= 1.0:
-        raise ValueError("map norm must exceed 1 for a positive level")
-    return c / (math.sqrt(delta) * math.log(norm_v))
-
-
 def separation_scale(c1: float, delta: float) -> float:
     """Predicted distance scale c1 / (delta * log^2(1/delta))."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     return c1 / (delta * math.log(1.0 / delta) ** 2)
-
-
-def _normalize_half_spectrum(v_mat: np.ndarray) -> np.ndarray:
-    """Rescale so the n/2-th singular value equals 1 (the event
-    checks' normalization); reject maps whose half spectrum vanishes."""
-    dec = svd(v_mat)
-    n_half = v_mat.shape[0] // 2
-    if n_half < 1:
-        raise ValueError("need dimension at least 2")
-    s_half = dec.s[n_half - 1]
-    if s_half <= 0.0:
-        raise ValueError("half-spectrum singular value is zero")
-    return v_mat / s_half
-
-
-def cap_projection_norms(v_mat: np.ndarray, subsets, y_vec: np.ndarray, c0: float = 0.5):
-    """Diagnostic: norms of the projections of Q y onto the spans
-    {P e_j : j in subset}, where Q and P come from the selected
-    singular-value block of V."""
-    dec = svd(v_mat)
-    interval = spectral_interval(dec.s, spectral_norm(v_mat), c0=c0)
-    q_mat, p_mat = build_projectors(dec, interval)
-    qy = q_mat @ y_vec
-    out = []
-    for sub in np.atleast_2d(np.asarray(subsets, dtype=np.int64)):
-        basis, r_fac = np.linalg.qr(p_mat[:, sub])
-        diag = np.abs(np.diag(r_fac))
-        keep = diag > 1e-12 * max(float(diag.max(initial=0.0)), 1.0)
-        basis = basis[:, keep]
-        out.append(float(np.sqrt(((basis.T @ qy) ** 2).sum())))
-    return out
-
-
-def check_one_vector(
-    v_mat,
-    cap: HullBody,
-    test_vec,
-    alpha: float,
-    tol: float = 0.0,
-    diagnostics: bool = False,
-) -> EventReport:
-    """Does the mapped test vector land in alpha times the cap body?
-
-    The map is rescaled so its n/2-th singular value is 1 before the
-    check.  Outcome is judged on the certified gauge upper bound, so a
-    true outcome is a proof of containment at level alpha*(1+tol).
-    """
-    v_mat = np.asarray(v_mat, dtype=float)
-    if v_mat.shape != (cap.dim, cap.dim):
-        raise ValueError("map must be square and match the cap body dimension")
-    v_mat = _normalize_half_spectrum(v_mat)
-    y_vec = np.asarray(test_vec.y, dtype=float)
-    g = gauge(cap, v_mat @ y_vec)
-    meta = {"subset": test_vec.subset.tolist()}
-    if diagnostics:
-        subs = [
-            c.support
-            for c in cap.components
-            if isinstance(c, Ball) and c.p == 2.0 and c.support is not None
-        ]
-        if subs:
-            meta["cap_projection_norms"] = cap_projection_norms(v_mat, subs, y_vec)
-    return EventReport(
-        kind="one-vector",
-        alpha=alpha,
-        outcome=bool(g.hi <= alpha * (1.0 + tol)),
-        gauge_lo=g.lo,
-        gauge_hi=g.hi,
-        tol=tol,
-        metadata=meta,
-    )
-
-
-def check_one_body(v_mat, k: HullBody, k2: HullBody, alpha: float, tol: float = 0.0) -> EventReport:
-    """Does the mapped body K land inside alpha times K2?
-
-    Judged on the certified operator-norm upper bound.  The subset
-    family of K2 is checked for full coordinate coverage first and the
-    report flags the result, since the containment statement is
-    conditioned on coverage.
-    """
-    v_mat = np.asarray(v_mat, dtype=float)
-    if v_mat.shape != (k2.dim, k.dim):
-        raise ValueError("map shape incompatible with the bodies")
-    v_mat = _normalize_half_spectrum(v_mat)
-    covered = np.zeros(k2.dim, dtype=bool)
-    for c in k2.components:  # the subset pieces: unconditional generators and caps
-        if isinstance(c, SignedPoints) and c.unconditional:
-            covered |= np.any(c.points != 0.0, axis=0)
-        elif isinstance(c, Ball) and c.p == 2.0 and c.support is not None:
-            covered[c.support] = True
-    res = op_norm(v_mat, k, k2)
-    meta = {
-        "coverage": bool(covered.all()),
-        "op_lo": res.lo,
-        "op_hi": res.hi,
-        "notes": list(res.notes),
-    }
-    return EventReport(
-        kind="one-body",
-        alpha=alpha,
-        outcome=bool(res.hi <= alpha * (1.0 + tol)),
-        gauge_lo=res.lo,
-        gauge_hi=res.hi,
-        tol=tol,
-        metadata=meta,
-    )
 
 
 @dataclass

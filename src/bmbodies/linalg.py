@@ -1,5 +1,5 @@
 """Dense linear algebra: SVD with certified invariants, matrix norms,
-flat spectral intervals, and the projectors built from them.
+and the flat spectral intervals of the paper's pigeonhole lemma.
 
 Everything here works on plain float64 numpy arrays.  Matrices are
 square, real, and small (n up to a few hundred); no sparse or complex
@@ -21,7 +21,6 @@ __all__ = [
     "spectral_norm",
     "hs_norm",
     "spectral_interval",
-    "build_projectors",
 ]
 
 
@@ -51,10 +50,6 @@ class SvdResult:
     s: np.ndarray
     u: np.ndarray
     v: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.s) @ self.v.T
@@ -152,17 +147,3 @@ def spectral_interval(s, norm_v: float, c0: float = 0.5) -> SpectralInterval:
         f"inside [1, {n_half}] (norm_v={norm_v}, c0={c0})"
     )
 
-
-def build_projectors(dec: SvdResult, interval: SpectralInterval):
-    """Return (q, p): the truncated map q = sum_I s_i u_i v_i^T and the
-    orthogonal projector p = sum_I u_i u_i^T onto its left singular space,
-    with I the closed block [i1, i2].
-    """
-    n = dec.n
-    if interval.i2 > n:
-        raise ValueError("interval exceeds matrix size")
-    idx = interval.indices0()
-    u_i = dec.u[:, idx]
-    q = (u_i * dec.s[idx]) @ dec.v[:, idx].T
-    p = u_i @ u_i.T
-    return q, p

@@ -1,5 +1,5 @@
 """Seeded randomness for the subset model: named substreams, uniform
-fixed-size subsets, Rademacher signs, random bodies, and probe vectors.
+fixed-size subsets, and random bodies.
 
 All sampling goes through numpy Generators backed by Philox, a
 counter-based PRNG with 128-bit state.  A substream is addressed by a
@@ -19,15 +19,11 @@ from . import bodies
 
 __all__ = [
     "ModelParams",
-    "TestVector",
     "BodySample",
     "round_half_up",
     "substream",
-    "sample_subset",
     "sample_subsets",
-    "sample_rademacher",
     "sample_body",
-    "sample_test_vector",
 ]
 
 
@@ -84,17 +80,13 @@ class ModelParams:
         object.__setattr__(self, "below_regime", bool(self.delta <= threshold))
 
 
-def sample_subset(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random m-subset of {0..n-1}, returned sorted.
-
-    Uses the random-keys construction (order statistics of n iid uniforms),
-    which is exchangeable and hence exactly uniform over m-subsets.
-    """
-    return sample_subsets(n, m, 1, rng)[0]
-
-
 def sample_subsets(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count iid uniform m-subsets as a (count, m) sorted index array."""
+    """count iid uniform m-subsets as a (count, m) sorted index array.
+
+    Uses the random-keys construction (order statistics of n iid uniforms
+    per row), which is exchangeable and hence exactly uniform over
+    m-subsets.
+    """
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if count < 0:
@@ -102,35 +94,6 @@ def sample_subsets(n: int, m: int, count: int, rng: np.random.Generator) -> np.n
     keys = rng.random((count, n))
     picked = np.argpartition(keys, m - 1, axis=1)[:, :m]
     return np.sort(picked, axis=1).astype(np.int64)
-
-
-def sample_rademacher(k: int, rng: np.random.Generator) -> np.ndarray:
-    """k iid signs from {-1, +1}, as int64."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return rng.integers(0, 2, size=k, dtype=np.int64) * 2 - 1
-
-
-@dataclass(frozen=True)
-class TestVector:
-    """Probe vector y = sum_{j in subset} sign_j e_j with |y|_2^2 = m."""
-
-    subset: np.ndarray
-    signs: np.ndarray
-    y: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return int(self.subset.size)
-
-
-def sample_test_vector(n: int, m: int, rng: np.random.Generator) -> TestVector:
-    """Uniform m-subset with iid Rademacher signs, materialized densely."""
-    subset = sample_subset(n, m, rng)
-    signs = sample_rademacher(m, rng)
-    y = np.zeros(n)
-    y[subset] = signs
-    return TestVector(subset=subset, signs=signs, y=y)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from bmbodies.bodies import body_to_text, cap_body
 from bmbodies.concentration import mc_small_ball
 from bmbodies.distance import separation_scale
 from bmbodies.gauge import gauge
-from bmbodies.linalg import PigeonholeError
 from bmbodies.randmodel import ModelParams, sample_body, substream
 from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_lines
 
@@ -205,6 +204,40 @@ def test_conc_svg_structure(tmp_path):
     assert art.count('<circle class="empirical') == n_thr
     assert art.count('<line class="band"') == n_thr
     assert art.count('<polyline class="bound"') == 1
+
+
+def test_conc_svg_puts_every_replicate_on_one_axis_under_one_label(tmp_path):
+    params = {"n": 20, "m": 5, "trials": 2000, "statistic": "quadratic",
+              "matrix": "gaussian", "replicates": 2}
+    cfg = _cfg(tmp_path, {"command": "conc", "params": params})
+    out = str(tmp_path / "svg")
+    assert cli.main(["conc", "--config", cfg, "--out", out, "--format", "svg"]) == cli.EXIT_OK
+    art = open(os.path.join(out, "conc-plot.svg"), encoding="utf-8").read()
+    fits = [r["payload"]["fitted_c"] for r in _read_records(out, "conc")]
+    assert re.findall(r'<text class="label"[^>]*>([^<]*)<', art) == [
+        "fitted c = " + ", ".join(f"{c:.6g}" for c in fits)
+    ]
+    # the pilots give each replicate its own thresholds; one shared log-x
+    # range puts only the smallest of them all on the frame's left edge
+    thresholds = [r["payload"]["thresholds"] for r in _read_records(out, "conc")]
+    assert thresholds[0][0] != thresholds[1][0]
+    xs = [float(x) for x in re.findall(r'<circle class="empirical[^"]*" r="3" cx="([^"]*)"', art)]
+    assert len(xs) == sum(len(t) for t in thresholds)
+    assert sum(x == cli._SVG_PAD for x in xs) == 1
+
+
+def test_small_ball_records_fit_c_against_the_wilson_upper_bound(tmp_path):
+    params = {"n": 12, "m": 3, "trials": 3000, "statistic": "small_ball", "matrix": "e11"}
+    cfg = _cfg(tmp_path, {"command": "conc", "seed": 6, "params": params})
+    out = str(tmp_path / "sb")
+    assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    (rec,) = _read_records(out, "conc")
+    # 3,000 trials are one block, drawn from the block's own stream
+    est = mc_small_ball(cli._conc_matrix("e11", 12, None, 6, 0), 12, 3, 3000,
+                        stream=substream(6, "conc/0/trial-block/0"))
+    assert rec["payload"]["count"] == est.count
+    assert rec["payload"]["fitted_c"] == est.fitted_c(conservative=True)
+    assert rec["payload"]["fitted_c"] < est.fitted_c()
 
 
 def test_sample_emits_bodies_and_gauge_brackets_points(tmp_path):
@@ -587,16 +620,15 @@ def test_conc_on_a_zero_matrix_writes_no_nan(tmp_path):
 def test_numeric_failures_use_their_own_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _cfg(tmp_path, _CONC_DOC)
     # LinAlgError subclasses ValueError, which must not read as a rejected config
-    for error in (PigeonholeError("no admissible block"),
-                  np.linalg.LinAlgError("SVD did not converge")):
+    error = np.linalg.LinAlgError("SVD did not converge")
 
-        def explode(cfg_obj, error=error):
-            raise error
+    def explode(cfg_obj):
+        raise error
 
-        monkeypatch.setitem(cli._RUNNERS, "conc", explode)
-        out = str(tmp_path / "boom")
-        assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
-        assert f"numeric failure: {error}" in capsys.readouterr().err
+    monkeypatch.setitem(cli._RUNNERS, "conc", explode)
+    out = str(tmp_path / "boom")
+    assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+    assert f"numeric failure: {error}" in capsys.readouterr().err
 
 
 def test_gauge_solver_failure_exits_numeric_and_names_the_status(tmp_path, monkeypatch,

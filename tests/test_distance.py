@@ -1,4 +1,4 @@
-"""Operator norms, distance upper bounds, event checks, separation runs."""
+"""Operator norms, distance upper bounds, separation runs."""
 import itertools
 import math
 
@@ -13,7 +13,6 @@ from bmbodies.bodies import (
     SignedPoints,
     ball_body,
     cap_body,
-    subset_body,
     support_many,
 )
 from bmbodies import distance
@@ -23,23 +22,12 @@ from bmbodies.distance import (
     _dual_probes,
     _guided_points,
     bm_upper,
-    cap_projection_norms,
-    check_one_body,
-    check_one_vector,
-    event_alpha,
     op_norm,
     run_separation,
     separation_scale,
 )
 from bmbodies.gauge import gauge
-from bmbodies.linalg import PigeonholeError
-from bmbodies.randmodel import (
-    ModelParams,
-    sample_body,
-    sample_subsets,
-    sample_test_vector,
-    substream,
-)
+from bmbodies.randmodel import ModelParams, sample_body, substream
 
 
 def _brute_extremes(body):
@@ -540,77 +528,10 @@ def test_op_norm_under_a_bar_stops_only_past_it(seed, n, kind, base, spread, fra
         assert res.witness.tobytes() == ref.witness.tobytes()
 
 
-def test_event_scalings():
-    assert math.isclose(event_alpha(2.0, 0.25, 8.0), 2.0 / (0.5 * math.log(8.0)), rel_tol=1e-12)
+def test_separation_scale():
     assert math.isclose(
         separation_scale(1.5, 0.25), 1.5 / (0.25 * math.log(4.0) ** 2), rel_tol=1e-12
     )
-
-
-def test_check_one_vector_judges_certified_gauge():
-    params = ModelParams(n=8, delta=0.5, n_subsets=3)
-    subs = sample_subsets(8, params.m, 3, substream(11, "s"))
-    cap = cap_body(params, subs)
-    tv = sample_test_vector(8, params.m, substream(11, "tv"))
-    v = 3.0 * np.eye(8) + 0.1 * substream(11, "v").normal(size=(8, 8))
-    rep = check_one_vector(v, cap, tv, alpha=5.0)
-    assert rep.kind == "one-vector"
-    assert rep.outcome == (rep.gauge_hi <= 5.0)
-    assert rep.metadata["subset"] == tv.subset.tolist()
-    # the normalization makes the outcome scale-free in the map
-    rep_scaled = check_one_vector(100.0 * v, cap, tv, alpha=5.0)
-    assert math.isclose(rep_scaled.gauge_hi, rep.gauge_hi, rel_tol=1e-9)
-    tight = check_one_vector(v, cap, tv, alpha=rep.gauge_lo * 0.5)
-    assert not tight.outcome
-
-
-def test_check_one_vector_diagnostics_hit_pigeonhole_on_steep_spectrum():
-    params = ModelParams(n=8, delta=0.5, n_subsets=3)
-    subs = sample_subsets(8, params.m, 3, substream(12, "s"))
-    cap = cap_body(params, subs)
-    tv = sample_test_vector(8, params.m, substream(12, "tv"))
-    v = np.diag([4.0 ** (8 - i) for i in range(8)])
-    with pytest.raises(PigeonholeError):
-        check_one_vector(v, cap, tv, alpha=5.0, diagnostics=True)
-
-
-def test_cap_projection_norms_bounded_by_block_norm():
-    rng = substream(13, "v")
-    v = 2.0 * np.eye(8) + 0.2 * rng.normal(size=(8, 8))
-    subs = sample_subsets(8, 4, 3, substream(13, "s"))
-    y = rng.normal(size=8)
-    norms = cap_projection_norms(v, subs, y)
-    assert len(norms) == 3
-    assert all(v >= 0 for v in norms)
-    # projections of Qy can never exceed |Qy|
-    from bmbodies.linalg import build_projectors, spectral_interval, spectral_norm, svd
-
-    dec = svd(v)
-    q, _ = build_projectors(dec, spectral_interval(dec.s, spectral_norm(v)))
-    qy = float(np.linalg.norm(q @ y))
-    assert all(x <= qy * (1 + 1e-9) for x in norms)
-
-
-@pytest.mark.parametrize("build", [subset_body, cap_body], ids=["subset", "cap"])
-def test_check_one_body_reports_coverage(build):
-    params = ModelParams(n=6, delta=0.5, n_subsets=2)
-    # force a family that misses coordinate 5
-    subs = np.array([[0, 1, 2], [1, 2, 3]])
-    K = build(params, subs)
-    v = 2.0 * np.eye(6)
-    rep = check_one_body(v, K, K, alpha=10.0)
-    assert rep.kind == "one-body"
-    assert rep.metadata["coverage"] is False
-    covered = build(params, np.array([[0, 1, 2], [3, 4, 5]]))
-    rep2 = check_one_body(v, covered, covered, alpha=10.0)
-    assert rep2.metadata["coverage"] is True
-    assert rep2.outcome == (rep2.gauge_hi <= 10.0)
-    assert rep2.metadata["op_hi"] >= rep2.metadata["op_lo"] * (1 - 1e-9)
-    # a sampled family: the flag agrees with the draw's own coverage
-    drawn = ModelParams(n=6, delta=0.5, n_subsets=12)
-    draw = sample_body(drawn, substream(1, "x"))
-    body = build(drawn, draw.subsets)
-    assert check_one_body(v, body, body, alpha=10.0).metadata["coverage"] is draw.covers_all
 
 
 def _model_bodies(count, stream):

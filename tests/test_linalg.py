@@ -7,7 +7,6 @@ import pytest
 from bmbodies.linalg import (
     PigeonholeError,
     SpectralInterval,
-    build_projectors,
     check_matrix,
     hs_norm,
     spectral_interval,
@@ -115,17 +114,3 @@ def test_pigeonhole_error_on_steep_spectrum():
     with pytest.raises(PigeonholeError):
         spectral_interval(s, norm_v=float(s[0]))
 
-
-def test_projectors_truncate_and_project():
-    rng = np.random.default_rng(19)
-    n = 10
-    a = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-    dec = svd(a)
-    iv = spectral_interval(dec.s / dec.s[n // 2 - 1], norm_v=float(dec.s[0] / dec.s[n // 2 - 1]))
-    q, p = build_projectors(dec, iv)
-    np.testing.assert_allclose(p, p.T, atol=1e-12)
-    np.testing.assert_allclose(p @ p, p, atol=1e-12)
-    assert math.isclose(float(np.trace(p)), iv.index_count, abs_tol=1e-9)
-    # q is the restriction of the map to the selected left singular space
-    np.testing.assert_allclose(p @ a, q, atol=1e-10)
-    np.testing.assert_allclose(q @ q.T, p @ a @ a.T @ p, atol=1e-9)

@@ -1,4 +1,5 @@
-"""The package's public names and its import-time BLAS thread pin."""
+"""The package's public names, its imports and its import-time BLAS thread pin."""
+import ast
 import importlib
 import inspect
 import os
@@ -21,6 +22,49 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def _unread_imports(path) -> list:
+    """Names bound by the module's top-level imports that it never reads,
+    in code or in __all__; `from __future__` imports and lines marked
+    `# noqa: F401` (a name kept for bench/tracer.py to wrap) are exempt."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in stmt.targets):
+            read |= {node.value for node in ast.walk(stmt.value)
+                     if isinstance(node, ast.Constant)}
+    unread = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+            continue
+        for alias in stmt.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in read:
+                unread.append(bound)
+    return unread
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs on this tree, so an import left behind by a deletion
+    # would otherwise stay unnoticed
+    package_dir = os.path.dirname(bmbodies.__file__)
+    unread = {}
+    for name in sorted(os.listdir(package_dir)):
+        if name.endswith(".py"):
+            found = _unread_imports(os.path.join(package_dir, name))
+            if found:
+                unread[name] = found
+    assert unread == {}
 
 
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -66,18 +110,18 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
 
 
 # the package's public names before it republished its modules' __all__, less
-# the body-file and net.txt parsers deleted since, and merge_curves, which
-# went when a conc block began to return a tally instead of a curve
+# the body-file and net.txt parsers deleted since, merge_curves, which went
+# when a conc block began to return a tally instead of a curve, and the
+# containment-event checkers with the projectors and test vectors only they used
 _EARLIER_NAMES = """
-PigeonholeError SpectralInterval SvdResult build_projectors check_matrix hs_norm
-spectral_interval spectral_norm svd BodySample ModelParams TestVector round_half_up
-sample_body sample_test_vector substream Ball HullBody SignedPoints ball_body
+PigeonholeError SpectralInterval SvdResult check_matrix hs_norm
+spectral_interval spectral_norm svd BodySample ModelParams round_half_up
+sample_body substream Ball HullBody SignedPoints ball_body
 body_to_dict body_to_text cap_body circumradius_upper inradius_lower
 subset_body support_function support_many GaugeError GaugeResult
 SmallBallEstimate TailCurve default_thresholds mc_large_deviation mc_quadratic_tail
-mc_small_ball pilot_thresholds wilson_interval BmEstimate EventReport
-OpNormResult SeparationReport bm_upper cap_projection_norms check_one_body
-check_one_vector event_alpha op_norm run_separation separation_scale PairCertificate
+mc_small_ball pilot_thresholds wilson_interval BmEstimate
+OpNormResult SeparationReport bm_upper op_norm run_separation separation_scale PairCertificate
 StepFamily SymmetricBody SymmetricNet body_from_tag build_net certify_pair
 enumerate_steps level_count log_profile lorentz_body lp_body net_lines
 profile_cell tau_for_separation top_k_body __version__

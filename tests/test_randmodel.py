@@ -1,4 +1,4 @@
-"""Seeded sampling model: named substreams, subsets, and test vectors."""
+"""Seeded sampling model: named substreams, subsets, and bodies."""
 import numpy as np
 import pytest
 
@@ -7,10 +7,7 @@ from bmbodies.randmodel import (
     ModelParams,
     round_half_up,
     sample_body,
-    sample_rademacher,
-    sample_subset,
     sample_subsets,
-    sample_test_vector,
     substream,
 )
 
@@ -59,7 +56,7 @@ def test_below_regime_flag_tracks_density_threshold():
 def test_sample_subset_shape_and_range():
     rng = substream(7, "subsets")
     for n, m in ((10, 3), (50, 25), (6, 1)):
-        idx = sample_subset(n, m, rng)
+        (idx,) = sample_subsets(n, m, 1, rng)
         assert idx.shape == (m,)
         assert len(np.unique(idx)) == m
         assert idx.min() >= 0 and idx.max() < n
@@ -78,25 +75,6 @@ def test_check_index_set_validates():
         check_index_set([0, 6], 6)
     with pytest.raises(ValueError):
         check_index_set([-1, 2], 6)
-
-
-def test_rademacher_signs():
-    rng = substream(7, "signs")
-    s = sample_rademacher(2000, rng)
-    assert set(np.unique(s)) == {-1, 1}
-    # mean of 2000 fair signs stays well inside 5 sigma
-    assert abs(float(s.mean())) < 5.0 / np.sqrt(2000)
-
-
-def test_test_vector_places_signs_on_subset():
-    rng = substream(3, "tv")
-    tv = sample_test_vector(10, 4, rng)
-    assert tv.subset.shape == (4,)
-    assert tv.signs.shape == (4,)
-    assert set(np.unique(tv.signs)) <= {-1, 1}
-    y = np.zeros(10)
-    y[tv.subset] = tv.signs
-    np.testing.assert_array_equal(tv.y, y)
 
 
 def test_sample_body_matches_params_and_covers_flag():
