@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import body_to_text, cap_body
-from .concentration import SmallBallEstimate, TailCurve, mc_curve, mc_tally, pilot_thresholds
+from .concentration import TailCurve, mc_curve, mc_tally, pilot_thresholds
 from .distance import bm_upper, op_norm, run_separation, separation_scale
 from .gauge import GaugeError, gauge
 from .randmodel import ModelParams, round_half_up, sample_body, substream
@@ -149,13 +149,6 @@ def _conc_m(v, p):
         return f"needs an integer in [1, n - 1], got {v!r}"
 
 
-def _conc_trials(v, p):
-    # a tail curve's raw_se needs two trials: one would write NaN, which is not JSON
-    if (err := _POS_INT(v, p)) or v > 1 or p["statistic"] == "small_ball":
-        return err
-    return f"needs an integer >= 2 unless statistic is 'small_ball', got {v!r}"
-
-
 def _conc_delta(v, p):
     if (err := _FRACTION(v, p)) or not _is_int(p["n"]):
         return err
@@ -185,7 +178,9 @@ _TABLES = {
                    tol=(1e-6, _POS_NUM)), {}),
     "conc": ({
         "n": (_REQUIRED, _POS_INT),
-        "trials": (_REQUIRED, _conc_trials),
+        # a curve's raw_se needs two trials: one would write NaN, which is not JSON
+        "trials": (_REQUIRED, _rule(lambda v: _is_int(v) and v >= 2,
+                                    "needs an integer >= 2")),
         "statistic": (_REQUIRED, _choice(_STATISTICS)),
         "m": (None, _this_or("delta", _conc_m)),
         "delta": (None, _only_if(lambda p: p["m"] is None, "when params.m is set",
@@ -447,7 +442,7 @@ def _cmd_gauge(cfg: ExperimentConfig):
 
 
 def _curve_payload(curve: TailCurve, constants: dict) -> dict:
-    fit = curve.fitted_c(conservative=True)
+    fit = curve.fitted_c()
     return {
         "thresholds": curve.thresholds,
         "counts": curve.counts,
@@ -463,22 +458,6 @@ def _curve_payload(curve: TailCurve, constants: dict) -> dict:
         "fitted_c": fit,
         "bound_at_fit": curve.bound_values(fit if math.isfinite(fit) else 0.0),
         "bound_at_c": curve.bound_values(constants["c"]),
-    }
-
-
-def _small_ball_payload(est: SmallBallEstimate, constants: dict) -> dict:
-    lo, hi = est.wilson
-    return {
-        "threshold": est.threshold,
-        "count": est.count,
-        "trials": est.trials,
-        "p_hat": est.p_hat,
-        "wilson_lo": lo,
-        "wilson_hi": hi,
-        "shape": est.shape,
-        "prefactor": est.prefactor,
-        "fitted_c": est.fitted_c(conservative=True),
-        "bound_at_c": est.bound_value(constants["c"]),
     }
 
 
@@ -503,12 +482,9 @@ def _cmd_conc(cfg: ExperimentConfig):
         ]
         tallies = _pool_map(_conc_block, jobs, cfg.workers)
         curve = mc_curve(stat, mat, n, m, trials, thresholds, tallies)
-        if stat == "small_ball":
-            payload = _small_ball_payload(curve, cfg.constants)
-        else:
-            payload = _curve_payload(curve, cfg.constants)
-            if stat == "quadratic":
-                payload["center"] = (m / n) * float(np.trace(mat))
+        payload = _curve_payload(curve, cfg.constants)
+        if stat == "quadratic":
+            payload["center"] = (m / n) * float(np.trace(mat))
         payload.update({"replicate": rep, "statistic": stat, "matrix": p["matrix"],
                         "n": n, "m": m})
         records.append(_mk_record(cfg, f"conc/{rep}/merged", stat, payload))
@@ -676,13 +652,6 @@ def _csv_for(command: str, records) -> str:
         rows = []
         for r in records:
             pl = r["payload"]
-            if r["kind"] == "small_ball":
-                rows.append(
-                    [pl["replicate"], pl["statistic"], pl["threshold"], pl["count"],
-                     pl["trials"], pl["p_hat"], pl["wilson_lo"], pl["wilson_hi"],
-                     pl["shape"], True]
-                )
-                continue
             for k in range(len(pl["thresholds"])):
                 rows.append(
                     [pl["replicate"], pl["statistic"], pl["thresholds"][k],
@@ -743,16 +712,16 @@ def _svg_frame(body_parts, title: str) -> str:
 def _svg_tail(records) -> str:
     """Every replicate's tail curve on one frame: one log-x range over all
     thresholds, and one label listing the fitted c of each, in order."""
-    curves = [r["payload"] for r in records if r["kind"] != "small_ball"]
-    if not curves:
-        return _svg_frame([], "exceedance tails")
-    lx = math.log10(min(float(pl["thresholds"][0]) for pl in curves))
-    hx = math.log10(max(float(pl["thresholds"][-1]) for pl in curves))
+    curves = [r["payload"] for r in records]
+    # a zero matrix's small-ball threshold is 0: the log axis puts it on its left edge
+    pos = [float(t) for pl in curves for t in pl["thresholds"] if t > 0.0] or [1.0]
+    t_min = min(pos)
+    lx, hx = math.log10(t_min), math.log10(max(pos))
     span = (hx - lx) or 1.0
     floor_p = 1.0 / (2.0 * curves[0]["trials"])  # every replicate runs the same trials
 
     def x_of(t):
-        return _SVG_PAD + (_SVG_W - 2 * _SVG_PAD) * (math.log10(t) - lx) / span
+        return _SVG_PAD + (_SVG_W - 2 * _SVG_PAD) * (math.log10(max(t, t_min)) - lx) / span
 
     def y_of(p):
         p = max(float(p), floor_p)

@@ -2,14 +2,17 @@
 
 Each experiment draws a uniform m-subset J of the coordinates and a
 Rademacher sign vector, evaluates a statistic of the restricted matrix,
-and counts threshold exceedances.  A block of trials returns only its
-tally (mc_tally): integer counts and the raw sums of the statistic and
-its square.  Tallies of independent blocks add exactly, counts as
+and counts threshold exceedances (for the small-ball statistic, the
+draws at or below its one threshold).  A block of trials returns only
+its tally (mc_tally): integer counts and the raw sums of the statistic
+and its square.  Tallies of independent blocks add exactly, counts as
 integers and sums in block order, so mc_curve adds a run's tallies and
-then checks the matrix and builds the bound shape once.  Empirical
-tails are nonincreasing by construction.  Theoretical bound shapes are
-stored per threshold with the leading constant left pluggable; fitting
-reports the largest constant consistent with what was observed.
+then checks the matrix and builds the bound shape once.  Every
+statistic's estimate is a TailCurve; the small-ball one is a TailCurve
+with one threshold.  Empirical tails are nonincreasing by construction.
+Theoretical bound shapes are stored per threshold with the leading
+constant left pluggable; fitting reports the largest constant whose
+bound still covers the Wilson upper bound of what was observed.
 """
 from __future__ import annotations
 
@@ -72,7 +75,8 @@ class TailCurve:
     """Empirical exceedance curve with a pluggable theoretical overlay.
 
     counts[k] is the exact number of trials whose statistic reached
-    thresholds[k].  shape[k] is the exponent shape of the matching
+    thresholds[k] (SmallBallEstimate counts the other side of its one
+    threshold).  shape[k] is the exponent shape of the matching
     theoretical bound, so bound_values(c) = prefactor * exp(-c*shape).
     admissible marks thresholds that the bound claims to cover; the
     rest stay reported but are excluded from fitting.  raw_sum and
@@ -148,14 +152,11 @@ class TailCurve:
         with np.errstate(over="ignore"):
             return self.prefactor * np.exp(-c * self.shape)
 
-    def fitted_c(self, conservative: bool = False) -> float:
-        """Largest c such that the bound still dominates the observed
-        curve on admissible thresholds (infinite when nothing binds).
-
-        conservative=True fits against the Wilson upper envelope
-        instead of the point estimates.
-        """
-        p = self.wilson_hi if conservative else self.p_hat
+    def fitted_c(self) -> float:
+        """Largest c such that the bound still dominates the Wilson upper
+        envelope of the observed curve on admissible thresholds
+        (infinite when nothing binds)."""
+        p = self.wilson_hi
         best = math.inf
         for k in range(self.thresholds.size):
             if not self.admissible[k]:
@@ -168,45 +169,25 @@ class TailCurve:
         return best
 
 
-@dataclass
-class SmallBallEstimate:
-    """Point estimate of a single small-ball event probability."""
-
-    count: int
-    trials: int
-    threshold: float
-    shape: float
-    prefactor: float = 2.0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if not 0 <= self.count <= self.trials:
-            raise ValueError("count outside [0, trials]")
+class SmallBallEstimate(TailCurve):
+    """The small-ball estimate: a TailCurve with one threshold, the radius
+    sqrt(m/2n) * |B|_HS, whose one count is the number of draws at or
+    below it rather than above.  The bound is prefactor * exp(-c * shape)
+    with prefactor 2; fitting, intervals and bounds are TailCurve's.
+    threshold, count and wilson name the one entry."""
 
     @property
-    def p_hat(self) -> float:
-        return self.count / self.trials
+    def threshold(self) -> float:
+        return float(self.thresholds[0])
+
+    @property
+    def count(self) -> int:
+        return int(self.counts[0])
 
     @property
     def wilson(self):
-        _, lo, hi = wilson_interval(self.count, self.trials)
-        return lo, hi
-
-    def bound_value(self, c: float) -> float:
-        if c < 0:
-            raise ValueError("bound constant must be nonnegative")
-        if c == 0:  # 0 * inf = 0, as in TailCurve.bound_values
-            return float(self.prefactor)
-        return self.prefactor * math.exp(-c * self.shape)
-
-    def fitted_c(self, conservative: bool = False) -> float:
-        p = self.wilson[1] if conservative else self.p_hat
-        if p <= 0.0 or self.shape <= 0 or not math.isfinite(self.shape):
-            return math.inf
-        if p >= self.prefactor:
-            return 0.0
-        return math.log(self.prefactor / p) / self.shape
+        """(lo, hi) of the Wilson interval of the one count."""
+        return float(self.wilson_lo[0]), float(self.wilson_hi[0])
 
 
 def default_thresholds(pilot_stats) -> np.ndarray:
@@ -343,9 +324,9 @@ def mc_tally(statistic: str, a, n: int, m: int, trials: int, thresholds, stream)
 
 
 def mc_curve(statistic: str, a, n: int, m: int, trials: int, thresholds, tallies):
-    """The TailCurve ("quadratic", "large_deviation") or SmallBallEstimate
-    ("small_ball") of a run of trials trials in all, from its blocks'
-    tallies (mc_tally) in block order.  Counts and raw sums are added in
+    """The TailCurve of a run of trials trials in all (for "small_ball", a
+    one-threshold SmallBallEstimate), from its blocks' tallies (mc_tally)
+    in block order.  Counts and raw sums are added in
     that order; the inputs are checked, and the norms and the bound
     shape computed, once per call.  A zero matrix gives infinite shapes:
     its bound never binds."""
@@ -355,11 +336,6 @@ def mc_curve(statistic: str, a, n: int, m: int, trials: int, thresholds, tallies
     for c, s, s2 in rest:
         counts, raw_sum, raw_sq_sum = counts + c, raw_sum + s, raw_sq_sum + s2
     norm = spectral_norm(a)
-    if statistic == "small_ball":
-        hs = hs_norm(a)
-        shape = (m / n**2) * hs**4 / norm**4 if norm > 0.0 else math.inf
-        return SmallBallEstimate(count=int(counts[0]), trials=trials,
-                                 threshold=float(thresholds[0]), shape=shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         if statistic == "quadratic":
             prefactor, admissible = 1.0, None
@@ -367,11 +343,15 @@ def mc_curve(statistic: str, a, n: int, m: int, trials: int, thresholds, tallies
         elif statistic == "large_deviation":
             prefactor, admissible = 2.0, thresholds > math.sqrt(4 * m / n) * hs_norm(a)
             shape = thresholds**2 / (norm * norm)
+        elif statistic == "small_ball":
+            prefactor, admissible = 2.0, None
+            shape = np.array([(m / n**2) * hs_norm(a) ** 4]) / norm**4
         else:
             raise ValueError(f"unknown statistic {statistic!r}")
-    return TailCurve(thresholds=thresholds, counts=counts, trials=trials,
-                     shape=np.where(norm > 0.0, shape, math.inf), raw_sum=raw_sum,
-                     raw_sq_sum=raw_sq_sum, prefactor=prefactor, admissible=admissible)
+    cls = SmallBallEstimate if statistic == "small_ball" else TailCurve
+    return cls(thresholds=thresholds, counts=counts, trials=trials,
+               shape=np.where(norm > 0.0, shape, math.inf), raw_sum=raw_sum,
+               raw_sq_sum=raw_sq_sum, prefactor=prefactor, admissible=admissible)
 
 
 def mc_quadratic_tail(a, n: int, m: int, trials: int, thresholds, stream) -> TailCurve:

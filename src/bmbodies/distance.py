@@ -93,11 +93,10 @@ class BmEstimate:
 
 
 def _gauge(k2: HullBody, x: np.ndarray, tol: float):
-    """(lo, hi, dual witness) of gauge_K2(x), memoized on K2 by tol and
-    the bytes of x up to sign (first nonzero entry positive, zeros as
-    +0.0): gauge is a pure function of (body, point, tol), and a hull body
-    is symmetric, so a certified bracket of x is one of -x, and the
-    witness y of either gives |<y, x>| = lo."""
+    """(lo, hi) of gauge_K2(x), memoized on K2 by tol and the bytes of x
+    up to sign (first nonzero entry positive, zeros as +0.0): gauge is a
+    pure function of (body, point, tol), and a hull body is symmetric, so
+    a certified bracket of x is one of -x."""
     memo = k2._cache.setdefault("gauge_memo", {})
     nz = np.flatnonzero(x)
     sign = -1.0 if nz.size and x[nz[0]] < 0.0 else 1.0
@@ -105,7 +104,7 @@ def _gauge(k2: HullBody, x: np.ndarray, tol: float):
     hit = memo.get(key)
     if hit is None:
         g = gauge(k2, x, tol=tol)
-        hit = memo[key] = (g.lo, g.hi, g.dual_witness)
+        hit = memo[key] = (g.lo, g.hi)
     return hit
 
 
@@ -235,7 +234,7 @@ def _eval_points_max(t_mat, pts, k2, bar):
     for i in np.argsort(-hi0, kind="stable"):
         if hi0[i] <= best_lo:
             break
-        g_lo, g_hi, _ = _gauge(k2, t_mat @ pts[i], _GAUGE_TOL)
+        g_lo, g_hi = _gauge(k2, t_mat @ pts[i], _GAUGE_TOL)
         if g_lo > best_lo or witness is None:
             best_lo, witness = g_lo, pts[i]
             _check_bar(best_lo, bar)
@@ -352,7 +351,7 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
             sup = np.nonzero(g_vec)[0]
             if solid:
                 t_abs = np.abs(t_mat[:, sup])
-                d_lo, box_hi, _ = _gauge(k2, t_abs @ np.abs(g_vec[sup]), _GAUGE_TOL)
+                d_lo, box_hi = _gauge(k2, t_abs @ np.abs(g_vec[sup]), _GAUGE_TOL)
                 if np.all(np.count_nonzero(t_abs, axis=1) <= 1):
                     fold(d_lo, box_hi, np.abs(g_vec))
                     continue

@@ -38,6 +38,8 @@ from .cone import ConeError, SocProgram, iterates, polish
 # polishing starts once the interior-point gap and residuals are below
 # this fraction of the objective; earlier active sets are mostly wrong
 _POLISH_REL = 0.1
+# interior-point iterations a gauge may take before it gives up
+_MAX_ROUNDS = 60
 __all__ = [
     "GaugeResult",
     "GaugeError",
@@ -301,12 +303,12 @@ def _certify(body, static, x, z, xs, zs):
     return lo, (y / h if h > 0.0 else y), hi, pieces
 
 
-def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeResult:
+def gauge(body: HullBody, x, tol: float = 1e-6) -> GaugeResult:
     """Certified gauge bracket of x with respect to body.
 
     rounds counts interior-point iterations.  Raises GaugeError, carrying
     the best lo/hi, if the relative gap cannot be closed: with status
-    "tolerance" after max_rounds of them, and with the solver's status if
+    "tolerance" after _MAX_ROUNDS of them, and with the solver's status if
     the iteration breaks down.
     """
     x = np.asarray(x, dtype=float)
@@ -348,7 +350,7 @@ def gauge(body: HullBody, x, tol: float = 1e-6, max_rounds: int = 60) -> GaugeRe
     prog, touched = static["prog"], static["touched"]
     c = np.concatenate([z[touched], np.where(touched, 0.0, np.abs(z))])
     try:
-        for rounds, xs, ss, zs, rel in iterates(prog, c, max_rounds):
+        for rounds, xs, ss, zs, rel in iterates(prog, c, _MAX_ROUNDS):
             if rel > _POLISH_REL:
                 continue
             cands = [polish(prog, c, xs, ss, zs)]

@@ -96,15 +96,6 @@ class SpectralInterval:
         if not self.ratio <= 2.0 + 1e-12:
             raise ValueError(f"endpoint ratio {self.ratio} exceeds 2")
 
-    @property
-    def index_count(self) -> int:
-        """Number of indices in the closed block [i1, i2]."""
-        return self.r + 1
-
-    def indices0(self) -> np.ndarray:
-        """0-based index array for the closed block."""
-        return np.arange(self.i1 - 1, self.i2)
-
 
 def spectral_interval(s, norm_v: float, c0: float = 0.5) -> SpectralInterval:
     """Find a block [i1, i2] in the top half of the spectrum with

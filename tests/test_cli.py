@@ -1,5 +1,4 @@
 """Command line behavior: validation, determinism, formats, exit codes."""
-import functools
 import hashlib
 import json
 import math
@@ -14,10 +13,10 @@ import pytest
 import yaml
 
 from bmbodies import cli
+from bmbodies import gauge as gauge_module
 from bmbodies.bodies import body_to_text, cap_body
 from bmbodies.concentration import mc_small_ball
 from bmbodies.distance import separation_scale
-from bmbodies.gauge import gauge
 from bmbodies.randmodel import ModelParams, sample_body, substream
 from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_lines
 
@@ -134,7 +133,7 @@ def test_conc_block_statistics_merge_identically_across_worker_counts(tmp_path, 
         streams = [substream(4, f"conc/0/trial-block/{i}") for i in range(3)]
         counts = [mc_small_ball(mat, 30, 8, size, stream=rng).count
                   for size, rng in zip(sizes, streams)]
-        assert pl["count"] == sum(counts)
+        assert pl["counts"] == [sum(counts)]
 
 
 def test_conc_takes_one_spectral_norm_per_replicate(tmp_path, monkeypatch):
@@ -235,9 +234,40 @@ def test_small_ball_records_fit_c_against_the_wilson_upper_bound(tmp_path):
     # 3,000 trials are one block, drawn from the block's own stream
     est = mc_small_ball(cli._conc_matrix("e11", 12, None, 6, 0), 12, 3, 3000,
                         stream=substream(6, "conc/0/trial-block/0"))
-    assert rec["payload"]["count"] == est.count
-    assert rec["payload"]["fitted_c"] == est.fitted_c(conservative=True)
-    assert rec["payload"]["fitted_c"] < est.fitted_c()
+    pl = rec["payload"]
+    assert pl["counts"] == [est.count] and 0 < est.count < 3000
+    assert pl["fitted_c"] == est.fitted_c()
+    # the fitted bound lands on the Wilson upper edge, above the point estimate
+    assert math.isclose(pl["bound_at_fit"][0], pl["wilson_hi"][0], rel_tol=1e-12)
+    assert pl["wilson_hi"][0] > pl["p_hat"][0]
+
+
+def test_every_statistic_writes_one_record_layout(tmp_path):
+    keys = {}
+    for statistic in ("quadratic", "small_ball", "large_deviation"):
+        params = {"n": 12, "m": 3, "trials": 500, "statistic": statistic, "matrix": "gaussian"}
+        cfg = _cfg(tmp_path, {"command": "conc", "params": params}, name=f"{statistic}.yaml")
+        out = str(tmp_path / statistic)
+        assert cli.main(["conc", "--config", cfg, "--out", out]) == cli.EXIT_OK
+        (rec,) = _read_records(out, "conc")
+        keys[statistic] = set(rec["payload"])
+    assert keys["quadratic"] - {"center"} == keys["small_ball"] == keys["large_deviation"]
+    assert "center" in keys["quadratic"]
+
+
+def test_small_ball_svg_draws_each_replicate_point_and_band(tmp_path):
+    params = {"n": 20, "m": 5, "trials": 2000, "statistic": "small_ball",
+              "matrix": "gaussian", "replicates": 2}
+    cfg = _cfg(tmp_path, {"command": "conc", "params": params})
+    out = str(tmp_path / "svg")
+    assert cli.main(["conc", "--config", cfg, "--out", out, "--format", "svg"]) == cli.EXIT_OK
+    art = open(os.path.join(out, "conc-plot.svg"), encoding="utf-8").read()
+    assert art.count('<circle class="empirical') == 2
+    assert art.count('<line class="band"') == 2
+    fits = [r["payload"]["fitted_c"] for r in _read_records(out, "conc")]
+    assert re.findall(r'<text class="label"[^>]*>([^<]*)<', art) == [
+        "fitted c = " + ", ".join(f"{c:.6g}" for c in fits)
+    ]
 
 
 def test_sample_emits_bodies_and_gauge_brackets_points(tmp_path):
@@ -454,8 +484,11 @@ def test_every_format_writes_the_jsonl_records(tmp_path, command, fmt):
         ("conc", dict(_CONC, statistic="small_ball"), {"c": -0.5}, "constants.c: needs"),
         # a tail curve from one trial has no standard error: raw_se would be NaN
         ("conc", dict(_CONC, trials=1), {}, "params.trials: needs an integer >= 2"),
+        ("conc", dict(_CONC, statistic="small_ball", trials=1), {},
+         "params.trials: needs an integer >= 2"),
     ],
-    ids=["separate-delta", "conc-curve-c", "conc-small-ball-c", "conc-one-trial"],
+    ids=["separate-delta", "conc-curve-c", "conc-small-ball-c", "conc-one-trial",
+         "conc-small-ball-one-trial"],
 )
 def test_settings_the_run_would_refuse_at_its_end_are_refused_at_load(
         tmp_path, capsys, command, params, constants, needle):
@@ -617,6 +650,19 @@ def test_conc_on_a_zero_matrix_writes_no_nan(tmp_path):
     assert pl["bound_at_fit"] == [pl["prefactor"]] * len(pl["shape"])
 
 
+def test_a_zero_matrix_small_ball_svg_draws_its_zero_threshold_on_the_left_edge(tmp_path):
+    # the zero matrix's small-ball threshold sqrt(m/2n) |B|_HS is 0, off a log axis
+    params = dict(_CONC, statistic="small_ball", trials=2000, matrix="diag", diag=[0] * 6)
+    cfg = _cfg(tmp_path, {"command": "conc", "params": params})
+    out = str(tmp_path / "svg")
+    assert cli.main(["conc", "--config", cfg, "--out", out, "--format", "svg"]) == cli.EXIT_OK
+    (rec,) = _read_records(out, "conc")
+    assert rec["payload"]["thresholds"] == [0.0] and rec["payload"]["counts"] == [2000]
+    art = open(os.path.join(out, "conc-plot.svg"), encoding="utf-8").read()
+    xs = re.findall(r'<circle class="empirical[^"]*" r="3" cx="([^"]*)"', art)
+    assert [float(x) for x in xs] == [cli._SVG_PAD]
+
+
 def test_numeric_failures_use_their_own_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _cfg(tmp_path, _CONC_DOC)
     # LinAlgError subclasses ValueError, which must not read as a rejected config
@@ -653,7 +699,7 @@ def test_gauge_solver_failure_exits_numeric_and_names_the_status(tmp_path, monke
 def test_gauge_tolerance_failure_exits_numeric_and_names_the_status(tmp_path, monkeypatch,
                                                                    capsys):
     # no interior-point round is allowed, so the closed forms alone must close
-    monkeypatch.setattr(cli, "gauge", functools.partial(gauge, max_rounds=0))
+    monkeypatch.setattr(gauge_module, "_MAX_ROUNDS", 0)
     cfg = _cfg(
         tmp_path,
         {"command": "gauge", "params": {"n": 12, "delta": 0.25, "n_subsets": 24, "count": 1,

@@ -117,6 +117,14 @@ def _sym(seed, n):
     return 0.5 * (a + a.T)
 
 
+def _estimate(statistic, a, n, m, trials, thresholds, stream):
+    """The statistic's mc_* estimator; mc_small_ball takes no thresholds."""
+    if statistic == "small_ball":
+        return mc_small_ball(a, n, m, trials, stream)
+    est = mc_quadratic_tail if statistic == "quadratic" else mc_large_deviation
+    return est(a, n, m, trials, thresholds, stream)
+
+
 @pytest.mark.parametrize("statistic", ["quadratic", "small_ball", "large_deviation"])
 def test_curve_adds_block_tallies_that_match_their_estimators(statistic):
     n, m, sizes = 12, 3, (700, 900, 300)
@@ -129,18 +137,12 @@ def test_curve_adds_block_tallies_that_match_their_estimators(statistic):
     curve = mc_curve(statistic, a, n, m, sum(sizes), thr, tallies)
     assert curve.trials == 1900
     counts = [t[0] for t in tallies]
-    if statistic == "small_ball":
-        assert curve.count == sum(int(c[0]) for c in counts)
-        blocks = [mc_small_ball(a, n, m, size, substream(5, s)).count
-                  for size, s in zip(sizes, streams)]
-        assert blocks == [int(c[0]) for c in counts]
-        return
     np.testing.assert_array_equal(curve.counts, sum(counts))
     assert curve.raw_sum == (tallies[0][1] + tallies[1][1]) + tallies[2][1]
     assert curve.raw_sq_sum == (tallies[0][2] + tallies[1][2]) + tallies[2][2]
-    est = mc_quadratic_tail if statistic == "quadratic" else mc_large_deviation
     for size, s, c in zip(sizes, streams, counts):
-        np.testing.assert_array_equal(est(a, n, m, size, thr, substream(5, s)).counts, c)
+        block = _estimate(statistic, a, n, m, size, thr, substream(5, s))
+        np.testing.assert_array_equal(block.counts, c)
 
 
 @pytest.mark.parametrize("statistic", ["quadratic", "small_ball", "large_deviation"])
@@ -150,11 +152,8 @@ def test_a_one_tally_curve_is_its_estimator(statistic):
     thr = pilot_thresholds(statistic, a, n, m, trials, substream(6, "pilot"))
     tally = mc_tally(statistic, a, n, m, trials, thr, substream(6, "r"))
     got = mc_curve(statistic, a, n, m, trials, thr, [tally])
-    if statistic == "small_ball":
-        assert got == mc_small_ball(a, n, m, trials, substream(6, "r"))
-        return
-    est = mc_quadratic_tail if statistic == "quadratic" else mc_large_deviation
-    want = est(a, n, m, trials, thr, substream(6, "r"))
+    want = _estimate(statistic, a, n, m, trials, thr, substream(6, "r"))
+    assert type(got) is type(want)
     for key in ("thresholds", "counts", "shape", "admissible"):
         np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
     assert (got.trials, got.raw_sum, got.raw_sq_sum, got.prefactor) == (
@@ -194,38 +193,42 @@ def test_small_ball_rank_one_matches_subset_law():
 
 
 def test_small_ball_fit_inverts_the_bound():
-    # fitted_c is defined by bound_value(fitted_c) == p_hat, and the
-    # conservative fit lands on the upper confidence edge instead
+    # fitted_c is defined by bound_values(fitted_c) == the Wilson upper edge
     n, m = 20, 5
     b = np.zeros((n, n))
     b[0, 0] = 1.0
     est = mc_small_ball(b, n, m, 4000, stream=substream(8, "sb3"))
-    assert math.isclose(est.bound_value(c=est.fitted_c()), est.p_hat, rel_tol=1e-12)
-    cons = est.fitted_c(conservative=True)
-    assert math.isclose(est.bound_value(c=cons), est.wilson[1], rel_tol=1e-12)
-    assert cons <= est.fitted_c()
+    (bound,) = est.bound_values(est.fitted_c())
+    assert 0.0 < est.p_hat[0] < est.wilson[1]
+    assert math.isclose(bound, est.wilson[1], rel_tol=1e-12)
     with pytest.raises(ValueError):
-        est.bound_value(c=-1.0)
+        est.bound_values(-1.0)
+
+
+def _e11_large_deviation(seed_label):
+    # |B R_J eps| is 1 when 0 is in J and 0 otherwise, so about m/n of
+    # the trials reach every threshold; the cut sqrt(4m/n) |B|_HS = 0.913
+    # sits between the first threshold and the other two
+    n, m = 24, 5
+    b = np.zeros((n, n))
+    b[0, 0] = 1.0
+    curve = mc_large_deviation(b, n, m, 2000, thresholds=[0.5, 0.95, 1.0],
+                               stream=substream(10, seed_label))
+    return curve, math.sqrt(4.0 * m / n)
 
 
 def test_large_deviation_admissibility_cut():
-    n, m = 20, 5
-    rng = substream(9, "ld")
-    thr = pilot_thresholds("large_deviation", np.eye(n), n, m, 400, rng)
-    curve = mc_large_deviation(np.eye(n), n, m, 400, thresholds=thr, stream=rng)
-    cut = math.sqrt(4.0 * m / n) * math.sqrt(n)
+    curve, cut = _e11_large_deviation("ld")
     np.testing.assert_array_equal(curve.admissible, curve.thresholds > cut)
+    assert curve.admissible.tolist() == [False, True, True]
     assert curve.prefactor == 2.0
 
 
 def test_bound_values_dominate_wilson_upper_on_admissible_part():
-    n, m = 24, 6
-    rng = substream(10, "ld2")
-    thr = pilot_thresholds("large_deviation", np.eye(n), n, m, 2000, rng)
-    curve = mc_large_deviation(np.eye(n), n, m, 2000, thresholds=thr, stream=rng)
-    c = curve.fitted_c()
-    bounds = curve.bound_values(c)
+    curve, _ = _e11_large_deviation("ld2")
     ok = curve.admissible
+    assert ok.any() and np.all(curve.counts[ok] > 0)
+    bounds = curve.bound_values(curve.fitted_c())
     assert np.all(bounds[ok] >= curve.wilson_hi[ok] * (1 - 1e-12))
 
 
@@ -235,9 +238,10 @@ def test_bounds_at_zero_constant_are_the_prefactor():
                       shape=[math.inf, 2.0], raw_sum=0.0, raw_sq_sum=0.0, prefactor=1.0)
     assert curve.bound_values(0.0).tolist() == [1.0, 1.0]
     assert curve.bound_values(1.0).tolist() == [0.0, math.exp(-2.0)]
-    est = SmallBallEstimate(count=0, trials=10, threshold=0.1, shape=math.inf)
-    assert est.bound_value(0.0) == 2.0
-    assert est.bound_value(1.0) == 0.0
+    est = SmallBallEstimate(thresholds=[0.1], counts=[0], trials=10, shape=[math.inf],
+                            raw_sum=0.0, raw_sq_sum=0.0, prefactor=2.0)
+    assert est.bound_values(0.0).tolist() == [2.0]
+    assert est.bound_values(1.0).tolist() == [0.0]
 
 
 # m = 1, m = n - 1, the bench's m/n = 0.25 over several chunks, and

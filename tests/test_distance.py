@@ -303,7 +303,7 @@ def test_op_norm_gauges_one_point_per_sign_pair(monkeypatch):
     # and gives the same bracket and witness value
     def fresh_gauge(k2, x, tol):
         g = distance.gauge(k2, x, tol=tol)
-        return g.lo, g.hi, g.dual_witness
+        return g.lo, g.hi
 
     plain = []
     fresh_bodies = _model_bodies(2, substream(34, "test/pairs"))

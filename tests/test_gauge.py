@@ -124,12 +124,13 @@ def test_pieces_reassemble_the_point():
     np.testing.assert_allclose(total, x, atol=1e-7)
 
 
-def test_tolerance_error_reports_partial_bracket():
+def test_tolerance_error_reports_partial_bracket(monkeypatch):
     rng = np.random.default_rng(0)
     body = HullBody(4, (SignedPoints(rng.normal(size=(3, 4))), Ball(2.0, 0.4)))
     x = rng.normal(size=4)
+    monkeypatch.setattr(bmbodies.gauge, "_MAX_ROUNDS", 0)
     with pytest.raises(GaugeError, match="status tolerance") as info:
-        gauge(body, x, tol=1e-12, max_rounds=0)
+        gauge(body, x, tol=1e-12)
     assert info.value.status == "tolerance"
     assert 0.0 < info.value.lo <= info.value.hi < math.inf
 
@@ -229,8 +230,8 @@ def test_inf_ball_dual_row_carries_the_radius():
     # bracket cannot close
     body = HullBody(6, (Ball(math.inf, 3.0, support=[0, 1, 2]), Ball(2.0, 1.0)))
     x = np.array([1.0, 0.8, 0.6, 0.1, 0.05, 0.02])
-    r = gauge(body, x, tol=1e-6, max_rounds=60)
-    assert 0 < r.rounds <= 60
+    r = gauge(body, x, tol=1e-6)
+    assert 0 < r.rounds <= bmbodies.gauge._MAX_ROUNDS
     assert r.hi - r.lo <= 1e-6 * r.hi
     _recheck(body, x, r)
 
