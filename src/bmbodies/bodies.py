@@ -319,12 +319,7 @@ def circumradius_upper(body: HullBody) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: a single text document, decimal numbers at 17 significant
-# digits so floats round-trip exactly
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
+# serialization
 
 def body_to_dict(body: HullBody) -> dict:
     comps = []
@@ -349,32 +344,7 @@ def body_to_dict(body: HullBody) -> dict:
     return {"dim": body.dim, "components": comps}
 
 
-def _emit(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_emit(v, indent + 2).lstrip()}' for k, v in obj.items()
-        )
-        return f"{pad}{{\n{inner}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            return pad + "[" + ", ".join(_emit(v).strip() for v in obj) + "]"
-        inner = ",\n".join(_emit(v, indent + 2) for v in obj)
-        return f"{pad}[\n{inner}\n{pad}]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if obj is None:
-        return pad + "null"
-    if isinstance(obj, float):
-        return pad + _fmt(obj)
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
-    if isinstance(obj, str):
-        return pad + json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def body_to_text(body: HullBody) -> str:
-    """The body's text document, without a trailing newline."""
-    return _emit(body_to_dict(body))
+    """The body's JSON document on one line, without a trailing newline;
+    floats are written as their repr, so they round-trip exactly."""
+    return json.dumps(body_to_dict(body))

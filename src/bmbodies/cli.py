@@ -30,8 +30,8 @@ from .concentration import TailCurve, mc_curve, mc_tally, pilot_thresholds
 from .distance import bm_upper, op_norm, run_separation, separation_scale
 from .gauge import GaugeError, gauge
 from .randmodel import ModelParams, round_half_up, sample_body, substream
-from .symnet import (build_net, certify_pair, log_log_separation, lp_body, net_lines,
-                     tau_for_separation)
+from .symnet import (build_net, certify_pair, level_count, log_log_separation, lp_body,
+                     net_lines, tau_for_separation)
 
 # not called here (build_net owns the step family); bench/tracer.py wraps them on this module
 from .symnet import enumerate_steps, log_profile  # noqa: F401
@@ -83,7 +83,9 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    # finite only: NaN and Infinity parse from JSON and YAML, but a record
+    # that carried them would not be JSON
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 # ---------------------------------------------------------------- key tables
@@ -139,7 +141,7 @@ _THRESHOLDS = _unset_or(_rule(
     "needs a nonempty strictly increasing list of positive numbers"))
 _P_VALUES = _unset_or(_rule(
     lambda v: isinstance(v, list) and bool(v) and all(
-        (_is_num(q) and q >= 1) or q in ("inf", "Infinity") for q in v),
+        (_is_num(q) and q >= 1) or q in ("inf", "Infinity", math.inf) for q in v),
     "needs a nonempty list of exponents >= 1 or 'inf'"))
 
 
@@ -149,12 +151,38 @@ def _conc_m(v, p):
         return f"needs an integer in [1, n - 1], got {v!r}"
 
 
-def _conc_delta(v, p):
-    if (err := _FRACTION(v, p)) or not _is_int(p["n"]):
-        return err
-    m = round_half_up(v * p["n"])
-    if not 1 <= m < p["n"]:
-        return f"gives subset size m = {m} outside [1, n - 1]"
+def _subset_delta(check, below_n: int):
+    """delta passing check, whose subset size m = round(delta * n) lies in
+    [1, n - below_n]: a model body needs m >= 1, and conc needs m < n too."""
+    def rule(v, p):
+        if (err := check(v, p)) or not _is_int(p["n"]):
+            return err
+        if not 1 <= (m := round_half_up(v * p["n"])) <= p["n"] - below_n:
+            return f"gives subset size m = {m} outside [1, n{' - 1' * below_n}]"
+    return rule
+
+
+def _net_tau(p):
+    """The run's tau, params.tau or t^(1/12); None unless it is a number > 1."""
+    given = p["tau"] if p["tau"] is not None else p["t"]
+    if _is_num(given) and given > 1:
+        tau = float(given) if p["tau"] is not None else tau_for_separation(float(given))
+        return tau if tau > 1 else None
+
+
+def _net_cap(v, p):
+    """The run's step family, C(n + L - 1, L) maps at L = level_count(n, tau),
+    must fit under the cap."""
+    tau = _net_tau(p)
+    if (err := _POS_INT(v, p)) or not (_is_int(p["n"]) and p["n"] >= 1) or tau is None:
+        return err  # a bad n, tau or t is reported by its own rule
+    try:
+        levels = level_count(p["n"], tau)
+    except ValueError as exc:  # tau too close to 1 for its levels to be counted
+        return str(exc)
+    if (members := math.comb(p["n"] + levels - 1, levels)) > v:
+        return (f"the step family at n = {p['n']}, tau = {tau!r} has {members} members, "
+                f"above the cap {v}")
 
 
 def _conc_diag(v, p):
@@ -165,7 +193,7 @@ def _conc_diag(v, p):
 
 _MODEL_KEYS = {
     "n": (_REQUIRED, _POS_INT),
-    "delta": (_REQUIRED, _FRACTION),
+    "delta": (_REQUIRED, _subset_delta(_FRACTION, 0)),
     "n_subsets": (_REQUIRED, _POS_INT),
     "kind": ("subset", _choice(_BODY_KINDS)),
 }
@@ -184,7 +212,7 @@ _TABLES = {
         "statistic": (_REQUIRED, _choice(_STATISTICS)),
         "m": (None, _this_or("delta", _conc_m)),
         "delta": (None, _only_if(lambda p: p["m"] is None, "when params.m is set",
-                                 _unset_or(_conc_delta))),
+                                 _unset_or(_subset_delta(_FRACTION, 1)))),
         "matrix": ("identity", _choice(_MATRIX_KINDS)),
         "diag": (None, _only_if(lambda p: p["matrix"] == "diag", "unless matrix is 'diag'",
                                 _conc_diag)),
@@ -193,18 +221,20 @@ _TABLES = {
         "replicates": (1, _POS_INT),
     }, {"c": _NONNEG}),
     "dist": (dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(False, _NO_REFINE)), {}),
-    "separate": (dict(_MODEL_KEYS, delta=(_REQUIRED, _OPEN_FRACTION),
+    "separate": (dict(_MODEL_KEYS, delta=(_REQUIRED, _subset_delta(_OPEN_FRACTION, 0)),
                       bodies=(_REQUIRED, _POS_INT), threshold=(2.0, _POS_NUM),
                       bins=(16, _POS_INT), max_pairs=(None, _unset_or(_NAT)),
                       n_diag=(8, _NAT), refine=(False, _NO_REFINE)), {"c1": _NUMBER}),
     "net": ({
         "n": (_REQUIRED, _POS_INT),
         "tau": (None, _this_or("t", _ABOVE_ONE)),
-        "t": (None, _only_if(lambda p: p["tau"] is None, "when params.tau is set",
-                             _unset_or(_ABOVE_ONE))),
+        # tau = t^(1/12) rounds to 1 for t within a few ulps of 1
+        "t": (None, _only_if(lambda p: p["tau"] is None, "when params.tau is set", _unset_or(
+            lambda v, p: None if _net_tau(p) else
+            f"needs a number > 1 whose 12th root exceeds 1, got {v!r}"))),
         "p_values": (None, _P_VALUES),
         "samples": (10**4, _POS_INT),
-        "cap": (10**6, _POS_INT),
+        "cap": (10**6, _net_cap),
     }, {"C": _NUMBER}),
 }
 
@@ -332,13 +362,14 @@ def _mk_record(cfg: ExperimentConfig, stream: str, kind: str, payload: dict) -> 
     }
 
 
-def _model_params(p: dict) -> ModelParams:
-    return ModelParams(n=p["n"], delta=p["delta"], n_subsets=p["n_subsets"])
-
-
-def _build_body(kind: str, params: ModelParams, rng):
-    draw = sample_body(params, rng)
-    if kind == "cap":
+def _model_body(cfg: ExperimentConfig, stream: str):
+    """(body, draw): the model body of cfg's params, drawn from
+    substream(cfg.seed, stream).  Every command builds its bodies here, so
+    a config, its seed and one stream name rebuild any body."""
+    p = cfg.params
+    params = ModelParams(n=p["n"], delta=p["delta"], n_subsets=p["n_subsets"])
+    draw = sample_body(params, substream(cfg.seed, stream))
+    if p["kind"] == "cap":
         return cap_body(params, draw.subsets), draw
     return draw.body, draw
 
@@ -355,7 +386,8 @@ def _pool_map(fn, jobs, workers: int):
 
 
 # ---------------------------------------------------------------- workers
-# top-level functions so process pools can pickle the jobs
+# top-level functions so process pools can pickle them; a job is the
+# config, bound with functools.partial, plus its index
 
 
 def _conc_matrix(kind: str, n: int, diag, seed: int, rep: int) -> np.ndarray:
@@ -371,25 +403,21 @@ def _conc_matrix(kind: str, n: int, diag, seed: int, rep: int) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def _conc_block(job):
-    (seed, rep, idx, stat, mat, n, m, trials, thresholds) = job
-    rng = substream(seed, f"conc/{rep}/trial-block/{idx}")
-    return mc_tally(stat, mat, n, m, trials, thresholds, rng)
+def _conc_block(cfg: ExperimentConfig, rep: int, mat, m: int, thresholds, block):
+    idx, trials = block
+    p = cfg.params
+    rng = substream(cfg.seed, f"conc/{rep}/trial-block/{idx}")
+    return mc_tally(p["statistic"], mat, p["n"], m, trials, thresholds, rng)
 
 
-def _gauge_job(job):
-    (seed, rep, idx, n, delta, n_subsets, kind, points, tol) = job
-    params = ModelParams(n=n, delta=delta, n_subsets=n_subsets)
-    body, _ = _build_body(kind, params, substream(seed, f"gauge/{rep}/body/{idx}"))
-    rng = substream(seed, f"gauge/{rep}/points/{idx}")
+def _gauge_job(cfg: ExperimentConfig, idx: int):
+    body, _ = _model_body(cfg, f"gauge/0/body/{idx}")
+    rng = substream(cfg.seed, f"gauge/0/points/{idx}")
     rows = []
-    for j in range(points):
-        x = rng.standard_normal(n)
-        g = gauge(body, x, tol=tol)
-        rows.append(
-            {"point": j, "lo": g.lo, "hi": g.hi, "width": g.hi - g.lo,
-             "rounds": g.rounds}
-        )
+    for j in range(cfg.params["points"]):
+        g = gauge(body, rng.standard_normal(body.dim), tol=cfg.params["tol"])
+        rows.append({"point": j, "lo": g.lo, "hi": g.hi, "width": g.hi - g.lo,
+                     "rounds": g.rounds})
     return rows
 
 
@@ -398,47 +426,24 @@ def _gauge_job(job):
 
 def _cmd_sample(cfg: ExperimentConfig):
     p = cfg.params
-    params = _model_params(p)
     records, files = [], {}
     for i in range(p["count"]):
         stream = f"sample/0/body/{i}"
-        body, draw = _build_body(p["kind"], params, substream(cfg.seed, stream))
+        body, draw = _model_body(cfg, stream)
         fname = f"body-0-{i}.txt"
         files[fname] = (body_to_text(body), "\n")
-        records.append(
-            _mk_record(
-                cfg,
-                stream,
-                "body",
-                {
-                    "index": i,
-                    "file": fname,
-                    "kind": p["kind"],
-                    "n": params.n,
-                    "m": params.m,
-                    "n_subsets": params.n_subsets,
-                    "covers_all": draw.covers_all,
-                },
-            )
-        )
+        records.append(_mk_record(cfg, stream, "body", {
+            "index": i, "file": fname, "kind": p["kind"], "n": p["n"],
+            "m": draw.subsets.shape[1], "n_subsets": p["n_subsets"],
+            "covers_all": draw.covers_all}))
     return records, files
 
 
 def _cmd_gauge(cfg: ExperimentConfig):
-    p = cfg.params
-    jobs = [
-        (cfg.seed, 0, i, p["n"], p["delta"], p["n_subsets"], p["kind"],
-         p["points"], p["tol"])
-        for i in range(p["count"])
-    ]
-    results = _pool_map(_gauge_job, jobs, cfg.workers)
-    records = []
-    for i, rows in enumerate(results):
-        for row in rows:
-            records.append(
-                _mk_record(cfg, f"gauge/0/body/{i}", "gauge", {"body": i, **row})
-            )
-    return records, {}
+    results = _pool_map(functools.partial(_gauge_job, cfg), range(cfg.params["count"]),
+                        cfg.workers)
+    return [_mk_record(cfg, f"gauge/0/body/{i}", "gauge", {"body": i, **row})
+            for i, rows in enumerate(results) for row in rows], {}
 
 
 def _curve_payload(curve: TailCurve, constants: dict) -> dict:
@@ -476,11 +481,8 @@ def _cmd_conc(cfg: ExperimentConfig):
         sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
         if trials % BLOCK_TRIALS:
             sizes.append(trials % BLOCK_TRIALS)
-        jobs = [
-            (cfg.seed, rep, i, stat, mat, n, m, size, thresholds)
-            for i, size in enumerate(sizes)
-        ]
-        tallies = _pool_map(_conc_block, jobs, cfg.workers)
+        tallies = _pool_map(functools.partial(_conc_block, cfg, rep, mat, m, thresholds),
+                            enumerate(sizes), cfg.workers)
         curve = mc_curve(stat, mat, n, m, trials, thresholds, tallies)
         payload = _curve_payload(curve, cfg.constants)
         if stat == "quadratic":
@@ -493,40 +495,23 @@ def _cmd_conc(cfg: ExperimentConfig):
 
 def _cmd_dist(cfg: ExperimentConfig):
     p = cfg.params
-    params = _model_params(p)
-    body_a, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/0"))
-    body_b, _ = _build_body(p["kind"], params, substream(cfg.seed, "dist/0/body/1"))
+    body_a, _ = _model_body(cfg, "dist/0/body/0")
+    body_b, _ = _model_body(cfg, "dist/0/body/1")
     fwd = op_norm(np.eye(p["n"]), body_a, body_b)
     est = bm_upper(body_a, body_b, p["n_diag"])
-    records = [
-        _mk_record(
-            cfg,
-            "dist/0/op/0",
-            "op_norm",
-            {"lo": fwd.lo, "hi": fwd.hi, "mode": fwd.mode, "notes": fwd.notes,
-             "witness": fwd.witness},
-        ),
-        _mk_record(
-            cfg,
-            "dist/0/bm/0",
-            "bm_upper",
-            {
-                "upper": est.upper,
-                "norm_fwd": est.norm_fwd,
-                "norm_inv": est.norm_inv,
-                "best_map": est.best_map,
-                "candidates": est.candidates,
-            },
-        ),
-    ]
-    return records, {}
+    return [
+        _mk_record(cfg, "dist/0/op/0", "op_norm",
+                   {"lo": fwd.lo, "hi": fwd.hi, "mode": fwd.mode, "notes": fwd.notes,
+                    "witness": fwd.witness}),
+        _mk_record(cfg, "dist/0/bm/0", "bm_upper",
+                   {"upper": est.upper, "norm_fwd": est.norm_fwd, "norm_inv": est.norm_inv,
+                    "best_map": est.best_map, "candidates": est.candidates}),
+    ], {}
 
 
 def _cmd_separate(cfg: ExperimentConfig):
     p = cfg.params
-    params = _model_params(p)
-    stream = substream(cfg.seed, "separate/0/body-stream/0")
-    bodies = [_build_body(p["kind"], params, stream)[0] for _ in range(p["bodies"])]
+    bodies = [_model_body(cfg, f"separate/0/body/{i}")[0] for i in range(p["bodies"])]
     report = run_separation(
         bodies, functools.partial(_pool_map, workers=cfg.workers), threshold=p["threshold"],
         bins=p["bins"], max_pairs=p["max_pairs"], n_diag=p["n_diag"],
@@ -553,11 +538,11 @@ def _cmd_separate(cfg: ExperimentConfig):
 def _cmd_net(cfg: ExperimentConfig):
     p = cfg.params
     n = p["n"]
-    tau = float(p["tau"]) if p["tau"] is not None else tau_for_separation(float(p["t"]))
+    tau = _net_tau(p)
     raw_ps = p["p_values"]
     if raw_ps is None:
         raw_ps = [1 + 0.25 * i for i in range(13)] + ["inf"]
-    ps = [math.inf if v in ("inf", "Infinity") else float(v) for v in raw_ps]
+    ps = [float(v) for v in raw_ps]  # float reads "inf" and "Infinity"
     bodies = [lp_body(n, v) for v in ps]
     net = build_net(bodies, tau, cap=p["cap"])
     rep_of = {pos: rep for cell, rep in net.cell_reps for pos in net.members[cell]}
@@ -824,10 +809,6 @@ def run(cfg: ExperimentConfig) -> int:
     except (GaugeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, RuntimeError) as exc:
-        # budget refusals and infeasible run shapes, found only at run time
-        print(f"run rejected: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -35,7 +35,6 @@ _POLISH_TOL = 1e-12  # residual, sign and feasibility slack a polished point may
 _POLISH_STEPS = 4  # Newton steps polish takes at most
 _SHIFTS = (0.0, 1e-14, 1e-11)  # relative diagonal shifts tried in turn
 _STEP = 0.99  # fraction of the distance to the cone boundary taken
-_REFINE_GAP = 1e-4  # refine Newton solves once the relative gap is below this
 
 
 class ConeError(RuntimeError):
@@ -114,7 +113,7 @@ def iterates(prog: SocProgram, c, max_iter: int):
 
     def cho_inv(hmat):
         # late iterations make the normal matrix nearly singular; a tiny
-        # diagonal shift keeps the factorization, and refinement the step
+        # diagonal shift keeps the factorization
         bump = float(np.abs(hmat).max(initial=1.0))
         for shift in _SHIFTS:
             try:
@@ -200,33 +199,20 @@ def iterates(prog: SocProgram, c, max_iter: int):
         li = cho_inv(hmat)
         wrz = w_inv(rz)
 
-        def newton(rx_, wrz_, dc):
+        def newton(dc):
             # G' dz = -rx, G dx + ds = -rz, lam o (W dz + W^-1 ds) = dc,
-            # given wrz_ = W^-1 rz; returns dx and the scaled W dz, W^-1 ds
+            # with wrz = W^-1 rz; returns dx and the scaled W dz, W^-1 ds
             d0 = reduceat(lam * dc * js, starts) / det
             ds = (dc - spread(d0) * lam) / lam0
             ds[starts] = d0
-            dx = li.T @ (li @ (-rx_ - prog.gtz(w_inv(wrz_ + ds))))
-            dz = w_inv(prog.gx(dx)) + wrz_ + ds
+            dx = li.T @ (li @ (-rx - prog.gtz(w_inv(wrz + ds))))
+            dz = w_inv(prog.gx(dx)) + wrz + ds
             return dx, dz, ds - dz
 
-        def solve(dc):
-            sol = newton(rx, wrz, dc)
-            if gap < _REFINE_GAP * scale:
-                # one step of iterative refinement on the unreduced system
-                dx, dz, ds = sol
-                fix = newton(
-                    rx + prog.gtz(w_inv(dz)),
-                    w_inv(rz + prog.gx(dx) + w_apply(ds)),
-                    dc - jprod(lam, dz + ds),
-                )
-                sol = tuple(u + w for u, w in zip(sol, fix))
-            return sol
-
         lsq = jprod(lam, lam)
-        _, dz_a, ds_a = solve(-lsq)
+        _, dz_a, ds_a = newton(-lsq)
         sigma = (1.0 - min(1.0, 1.0 / max(inv_step(ds_a, dz_a), 1e-300))) ** 3
-        dx, dz, ds = solve(-lsq - jprod(ds_a, dz_a) + sigma * gap / starts.size * e)
+        dx, dz, ds = newton(-lsq - jprod(ds_a, dz_a) + sigma * gap / starts.size * e)
         t = min(1.0, _STEP / max(inv_step(ds, dz), 1e-300))
         x = x + t * dx
         s = s + t * w_apply(ds)

@@ -48,6 +48,8 @@ __all__ = [
 
 _STREAM_SEED = 0x5E75E7
 PROFILE_CAP = 10**6
+# relative error allowed for level_count's float x, hundreds of times its few ulps
+_LEVEL_MARGIN = 2.0**-44
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,12 @@ def level_count(n: int, tau) -> int:
     """Smallest number of geometric levels that makes the discarded
     tail negligible: least positive integer with n*tau^-L < 1 - 1/tau.
 
-    Evaluated in exact rational arithmetic so boundary cases (the
-    inequality is strict) cannot be misclassified by rounding.
+    That is floor(x) + 1 for x = log(n / (1 - 1/tau)) / log(tau) > 0.  x is
+    computed in floats, from logs of positive terms only, to within a few
+    ulps; only when an integer j lies within _LEVEL_MARGIN of it is the
+    strict inequality decided at j in exact rational arithmetic, so
+    boundary cases cannot be misclassified by rounding.  Raises ValueError
+    when tau is so close to 1 that the margin spans an integer step.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -193,14 +199,15 @@ def level_count(n: int, tau) -> int:
     if t <= 1:
         raise ValueError(f"tau must exceed 1, got {tau}")
     a, b = t.numerator, t.denominator
-    # n * (b/a)^L < (a-b)/a  <=>  n * b^L < (a-b) * a^(L-1)
-    lvl = 1
-    lhs, rhs = n * b, a - b
-    while lhs >= rhs:
-        lvl += 1
-        lhs *= b
-        rhs *= a
-    return lvl
+    # log(1 - 1/tau) = -log1p(b / (a - b)) and log(tau) = log1p((a - b) / b)
+    x = (math.log(n) + math.log1p(b / (a - b))) / math.log1p((a - b) / b)
+    j = round(x)
+    if abs(x - j) > _LEVEL_MARGIN * x:
+        return math.floor(x) + 1
+    if _LEVEL_MARGIN * x >= 0.5:
+        raise ValueError(f"tau = {tau!r} is too close to 1 to count its levels (about {x:.3g})")
+    # n * (b/a)^j < (a-b)/a  <=>  n * b^j < (a-b) * a^(j-1)
+    return j if j >= 1 and n * b**j < (a - b) * a ** (j - 1) else j + 1
 
 
 @dataclass(frozen=True)

@@ -598,3 +598,18 @@ def joined_net_text(net) -> str:
         idx = np.subtract(net.cells[cell], lo, dtype=np.intp)
         lines.append(f"cell {','.join(text[idx].tolist())} rep {body.tag()}\n")
     return "".join(lines)
+
+
+def level_count_loop(n: int, tau) -> int:
+    """Least positive L with n * tau^-L < 1 - 1/tau, by stepping L up in
+    exact integers: n * b^L < (a - b) * a^(L - 1) for tau = a/b.  Its
+    integers grow with L, so it suits small level counts only."""
+    t = Fraction(tau)
+    a, b = t.numerator, t.denominator
+    lvl = 1
+    lhs, rhs = n * b, a - b
+    while lhs >= rhs:
+        lvl += 1
+        lhs *= b
+        rhs *= a
+    return lvl

@@ -12,6 +12,7 @@ from bmbodies.bodies import (
     SignedPoints,
     ball_body,
     body_to_dict,
+    body_to_text,
     cap_body,
     circumradius_upper,
     inradius_lower,
@@ -190,3 +191,12 @@ def test_dict_round_trip_preserves_supports():
         back = pickle.loads(pickle.dumps(body))
         assert back._cache == {}
         np.testing.assert_allclose(support_many(back, ys), support_many(body, ys), rtol=0, atol=0)
+
+
+def test_body_text_is_the_json_of_its_dict():
+    params = ModelParams(n=7, delta=0.4, n_subsets=3)
+    subs = sample_subsets(7, params.m, 3, substream(5, "text"))
+    for body in (subset_body(params, subs), cap_body(params, subs), ball_body(7, math.inf, 0.75)):
+        text = body_to_text(body)
+        assert "\n" not in text
+        assert json.loads(text) == body_to_dict(body)

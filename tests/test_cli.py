@@ -3,9 +3,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -486,9 +488,26 @@ def test_every_format_writes_the_jsonl_records(tmp_path, command, fmt):
         ("conc", dict(_CONC, trials=1), {}, "params.trials: needs an integer >= 2"),
         ("conc", dict(_CONC, statistic="small_ball", trials=1), {},
          "params.trials: needs an integer >= 2"),
+        # NaN and Infinity parse from a config, but a record holding them is not JSON
+        ("net", {"n": 6, "tau": 2.0, "samples": 50}, {"C": math.nan},
+         "constants.C: needs a number"),
+        ("separate", dict(_MODEL, bodies=2, n_diag=1), {"c1": math.inf},
+         "constants.c1: needs a number"),
+        ("conc", dict(_CONC, thresholds=[1.0, math.inf]), {}, "params.thresholds: needs"),
+        ("net", {"n": 6, "tau": math.inf, "samples": 50}, {}, "params.tau: needs a number > 1"),
+        ("conc", dict(_CONC, matrix="diag", diag=[1.0] * 5 + [math.inf]), {},
+         "params.diag: needs a list of n numbers"),
+        # delta * n = 0.4 rounds to an empty subset
+        ("dist", {"n": 4, "delta": 0.1, "n_subsets": 2}, {},
+         "params.delta: gives subset size m = 0 outside [1, n]"),
+        # t^(1/12) rounds to 1, and build_net needs tau > 1
+        ("net", {"n": 6, "t": 1.0000000000000002}, {},
+         "params.t: needs a number > 1 whose 12th root exceeds 1"),
     ],
     ids=["separate-delta", "conc-curve-c", "conc-small-ball-c", "conc-one-trial",
-         "conc-small-ball-one-trial"],
+         "conc-small-ball-one-trial", "net-nan-constant", "separate-infinite-constant",
+         "conc-infinite-threshold", "net-infinite-tau", "conc-infinite-diag",
+         "dist-empty-subsets", "net-t-rounds-to-one"],
 )
 def test_settings_the_run_would_refuse_at_its_end_are_refused_at_load(
         tmp_path, capsys, command, params, constants, needle):
@@ -572,11 +591,71 @@ def test_separate_without_pairs_writes_every_format(tmp_path):
 
 
 def test_net_enumeration_cap_refusal(tmp_path, capsys):
+    # n = 10, tau = 2 needs L = 5 levels: C(14, 5) = 2002 step maps
     cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 10, "tau": 2.0, "cap": 100}})
     out = str(tmp_path / "net")
     code = cli.main(["net", "--config", cfg, "--out", out])
     assert code == cli.EXIT_VALIDATION
-    assert "run rejected" in capsys.readouterr().err
+    assert ("params.cap: the step family at n = 10, tau = 2.0 has 2002 members, above the "
+            "cap 100") in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("tau", [1.0001, 1.0000000000000002])
+def test_a_tau_near_one_is_refused_at_load_without_counting_level_by_level(
+        tmp_path, capsys, tau):
+    # L = 116,960 levels at tau = 1.0001; stepping L up in exact integers
+    # took longer than 30 s, and at one ulp above 1 it would never end
+    cfg = _cfg(tmp_path, {"command": "net", "params": {"n": 12, "tau": tau}})
+    out = str(tmp_path / "net")
+    start = time.perf_counter()
+    assert cli.main(["net", "--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+    assert time.perf_counter() - start < 2.0
+    assert "params.cap: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_a_program_fault_at_run_time_is_not_a_config_error(tmp_path, monkeypatch):
+    # exit 2 is for configs; a ValueError the run raises is a fault, with its traceback
+    def faulty(cfg):
+        raise ValueError("a fault inside the run")
+
+    monkeypatch.setitem(cli._RUNNERS, "conc", faulty)
+    cfg = _cfg(tmp_path, _CONC_DOC)
+    with pytest.raises(ValueError, match="a fault inside the run"):
+        cli.main(["conc", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+_REBUILDS = [
+    ("sample", dict(_MODEL, count=2), ["sample/0/body/0", "sample/0/body/1"]),
+    ("gauge", dict(_MODEL, count=2, points=1), ["gauge/0/body/0", "gauge/0/body/1"]),
+    ("dist", dict(_MODEL, n_diag=1), ["dist/0/body/0", "dist/0/body/1"]),
+    ("separate", dict(_MODEL, bodies=3, n_diag=1),
+     ["separate/0/body/0", "separate/0/body/1", "separate/0/body/2"]),
+]
+
+
+@pytest.mark.parametrize("kind", ["subset", "cap"])
+@pytest.mark.parametrize("command, params, streams", _REBUILDS, ids=[r[0] for r in _REBUILDS])
+def test_every_model_body_rebuilds_from_the_config_and_its_stream(
+        tmp_path, monkeypatch, command, params, streams, kind):
+    built = []
+    model_body = cli._model_body
+
+    def recorded(cfg, stream):
+        body, draw = model_body(cfg, stream)
+        built.append((stream, pickle.dumps(body)))
+        return body, draw
+
+    monkeypatch.setattr(cli, "_model_body", recorded)
+    path = _cfg(tmp_path, {"command": command, "params": dict(params, kind=kind)})
+    argv = [command, "--config", path, "--out", str(tmp_path / "out"), "--workers", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert [stream for stream, _ in built] == streams
+    cfg, errors = cli.load_config(path, command)
+    assert not errors
+    for stream, blob in built:
+        assert pickle.dumps(model_body(cfg, stream)[0]) == blob
 
 
 def test_net_writes_net_text(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import bmbodies
-from bmbodies import cli
 from bmbodies.bodies import (
     Ball,
     HullBody,
@@ -18,7 +17,7 @@ from bmbodies.bodies import (
     support_many,
 )
 from bmbodies.gauge import GaugeError, component_value, gauge
-from bmbodies.randmodel import ModelParams, sample_subsets, substream
+from bmbodies.randmodel import ModelParams, sample_body, sample_subsets, substream
 
 from _oracles import OracleGauge
 
@@ -209,7 +208,7 @@ def test_solver_failure_raises_typed_error_with_status(monkeypatch):
 
 def test_cap_point_that_stalled_the_solver_closes():
     params = ModelParams(n=80, delta=0.25, n_subsets=320)
-    body, _ = cli._build_body("cap", params, substream(2, "capfail/body"))
+    body = cap_body(params, sample_body(params, substream(2, "capfail/body")).subsets)
     x = substream(2, "capfail/pts").standard_normal(80)
     r = gauge(body, x, tol=1e-6)
     assert r.hi - r.lo <= 1e-6 * r.hi

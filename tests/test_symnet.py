@@ -7,8 +7,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from _oracles import (exact_block_norms, full_sandwich, joined_net_text, step_block_vectors,
-                      step_norm)
+from _oracles import (exact_block_norms, full_sandwich, joined_net_text, level_count_loop,
+                      step_block_vectors, step_norm)
 from bmbodies.randmodel import substream
 from bmbodies.symnet import (
     SymmetricBody,
@@ -465,3 +465,19 @@ def test_a_cell_index_outside_the_narrow_type_raises(monkeypatch, far):
     monkeypatch.setattr(symnet, "profile_cell", far_cell)
     with pytest.raises(ValueError, match="do not fit the net's int8 cells"):
         build_net([lp_body(12, 2.0)], 1.5)
+
+
+_LEVEL_GRID = [(n, tau) for n in (1, 2, 3, 7, 8, 12, 16, 64, 100, 1000)
+               for tau in (1.01, 1.1, 1.25, 1.3, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 10.0, 1e6)]
+_LEVEL_GRID += [(1, Fraction(3, 2)), (4, Fraction(9, 8)), (7, 2.0)]
+# exact boundaries, n * tau^-(L-1) == 1 - 1/tau, where L - 1 is refused
+_LEVEL_EDGES = [(1, 2.0), (2, 2.0), (8, 2.0), (64, 2.0), (2, 3.0), (6, 3.0), (18, 3.0),
+                (3, 4.0), (12, 4.0), (5, 6.0), (30, 6.0), (2, Fraction(3))]
+
+
+def test_level_count_matches_the_exact_loop():
+    for n, tau in _LEVEL_GRID + _LEVEL_EDGES:
+        assert level_count(n, tau) == level_count_loop(n, tau), (n, tau)
+    for n, tau in _LEVEL_EDGES:
+        L = level_count(n, tau)
+        assert n * Fraction(tau) ** (1 - L) == 1 - 1 / Fraction(tau), (n, tau)
