@@ -205,16 +205,31 @@ def _exceed_counts(stats: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[::-1])[::-1][1:].astype(np.int64)
 
 
+# A chunk is filled and evaluated in row slices that start at multiples
+# of _SLICE_ROWS from its start; each takes the smallest multiple of
+# _SLICE_ROWS rows whose product needs _SLICE_MACS multiply-adds, and the
+# last also takes the rest.  OpenBLAS (0.3.31 on AVX-512, as measured)
+# rounds a row of a product by the kernel it lands in: its place in a
+# group of up to 12 rows, and whether the product is under about 10^6
+# multiply-adds.  Such slices keep every row where the whole chunk's
+# product would put it, so with one BLAS thread slicing changes no
+# statistic.
+_SLICE_ROWS = 192
+_SLICE_MACS = 1 << 20
+
+
 def _floyd_masks(n, m, c, rng):
-    """c iid uniform m-subsets of {0..n-1} as a (c, n) Boolean mask, by
-    Floyd's sequential sampler (Bentley & Floyd 1987) run on every row at
-    once: for j = n-m .. n-1, draw t uniform on {0..j} and take t, or j
-    when t is already taken.  Each step takes one rng.integers call."""
-    mask = np.zeros((c, n), dtype=bool)
-    rows = np.arange(c)
+    """c iid uniform m-subsets of {0..n-1} as a flat (c * n) Boolean mask,
+    row after row, by Floyd's sequential sampler (Bentley & Floyd 1987)
+    run on every row at once: for j = n-m .. n-1, draw t uniform on
+    {0..j} and take t, or j when t is already taken.  Each step takes one
+    rng.integers call."""
+    mask = np.zeros(c * n, dtype=bool)
+    base = np.arange(c) * n
     for j in range(n - m, n):
         t = rng.integers(0, j + 1, size=c)
-        mask[rows, np.where(mask[rows, t], j, t)] = True
+        t += base
+        mask[np.where(mask[t], base + j, t)] = True
     return mask
 
 
@@ -226,28 +241,34 @@ def _draw(n, m, count, rng, cells, stat):
     Trials go in chunks of about 4e6 / cells (cells = entries of the
     restricted array a trial would gather); each chunk draws its subsets
     as a Boolean mask (_floyd_masks), then its signs, so the draws depend
-    on cells alone.  The signs fill a row's subset in increasing
-    coordinate order.  Every statistic is one dense matrix product on v:
-    c*n^2 flops for c trials, against the c*m^2 (quadratic) or c*n*m
-    (norms) reads of gathering A_JJ or B[:, J].  On 4096 trials at
-    n = 100 with one BLAS thread the quadratic takes 4.4 ms against the
-    gather's 24 at m = 25, and 6.7 against 1.6 at m = 5; it crosses over
-    near m/n = 0.1 (also at n = 200 and 400).  The norms win at every m
-    measured (4.0 against 44 ms at m = 25).  v is filled in row slices
-    of at most 4e6 entries.
+    on cells alone.  A chunk is zeroed, filled and evaluated in row
+    slices (see _SLICE_ROWS) of one buffer allocated once per call: stat
+    gets a view of that buffer and must not keep it.  The signs fill a
+    row's subset in increasing coordinate order.  Every statistic is a
+    dense matrix product on v: c*n^2 flops for c trials, against the
+    c*m^2 (quadratic) or c*n*m (norms) reads of gathering A_JJ or
+    B[:, J].  On 4096 trials at n = 100 with one BLAS thread the
+    quadratic takes 3.4-4.2 ms against 12.4-14.4 for the einsum gather
+    of the tests' oracles at m = 25, and 2.6-3.8 against 1.1 at m = 5;
+    it crosses over near m/n = 0.1 (also at n = 200 and 400).  The norms
+    take 4.0-4.4 ms against 9.0-9.8 at m = 25 and cross over between
+    m = 5 and 10.
     """
     chunk = max(1, 4_000_000 // max(cells, 1))
-    rows = max(1, 4_000_000 // n)
+    rows = _SLICE_ROWS * -(-_SLICE_MACS // (_SLICE_ROWS * n * n))
     out = np.empty(count)
+    buf = np.empty(min(chunk, count, 2 * rows - 1) * n)
     for done in range(0, count, chunk):
         c = min(chunk, count - done)
         mask = _floyd_masks(n, m, c, rng)
-        eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
-        for lo in range(0, c, rows):
-            hi = min(c, lo + rows)
-            v = np.zeros((hi - lo, n))
-            v[mask[lo:hi]] = eps[lo:hi].ravel()
-            out[done + lo : done + hi] = stat(v)
+        coins = rng.integers(0, 2, size=(c, m)).ravel()
+        k = max(1, c // rows)
+        for s in range(k):
+            lo, hi = s * rows, c if s == k - 1 else (s + 1) * rows
+            v = buf[: (hi - lo) * n]
+            v[:] = 0.0
+            v[np.flatnonzero(mask[lo * n : hi * n])] = coins[lo * m : hi * m] * 2.0 - 1.0
+            out[done + lo : done + hi] = stat(v.reshape(hi - lo, n))
     return out
 
 

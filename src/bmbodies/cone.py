@@ -44,6 +44,10 @@ class ConeError(RuntimeError):
         super().__init__(f"interior-point iteration broke down ({status})")
         self.status = status
 
+    def __reduce__(self):
+        # the default would rebuild it from its message, as the status
+        return type(self), (self.status,)
+
 
 class SocProgram:
     """maximize <c, x> s.t. A x <= f and r_k ||x[S_k]|| <= 1."""

@@ -60,6 +60,11 @@ class GaugeError(RuntimeError):
         self.lo = lo
         self.hi = hi
 
+    def __reduce__(self):
+        # the default pickles only the message, and a pool worker's
+        # failure must come back whole to the parent
+        return type(self), (self.args[0], self.status, self.lo, self.hi)
+
 
 @dataclass
 class GaugeResult:

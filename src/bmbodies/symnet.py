@@ -266,15 +266,18 @@ def enumerate_steps(n: int, levels: int, cap: int = PROFILE_CAP) -> StepFamily:
     if cap is not None and total > cap:
         raise ValueError(f"step family has {total} members, above the cap {cap}")
     firsts = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
-    widths = firsts[None, :]
-    for _ in range(levels - 1):
-        starts = np.searchsorted(widths[0], firsts)
-        grown = np.empty((widths.shape[0] + 1, int((widths.shape[1] - starts).sum())),
-                         dtype=widths.dtype)
-        grown[0] = np.repeat(firsts, widths.shape[1] - starts)
-        np.concatenate([widths[:, s:] for s in starts], axis=1, out=grown[1:])
-        grown[1] -= grown[0]
-        widths = grown
+    if n == 1:  # one map, widths 1 then zeros: growing it level by level is quadratic
+        widths = np.eye(levels, 1, dtype=firsts.dtype)
+    else:
+        widths = firsts[None, :]
+        for _ in range(levels - 1):
+            starts = np.searchsorted(widths[0], firsts)
+            grown = np.empty((widths.shape[0] + 1, int((widths.shape[1] - starts).sum())),
+                             dtype=widths.dtype)
+            grown[0] = np.repeat(firsts, widths.shape[1] - starts)
+            np.concatenate([widths[:, s:] for s in starts], axis=1, out=grown[1:])
+            grown[1] -= grown[0]
+            widths = grown
     widths.flags.writeable = False
     return StepFamily(n=n, levels=levels, widths=widths)
 

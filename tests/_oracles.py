@@ -506,6 +506,27 @@ def subset_sign_chunks(n: int, m: int, count: int, rng, cells: int):
         yield np.array(subs, dtype=np.int64), eps
 
 
+def whole_block_draw(n: int, m: int, count: int, rng, cells: int, stat) -> np.ndarray:
+    """concentration._draw as it was before row slicing: each chunk draws
+    a (c, n) Boolean mask by Floyd's rule on 2-D indices, then its signs,
+    and stat is applied once to the whole dense (c, n) array of signed
+    indicators, filled by one Boolean-mask assignment."""
+    chunk = max(1, 4_000_000 // max(cells, 1))
+    out = np.empty(count)
+    for done in range(0, count, chunk):
+        c = min(chunk, count - done)
+        mask = np.zeros((c, n), dtype=bool)
+        rows = np.arange(c)
+        for j in range(n - m, n):
+            t = rng.integers(0, j + 1, size=c)
+            mask[rows, np.where(mask[rows, t], j, t)] = True
+        eps = rng.integers(0, 2, size=(c, m)).astype(float) * 2.0 - 1.0
+        v = np.zeros((c, n))
+        v[mask] = eps.ravel()
+        out[done : done + c] = stat(v)
+    return out
+
+
 def gathered_quadratic(a, subs, eps) -> tuple:
     """eps^T A_JJ eps per trial, from the gathered m x m submatrices, and
     sum |A_JJ| of each, the scale of its rounding error."""
@@ -613,3 +634,21 @@ def level_count_loop(n: int, tau) -> int:
         lhs *= b
         rhs *= a
     return lvl
+
+
+def step_widths_loop(n: int, levels: int) -> np.ndarray:
+    """The (levels, count) step widths of the family of n coordinates,
+    grown one level at a time: the k-level maps are, for each first step
+    a, a followed by the (k-1)-level maps whose first step is at least a.
+    Each level copies the whole array, so it suits small levels only."""
+    firsts = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+    widths = firsts[None, :]
+    for _ in range(levels - 1):
+        starts = np.searchsorted(widths[0], firsts)
+        grown = np.empty((widths.shape[0] + 1, int((widths.shape[1] - starts).sum())),
+                         dtype=widths.dtype)
+        grown[0] = np.repeat(firsts, widths.shape[1] - starts)
+        np.concatenate([widths[:, s:] for s in starts], axis=1, out=grown[1:])
+        grown[1] -= grown[0]
+        widths = grown
+    return widths

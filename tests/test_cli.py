@@ -789,6 +789,20 @@ def test_gauge_tolerance_failure_exits_numeric_and_names_the_status(tmp_path, mo
     assert "status tolerance" in capsys.readouterr().err
 
 
+def test_pooled_gauge_failure_exits_numeric_and_names_the_status(tmp_path, monkeypatch, capsys):
+    # the pool forks, so its workers see the patch too; a worker's
+    # GaugeError comes back pickled and must keep its status
+    monkeypatch.setattr(gauge_module, "_MAX_ROUNDS", 0)
+    cfg = _cfg(
+        tmp_path,
+        {"command": "gauge", "workers": 2,
+         "params": {"n": 12, "delta": 0.25, "n_subsets": 24, "count": 2, "points": 2}},
+    )
+    out = str(tmp_path / "pooled")
+    assert cli.main(["gauge", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+    assert "status tolerance" in capsys.readouterr().err
+
+
 def test_gauge_command_never_imports_scipy(tmp_path):
     cfg = _cfg(
         tmp_path,

@@ -2,11 +2,14 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from _oracles import gathered_norms, gathered_quadratic, subset_sign_chunks
+from _oracles import gathered_norms, gathered_quadratic, subset_sign_chunks, whole_block_draw
 
 from bmbodies.concentration import (
     SmallBallEstimate,
@@ -20,6 +23,7 @@ from bmbodies.concentration import (
     pilot_thresholds,
     wilson_interval,
 )
+from bmbodies import concentration
 from bmbodies.concentration import _draw, _quad_stats, _restricted_norms
 from bmbodies.randmodel import substream
 
@@ -245,8 +249,8 @@ def test_bounds_at_zero_constant_are_the_prefactor():
 
 
 # m = 1, m = n - 1, the bench's m/n = 0.25 over several chunks, and
-# m/n < 0.1 with m < sqrt(n), where a chunk's signed indicators are
-# filled in two row slices
+# m/n < 0.1 with m < sqrt(n), whose one quadratic chunk is cut into 62
+# row slices
 _KERNEL_CASES = [(12, 1), (12, 11), (100, 25), (400, 5)]
 
 
@@ -316,3 +320,65 @@ def test_draw_puts_exactly_m_signs_on_every_row(m):
     sizes = _draw(n, m, count, substream(14, f"floyd/count/{m}"), m * m,
                   lambda v: np.count_nonzero(v, axis=1).astype(float))
     assert np.all(sizes == m)
+
+
+# 1000 = 5 slices of 192 and 40 more; 100 is under one slice; m = 1 and
+# m = n - 1, sliced at n = 100 and not at n = 12; 12000 trials are two
+# chunks at m = 25; at n = 60 a 192-row slice is under 10^6
+# multiply-adds; at n = 300, three chunks whose slices must start on
+# whole row groups of the BLAS kernel
+_SLICE_CASES = [(statistic, n, m, trials)
+                for statistic in ("quadratic", "large_deviation")
+                for n, m, trials in ((100, 25, 1000), (100, 25, 100), (12, 1, 3000),
+                                     (12, 11, 3000), (100, 1, 3000), (100, 99, 3000),
+                                     (100, 25, 12000), (60, 15, 4096), (300, 75, 2000))]
+
+# a fresh interpreter, so that BLAS runs on one thread as the package pins
+# it by default: with more, how a product's rows are split between
+# threads depends on its row count, and no slicing can keep a row's
+# rounding.  Each case gives the sliced and the whole-block tally, and
+# how many raw draws differ (rounding in single draws can cancel in sums).
+_SLICE_SCRIPT = """
+import json, sys
+import numpy as np
+from bmbodies import concentration
+from bmbodies.randmodel import substream
+from _oracles import whole_block_draw
+sliced, out = concentration._draw, []
+for statistic, n, m, trials in json.loads(sys.argv[1]):
+    a = substream(15, f"slices/{n}").standard_normal((n, n))
+    pilot = concentration._draws(statistic, a, n, m, 512, substream(15, "slices/pilot"))[1]
+    thresholds = np.unique(np.quantile(pilot, np.linspace(0.05, 0.95, 8)))
+    stream = f"slices/{statistic}/{n}/{m}/{trials}"
+    tallies, raws = [], []
+    for draw in (sliced, whole_block_draw):
+        concentration._draw = draw
+        counts, s, s2 = concentration.mc_tally(statistic, a, n, m, trials, thresholds,
+                                               substream(15, stream))
+        tallies.append([counts.tolist(), s, s2])
+        raws.append(concentration._draws(statistic, a, n, m, trials, substream(15, stream))[0])
+    out.append([*tallies, int(np.count_nonzero(raws[0] != raws[1]))])
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def sliced_and_whole_tallies():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(concentration.__file__)), here]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", _SLICE_SCRIPT, json.dumps(_SLICE_CASES)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(_SLICE_CASES, json.loads(proc.stdout)))
+
+
+@pytest.mark.parametrize("case", _SLICE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_row_slices_tally_like_the_whole_block(sliced_and_whole_tallies, case):
+    (counts, raw_sum, raw_sq_sum), ref, differing_draws = sliced_and_whole_tallies[case]
+    assert ref[0][0] > ref[0][-1]  # the thresholds split the draws
+    assert counts == ref[0]
+    assert (raw_sum, raw_sq_sum) == (ref[1], ref[2])
+    assert differing_draws == 0

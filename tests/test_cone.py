@@ -1,4 +1,6 @@
 """The interior-point cone solver against programs with closed-form optima."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,8 @@ def test_cone_error_carries_its_status():
     err = ConeError("factorization-failed")
     assert err.status == "factorization-failed"
     assert "factorization-failed" in str(err)
+    back = pickle.loads(pickle.dumps(err))
+    assert back.status == err.status and str(back) == str(err)
     prog, _ = _mixed_program()
     with pytest.raises(ConeError) as info:
         list(iterates(prog, np.full(7, np.nan), 5))

@@ -1,5 +1,6 @@
 """Certified gauge brackets against closed forms and a membership oracle."""
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -132,6 +133,13 @@ def test_tolerance_error_reports_partial_bracket(monkeypatch):
         gauge(body, x, tol=1e-12)
     assert info.value.status == "tolerance"
     assert 0.0 < info.value.lo <= info.value.hi < math.inf
+
+
+def test_gauge_error_survives_a_pickle_round_trip():
+    # a pool worker's failure reaches the parent pickled
+    back = pickle.loads(pickle.dumps(GaugeError("gap open", "tolerance", 0.1, 0.2)))
+    assert isinstance(back, GaugeError) and str(back) == "gap open"
+    assert (back.status, back.lo, back.hi) == ("tolerance", 0.1, 0.2)
 
 
 def test_gauge_matches_membership_oracle_on_random_hulls():

@@ -1,5 +1,6 @@
 """Symmetric-body nets: step families, profiles, cells, certificates."""
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from _oracles import (exact_block_norms, full_sandwich, joined_net_text, level_count_loop,
-                      step_block_vectors, step_norm)
+                      step_block_vectors, step_norm, step_widths_loop)
 from bmbodies.randmodel import substream
 from bmbodies.symnet import (
     SymmetricBody,
@@ -64,6 +65,19 @@ def test_step_maps_match_the_tuple_list():
         enumerate_steps(4, 3, cap=19)
     assert enumerate_steps(4, 3, cap=20).count == 20
     assert enumerate_steps(4, 3, cap=None).count == 20
+
+
+def test_one_coordinate_family_is_built_directly():
+    for n, levels in ((1, 1), (1, 2), (1, 7), (1, 300), (3, 5)):
+        ref = step_widths_loop(n, levels)
+        widths = enumerate_steps(n, levels).widths
+        assert widths.dtype == ref.dtype and np.array_equal(widths, ref)
+    # the level count of tau = 1.0001 at n = 1, which the level-by-level
+    # growth took seconds on
+    start = time.perf_counter()
+    fam = enumerate_steps(1, 92_110)
+    assert time.perf_counter() - start < 0.5
+    assert fam.count == 1 and fam.widths.shape == (92_110, 1)
 
 
 def test_lp_norms_match_the_out_of_place_expression():
