@@ -6,7 +6,9 @@ command/replicate/object-kind/object-index, so partial reruns keep
 their identities.  Parallel work is cut into fixed blocks whose sizes
 and stream names depend only on the configuration, never on the worker
 count, and block results are reduced in block order; any pool size
-therefore reproduces the same numeric payloads.
+therefore reproduces the same numeric payloads.  A pool forks its
+workers (so workers > 1 needs os.fork), which inherit their jobs, take
+the next one as they free up and pickle back only results and exceptions.
 
 Exit codes: 0 success, 2 configuration or validation failure, 3
 numeric tolerance failure inside a solver.
@@ -19,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, field
@@ -246,7 +249,8 @@ def _top_table(command: str) -> dict:
                                           f"must match the invoked command {command!r}")),
         "seed": (0, _rule(lambda v: _is_int(v) and 0 <= v < 2**64,
                           "needs an integer in [0, 2^64)")),
-        "workers": (1, _POS_INT),
+        "workers": (1, _rule(lambda v: _is_int(v) and v >= 1 and (v == 1 or hasattr(os, "fork")),
+                             "needs an integer >= 1, and 1 where os.fork is missing")),
         "format": ("jsonl", _rule(lambda v: v in formats,
                                   f"must be one of {formats} for {command!r}")),
         "out": ("results", _rule(lambda v: isinstance(v, str) and v != "",
@@ -375,19 +379,95 @@ def _model_body(cfg: ExperimentConfig, stream: str):
 
 
 def _pool_map(fn, jobs, workers: int):
+    """[fn(j) for j in jobs].  Above one worker, min(workers, len(jobs))
+    forked children take job indices from a shared pipe as they free up
+    and pickle back their results or their exception, which is raised
+    here as soon as any child fails; every child is reaped, and killed
+    first on a failure, before this returns or raises.  Forking is safe
+    only in a process that runs no other thread; the CLI starts none."""
     jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [fn(j) for j in jobs]
-    # imported here: most runs are serial and never start a pool
-    from concurrent.futures import ProcessPoolExecutor
+    import select  # imported here: most runs are serial and never fork
+    import signal
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=1))
+    sys.stdout.flush()  # else a child would write the parent's buffered text again
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    tasks_in, tasks_out = open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)
+    children, results = {}, [None] * len(jobs)  # result pipe -> (worker, pid, chunks)
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                _pool_child(fn, jobs, tasks_in, tasks_out, write_fd)
+            os.close(write_fd)
+            children[open(read_fd, "rb", buffering=0)] = (w, pid, [])
+        tasks_in.close()
+        try:  # a 4-byte write is atomic, so a child's 4-byte read takes one whole index
+            for i in range(len(jobs)):
+                tasks_out.write(i.to_bytes(4, "little"))
+        except BrokenPipeError:  # every child has exited; their pipes say why
+            pass
+        tasks_out.close()
+        while children:
+            for fh in select.select(list(children), [], [])[0]:
+                if chunk := fh.read(1 << 16):
+                    children[fh][2].append(chunk)
+                    continue
+                w, pid, chunks = children.pop(fh)
+                fh.close()
+                status = os.waitpid(pid, 0)[1]
+                if not chunks:
+                    raise RuntimeError(f"pool worker {w} exited without a result (wait status "
+                                       f"{status}, exit code {os.waitstatus_to_exitcode(status)})")
+                tag, value = pickle.loads(b"".join(chunks))
+                if tag == "err":
+                    raise value
+                for i, result in value:
+                    results[i] = result
+    finally:
+        tasks_in.close()
+        tasks_out.close()
+        for fh, (_, pid, _) in children.items():  # the children not yet reaped
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _pool_child(fn, jobs, tasks_in, tasks_out, write_fd):
+    """A forked child's whole life: run the jobs whose indices it reads
+    from tasks_in, pickle ("ok", [(index, result), ...]) or ("err",
+    exception) into write_fd, then leave through os._exit."""
+    code = 1
+    try:
+        try:
+            tasks_out.close()  # else no child would see the indices end
+            done = []
+            while index := tasks_in.read(4):
+                i = int.from_bytes(index, "little")
+                done.append((i, fn(jobs[i])))
+            data = pickle.dumps(("ok", done))
+        except BaseException as exc:
+            try:  # the round trip proves that the parent can rebuild it
+                pickle.loads(data := pickle.dumps(("err", exc)))
+            except Exception:
+                data = pickle.dumps(("err", RuntimeError(repr(exc))))
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------- workers
-# top-level functions so process pools can pickle them; a job is the
-# config, bound with functools.partial, plus its index
+# _pool_map forks its workers, so a job's function and arguments reach
+# them by inheritance and only results and exceptions are pickled; a job
+# is the config, bound with functools.partial, plus its index
 
 
 def _conc_matrix(kind: str, n: int, diag, seed: int, rep: int) -> np.ndarray:

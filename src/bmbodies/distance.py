@@ -506,7 +506,8 @@ def run_separation(bodies, map_fn=map, *, threshold: float = 2.0, bins: int = 16
     the pairs whose bound is below threshold, which must be positive.
 
     map_fn(fn, jobs) runs the pair jobs and yields their results in job
-    order; jobs and results pickle, so a process pool's map will do.
+    order.  The results pickle, so a map over forked workers that inherit
+    the jobs and pickle back their results will do, as the CLI's pool does.
     """
     if threshold <= 0 or bins < 1:
         raise ValueError("threshold must be positive and bins at least 1")

@@ -235,9 +235,11 @@ class StepFamily:
         width when weights is None and the sum of its coordinates'
         weights otherwise."""
         out = np.zeros(self.count)
+        # a level of zero width in every map would add +0.0, which moves no sum
+        used = np.flatnonzero(self.widths.any(axis=1))
         if weights is None:
-            for c, width in zip(coef, self.widths):
-                out += c * width
+            for lvl in used:
+                out += coef[lvl] * self.widths[lvl]
             return out
         # span[a, b] sums the weights of coordinates a+1..b from a onward,
         # not as a difference of prefix sums, so a light block keeps its
@@ -247,9 +249,9 @@ class StepFamily:
         for a in range(self.n):
             span[a, a + 1 :] = np.cumsum(weights[a:])
         end = np.zeros(self.count, dtype=np.intp)
-        for c, width in zip(coef, self.widths):
-            start, end = end, end + width
-            out += c * span[start, end]
+        for lvl in used:
+            start, end = end, end + self.widths[lvl]
+            out += coef[lvl] * span[start, end]
         return out
 
 

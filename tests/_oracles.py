@@ -6,7 +6,8 @@ membership bisection driven by support-direction separations, 2x2
 distance bounds from closed-form norms on a dense map grid,
 restricted quadratic forms and norms from gathered submatrices,
 step-family norms from mask-built block vectors, a per-level loop or
-rational arithmetic, pair sandwiches compared over every step map, and
+rational arithmetic, level sums from a loop over every level, zero
+widths included, pair sandwiches compared over every step map, and
 net text joined from one string per cell index.
 """
 from __future__ import annotations
@@ -652,3 +653,22 @@ def step_widths_loop(n: int, levels: int) -> np.ndarray:
         grown[1] -= grown[0]
         widths = grown
     return widths
+
+
+def level_sum_every_level(family, coef, weights=None) -> np.ndarray:
+    """StepFamily.level_sum with a Python loop over every level, zero
+    widths included: the sum it must reproduce bit for bit."""
+    out = np.zeros(family.count)
+    if weights is None:
+        for c, width in zip(coef, family.widths):
+            out += c * width
+        return out
+    weights = np.asarray(weights, dtype=float)
+    span = np.zeros((family.n + 1, family.n + 1))
+    for a in range(family.n):
+        span[a, a + 1 :] = np.cumsum(weights[a:])
+    end = np.zeros(family.count, dtype=np.intp)
+    for c, width in zip(coef, family.widths):
+        start, end = end, end + width
+        out += c * span[start, end]
+    return out

@@ -803,35 +803,146 @@ def test_pooled_gauge_failure_exits_numeric_and_names_the_status(tmp_path, monke
     assert "status tolerance" in capsys.readouterr().err
 
 
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _job_and_pid(j):
+    return j, os.getpid()
+
+
+@pytest.mark.parametrize("n_jobs, workers", [(5, 2), (1, 2), (2, 5), (3, 3)])
+def test_pool_map_returns_results_in_job_order(n_jobs, workers):
+    out = cli._pool_map(_job_and_pid, range(n_jobs), workers)
+    assert [j for j, _ in out] == list(range(n_jobs))
+    pids = {pid for _, pid in out}
+    if min(workers, n_jobs) == 1:
+        assert pids == {os.getpid()}  # one job runs in place
+    else:
+        assert os.getpid() not in pids and len(pids) <= min(workers, n_jobs)
+    _no_children_left()
+
+
+def test_a_free_worker_takes_the_next_job(tmp_path):
+    # job 0 holds its worker until jobs 1-4 are done, so they must all go
+    # to the other worker; a fixed split of jobs 0, 2, 4 to one worker
+    # would keep job 0 waiting for its own turn and fail it
+    def job(j):
+        if j == 0:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.iterdir())) < 4:
+                assert time.monotonic() < deadline, "jobs 1-4 never finished"
+                time.sleep(0.01)
+        else:
+            (tmp_path / str(j)).touch()
+        return os.getpid()
+
+    pids = cli._pool_map(job, range(5), 2)
+    assert len(set(pids[1:])) == 1 and pids[0] != pids[1]
+    _no_children_left()
+
+
+def test_every_job_runs_once_when_more_workers_than_cores_share_the_indices(tmp_path):
+    # the workers share one pipe of job indices; an index read twice would
+    # fail its second O_EXCL create, and one lost would leave its result None
+    def job(j):
+        os.close(os.open(tmp_path / str(j), os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        return j
+
+    assert cli._pool_map(job, range(400), 8) == list(range(400))
+    assert len(list(tmp_path.iterdir())) == 400
+    _no_children_left()
+
+
+def test_pool_map_inherits_its_jobs_instead_of_pickling_them():
+    offset = 10
+    # a lambda does not pickle
+    assert cli._pool_map(lambda j: j + offset, range(4), 2) == [10, 11, 12, 13]
+    _no_children_left()
+
+
+@pytest.mark.parametrize("dies", [0, 1])
+def test_a_worker_that_dies_fails_the_map_and_no_worker_outlives_it(dies):
+    def job(j):
+        if j == dies:
+            os._exit(7)
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"pool worker \d .*wait status 1792, exit code 7"):
+        cli._pool_map(job, range(2), 2)
+    # the other worker sleeps for a minute unless the failure kills it
+    assert time.perf_counter() - start < 30
+    _no_children_left()
+
+
+class _NeedsTwoArgs(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def test_a_worker_exception_that_cannot_be_pickled_arrives_as_its_repr():
+    class Local(Exception):
+        pass
+
+    def raise_local(j):
+        raise Local(f"boom {j}")
+
+    with pytest.raises(RuntimeError, match=r"^Local\('boom 0'\)$"):
+        cli._pool_map(raise_local, range(2), 2)
+    _no_children_left()
+
+    def raise_two_args(j):  # pickles, but cannot be rebuilt from its args
+        raise _NeedsTwoArgs("x", "y")
+
+    with pytest.raises(RuntimeError, match=r"^_NeedsTwoArgs\('x'\)$"):
+        cli._pool_map(raise_two_args, range(2), 2)
+    _no_children_left()
+
+
+def test_workers_above_one_need_fork(tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    cfg = _cfg(tmp_path, dict(_CONC_DOC, workers=2))
+    assert cli.main(["conc", "--config", cfg, "--out", str(tmp_path / "a")]) == \
+        cli.EXIT_VALIDATION
+    assert "config.workers: needs an integer >= 1, and 1 where os.fork is missing" in \
+        capsys.readouterr().err
+    assert cli.main(["conc", "--config", cfg, "--workers", "1",
+                     "--out", str(tmp_path / "b")]) == cli.EXIT_OK
+
+
 def test_gauge_command_never_imports_scipy(tmp_path):
-    cfg = _cfg(
-        tmp_path,
-        {
-            "command": "gauge",
-            "workers": 1,
-            "params": {"n": 16, "delta": 0.25, "n_subsets": 40, "kind": "cap",
-                       "count": 1, "points": 2},
-        },
-    )
-    out = str(tmp_path / "out")
-    # a serial run starts no process pool, so it never imports one either
-    script = (
-        "import sys\n"
-        "from bmbodies import cli\n"
-        f"code = cli.main(['gauge', '--config', {cfg!r}, '--out', {out!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
-    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__))]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert len(_read_records(out, "gauge")) == 2
+    # a pooled run forks its workers itself, so neither run imports a pool library
+    for workers in (1, 2):
+        cfg = _cfg(
+            tmp_path,
+            {
+                "command": "gauge",
+                "workers": workers,
+                "params": {"n": 16, "delta": 0.25, "n_subsets": 40, "kind": "cap",
+                           "count": 2, "points": 2},
+            },
+        )
+        out = str(tmp_path / f"out{workers}")
+        script = (
+            "import sys\n"
+            "from bmbodies import cli\n"
+            f"code = cli.main(['gauge', '--config', {cfg!r}, '--out', {out!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, (workers, proc.stderr)
+        assert len(_read_records(out, "gauge")) == 4
 
 
 def test_json_and_yaml_configs_differ_only_where_their_scalars_do(tmp_path):

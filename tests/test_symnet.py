@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from _oracles import (exact_block_norms, full_sandwich, joined_net_text, level_count_loop,
-                      step_block_vectors, step_norm, step_widths_loop)
+                      level_sum_every_level, step_block_vectors, step_norm, step_widths_loop)
 from bmbodies.randmodel import substream
 from bmbodies.symnet import (
     SymmetricBody,
@@ -78,6 +78,37 @@ def test_one_coordinate_family_is_built_directly():
     fam = enumerate_steps(1, 92_110)
     assert time.perf_counter() - start < 0.5
     assert fam.count == 1 and fam.widths.shape == (92_110, 1)
+
+
+def test_level_sums_skip_zero_levels_without_moving_a_bit():
+    # n = 1 at tau = 1.0001 has 92,110 levels, all but the first of zero
+    # width; (12, 1.5) is the net's benchmark family
+    for n, tau in ((1, 1.0001), (12, 1.5), (5, 1.2)):
+        fam = enumerate_steps(n, level_count(n, tau))
+        table = np.array([tau ** (-lvl) for lvl in range(1, fam.levels + 1)])
+        for coef, weights in ((table, None), (np.power(table / table[0], 2.5), None),
+                              (table, np.arange(n) < 3), (table, np.linspace(1.0, 0.2, n))):
+            got = fam.level_sum(coef, weights)
+            assert np.array_equal(got, level_sum_every_level(fam, coef, weights)), (n, tau)
+    # at n = 1 only level 1 has a width, so it is the only coefficient read
+    fam = enumerate_steps(1, level_count(1, 1.0001))
+    table = np.ones(fam.levels)
+    for weights in (None, [0.5]):
+        coef = _CountedReads(table)
+        assert np.array_equal(fam.level_sum(coef, weights),
+                              level_sum_every_level(fam, table, weights))
+        assert coef.reads == [0]
+
+
+class _CountedReads:
+    """A coefficient sequence that notes which levels are read."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, []
+
+    def __getitem__(self, lvl):
+        self.reads.append(int(lvl))
+        return self.values[lvl]
 
 
 def test_lp_norms_match_the_out_of_place_expression():
