@@ -3,8 +3,10 @@
 A HullBody is abs.conv of its components.  Components are either
 SignedPoints (a finite generator list, optionally closed under sign
 flips coordinatewise) or a Ball (an l_p ball, p in {1, 2, inf}, possibly
-restricted to a coordinate subset).  Support functions are exact closed
-forms; gauges are certified two-sided and live in gauge.py.
+restricted to a coordinate subset).  A body stores a Ball(inf) r B_inf^S
+as the box of its one generator r 1_S, so no code past the constructor
+sees one.  Support functions are exact closed forms; gauges are
+certified two-sided and live in gauge.py.
 
 The model bodies: subset_body builds
     abs.conv( unc.conv(indicators of I_1..I_N), sqrt(m) B_1, delta*sqrt(n) B_2 )
@@ -62,7 +64,8 @@ class SignedPoints:
 
 @dataclass(frozen=True)
 class Ball:
-    """l_p ball of given radius, restricted to `support` when not None."""
+    """l_p ball of given radius, restricted to `support` when not None;
+    HullBody stores a Ball(inf) as its box (see HullBody)."""
 
     p: float
     radius: float
@@ -85,8 +88,9 @@ class Ball:
 class HullBody:
     """Absolute convex hull of components; immutable once constructed.
 
-    Construction validates shapes and finiteness, and accepts a body
-    exactly when its certified inradius bound (the largest component
+    Construction validates shapes and finiteness, stores each Ball(inf)
+    r B_inf^S as SignedPoints([r 1_S], unconditional=True), and accepts a
+    body exactly when its certified inradius bound (the largest component
     inradius, see inradius_lower) is positive: every bound divided by it
     is then finite.
     """
@@ -96,10 +100,10 @@ class HullBody:
     def __init__(self, dim: int, components):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        comps = tuple(components)
+        comps = list(components)
         if not comps:
             raise ValueError("a body needs at least one component")
-        for c in comps:
+        for i, c in enumerate(comps):
             if isinstance(c, SignedPoints):
                 if c.points.shape[1] != dim:
                     raise ValueError(
@@ -108,8 +112,13 @@ class HullBody:
             elif isinstance(c, Ball):
                 if c.support is not None:
                     check_index_set(c.support, dim)
+                if c.p == math.inf:
+                    gen = np.zeros((1, dim))
+                    gen[0, slice(None) if c.support is None else c.support] = c.radius
+                    comps[i] = SignedPoints(gen, unconditional=True)
             else:
                 raise TypeError(f"unknown component type {type(c).__name__}")
+        comps = tuple(comps)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_cache", {})
@@ -137,14 +146,6 @@ class HullBody:
                 sup = "full" if c.support is None else f"|S|={c.support.size}"
                 kinds.append(f"B{c.p:g}(r={c.radius:g},{sup})")
         return f"HullBody(dim={self.dim}, {', '.join(kinds)})"
-
-
-def _dual_exponent(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    return 2.0
 
 
 def _restrict(ys: np.ndarray, support) -> np.ndarray:
@@ -186,15 +187,11 @@ def support_many(body: HullBody, ys) -> np.ndarray:
                 contrib = (np.abs(ys) @ np.abs(c.points).T).max(axis=1)
             else:
                 contrib = np.abs(ys @ c.points.T).max(axis=1)
+        elif c.p == 1.0:
+            contrib = c.radius * np.abs(_restrict(ys, c.support)).max(axis=1)
         else:
             sub = _restrict(ys, c.support)
-            q = _dual_exponent(c.p)
-            if q == 1.0:
-                contrib = c.radius * np.abs(sub).sum(axis=1)
-            elif q == 2.0:
-                contrib = c.radius * np.sqrt((sub * sub).sum(axis=1))
-            else:
-                contrib = c.radius * np.abs(sub).max(axis=1)
+            contrib = c.radius * np.sqrt((sub * sub).sum(axis=1))
         np.maximum(vals, contrib, out=vals)
     return vals
 
@@ -276,7 +273,7 @@ def _component_inradius(c, n: int) -> float:
             return 0.0
         if c.p == 1.0:
             return c.radius / math.sqrt(n)
-        return c.radius  # p = 2 and p = inf agree on the inscribed ball
+        return c.radius
     pts = c.points
     if c.unconditional:
         k = pts.shape[0]
@@ -306,15 +303,10 @@ def circumradius_upper(body: HullBody) -> float:
     """Upper bound on the Euclidean circumradius: gauge(x) >= |x|_2 / R."""
     key = "circumradius_upper"
     if key not in body._cache:
-        best = 0.0
-        for c in body.components:
-            if isinstance(c, Ball):
-                size = body.dim if c.support is None else c.support.size
-                r = c.radius * math.sqrt(size) if c.p == math.inf else c.radius
-            else:
-                r = float(np.sqrt((c.points**2).sum(axis=1)).max())
-            best = max(best, r)
-        body._cache[key] = best
+        body._cache[key] = max(
+            c.radius if isinstance(c, Ball) else float(np.sqrt((c.points**2).sum(axis=1)).max())
+            for c in body.components
+        )
     return body._cache[key]
 
 
@@ -336,7 +328,7 @@ def body_to_dict(body: HullBody) -> dict:
             comps.append(
                 {
                     "kind": "ball",
-                    "p": "inf" if c.p == math.inf else int(c.p),
+                    "p": int(c.p),
                     "radius": float(c.radius),
                     "support": None if c.support is None else [int(i) for i in c.support],
                 }

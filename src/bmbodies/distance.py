@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 
@@ -274,10 +274,10 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
 
     Polytopal components are enumerated exactly: every extreme point of
     segment families and Ball(1) components, and every sign vertex of a
-    box generator (Ball(inf) included) with at most _SIGN_CUTOFF
-    coordinates.  A larger box contributes a lower bound from full
-    gauges of its highest-scoring probe-guided vertices, and mode is
-    then "guided" instead of "exhaustive".
+    box generator (a body stores a Ball(inf) as one) with at most
+    _SIGN_CUTOFF coordinates.  A larger box contributes a lower bound
+    from full gauges of its highest-scoring probe-guided vertices, and
+    mode is then "guided" instead of "exhaustive".
 
     When K2 is solid, a box generator g first gets one gauge of the
     dominating point d = |T||g|: |T(s*g)| <= d coordinatewise for every
@@ -328,14 +328,7 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
         key=lambda ic: isinstance(ic[1], SignedPoints) and ic[1].unconditional,
     )
     for ci, comp in boxes_last:
-        if isinstance(comp, SignedPoints) and comp.unconditional:
-            gens = comp.points
-        elif isinstance(comp, SignedPoints) or comp.p == 1.0:
-            fold(*_eval_points_max(t_mat, _segment_points(comp, k.dim), k2, bar))
-            continue
-        elif comp.p == math.inf:
-            gens = _inf_box(comp, k.dim)[None, :]
-        else:
+        if isinstance(comp, Ball) and comp.p == 2.0:
             sup = _support(comp, k.dim)
             ts = t_mat[:, sup]
             c_hi = comp.radius * spectral_norm(ts) / _image_inradius(k2, ts)
@@ -345,9 +338,10 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
                 c_lo, c_wit = _probe_ranked_lo(t_mat, pts, k2, _BALL2_GAUGES, bar, lo)
             fold(c_lo, c_hi, c_wit)
             continue
-
-        # unconditional generators (includes the inf-ball vertex box)
-        for gi, g_vec in enumerate(gens):
+        if isinstance(comp, Ball) or not comp.unconditional:
+            fold(*_eval_points_max(t_mat, _segment_points(comp, k.dim), k2, bar))
+            continue
+        for gi, g_vec in enumerate(comp.points):
             sup = np.nonzero(g_vec)[0]
             if solid:
                 t_abs = np.abs(t_mat[:, sup])
@@ -377,13 +371,6 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
     return OpNormResult(lo=lo, hi=hi, witness=witness, mode=mode, notes=notes)
 
 
-def _inf_box(comp: Ball, n: int) -> np.ndarray:
-    """The box generator r * 1_S whose sign vertices span a Ball(inf)."""
-    gen = np.zeros(n)
-    gen[_support(comp, n)] = comp.radius
-    return gen
-
-
 def _hadamard(n: int):
     if n & (n - 1) or n < 2:
         return None
@@ -397,7 +384,7 @@ def bm_upper(k: HullBody, k2: HullBody, n_diag: int = 8) -> BmEstimate:
     """Certified upper bound on the Banach-Mazur distance d(K, K2).
 
     Tries, in this order, the identity, n_diag (>= 0) random diagonal
-    maps, every permutation matrix when the dimension is at most
+    maps, every other permutation matrix when the dimension is at most
     _PERM_MAX_DIM, and a Hadamard rotation when the dimension is a power
     of two.  Every one is invertible, and each is certified in turn with
     full operator-norm upper bounds, forward and inverse; the first map
@@ -438,7 +425,8 @@ def bm_upper(k: HullBody, k2: HullBody, n_diag: int = 8) -> BmEstimate:
         d = np.exp(rng.uniform(-_DIAG_SPREAD, _DIAG_SPREAD, size=n))
         cands.append((f"diag{i}", np.diag(d)))
     if n <= _PERM_MAX_DIM:
-        for i, perm in enumerate(permutations(range(n))):
+        # permutation 0 is the identity, already the first candidate
+        for i, perm in enumerate(islice(permutations(range(n)), 1, None), start=1):
             cands.append((f"perm{i}", np.eye(n)[list(perm)]))
     had = _hadamard(n)
     if had is not None:
@@ -492,10 +480,6 @@ class SeparationReport:
     estimates: dict = field(default_factory=dict)
 
 
-def _pair_upper(job):
-    return bm_upper(*job)
-
-
 def run_separation(bodies, map_fn=map, *, threshold: float = 2.0, bins: int = 16,
                    max_pairs: int | None = None, n_diag: int = 8) -> SeparationReport:
     """Upper-bound all pairwise distances of the bodies (or the first
@@ -505,9 +489,7 @@ def run_separation(bodies, map_fn=map, *, threshold: float = 2.0, bins: int = 16
     The report histograms the bounds over `bins` equal bins and counts
     the pairs whose bound is below threshold, which must be positive.
 
-    map_fn(fn, jobs) runs the pair jobs and yields their results in job
-    order.  The results pickle, so a map over forked workers that inherit
-    the jobs and pickle back their results will do, as the CLI's pool does.
+    map_fn(fn, jobs) returns the results of fn over jobs in job order.
     """
     if threshold <= 0 or bins < 1:
         raise ValueError("threshold must be positive and bins at least 1")
@@ -517,8 +499,11 @@ def run_separation(bodies, map_fn=map, *, threshold: float = 2.0, bins: int = 16
     m_bodies = len(bodies)
     pairs = [(i, j) for i in range(m_bodies) for j in range(i + 1, m_bodies)]
     budget = len(pairs) if max_pairs is None else min(max_pairs, len(pairs))
-    jobs = [(bodies[i], bodies[j], n_diag) for i, j in pairs[:budget]]
-    estimates = dict(zip(pairs[:budget], map_fn(_pair_upper, jobs)))
+
+    def pair_upper(pair):
+        return bm_upper(bodies[pair[0]], bodies[pair[1]], n_diag)
+
+    estimates = dict(zip(pairs[:budget], map_fn(pair_upper, pairs[:budget])))
     matrix = np.full((m_bodies, m_bodies), math.nan)
     np.fill_diagonal(matrix, 1.0)
     for (i, j), est in estimates.items():

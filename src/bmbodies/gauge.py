@@ -8,14 +8,14 @@ certificates can be rechecked independently of the solver that found
 them.
 
 Every body reduces to one cone program, the gauge dual max <x, y> over
-h_K(y) <= 1: a linear row per box generator, Ball(inf), Ball(1)
-coordinate and segment, and one second-order cone per Ball(2) (see
-_cone_program).  A numpy interior-point method (cone.py) solves it;
-once its iterates are near the optimum, Newton's method on the active
-constraints polishes them to the exact optimum.  lo is then recomputed
-from y through the support function, and hi from the conic dual (box
-weights, segment multiples and Ball(2) vectors) through closed forms, so
-solver inaccuracy can only widen a bracket.
+h_K(y) <= 1: a linear row per box generator (a Ball(inf) is stored as
+its box), Ball(1) coordinate and segment, and one second-order cone per
+Ball(2) (see _cone_program).  A numpy interior-point method (cone.py)
+solves it; once its iterates are near the optimum, Newton's method on
+the active constraints polishes them to the exact optimum.  lo is then
+recomputed from y through the support function, and hi from the conic
+dual (box weights, segment multiples and Ball(2) vectors) through closed
+forms, so solver inaccuracy can only widen a bracket.
 """
 from __future__ import annotations
 
@@ -96,9 +96,7 @@ def component_value(comp, z: np.ndarray, n: int) -> float:
             sub = z
         if comp.p == 1.0:
             return float(np.abs(sub).sum()) / comp.radius
-        if comp.p == 2.0:
-            return float(np.sqrt((sub * sub).sum())) / comp.radius
-        return float(np.abs(sub).max()) / comp.radius
+        return float(np.sqrt((sub * sub).sum())) / comp.radius
     if comp.unconditional:
         ag, az = np.abs(comp.points), np.abs(z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -155,7 +153,7 @@ def _cone_program(body: HullBody):
     """The gauge dual as one cone program, cached on the body.
 
     h_K(y) <= 1 splits into one row per family: <|y|, |g|> <= 1 per box
-    generator, r sum_S |y_i| <= 1 per Ball(inf), r_i |y_i| <= 1 per
+    generator (a Ball(inf) is the box of r 1_S), r_i |y_i| <= 1 per
     coordinate with the largest covering Ball(1) radius r_i, |<y, g>| <= 1
     per conditional generator (segment), and r ||y_S|| <= 1 per Ball(2).
     With u >= |y| the solid rows read V' u <= 1 for nonnegative columns V
@@ -189,12 +187,7 @@ def _cone_program(body: HullBody):
                 seg_owner.extend([j] * k)
             continue
         sup = np.arange(n) if comp.support is None else comp.support
-        if comp.p == math.inf:
-            v = np.zeros(n)
-            v[sup] = comp.radius
-            cols.append(v)
-            owner.append(j)
-        elif comp.p == 1.0:
+        if comp.p == 1.0:
             wins = comp.radius > atom_r[sup]
             atom_r[sup[wins]] = comp.radius
             atom_owner[sup[wins]] = j

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -195,10 +194,9 @@ def level_count(n: int, tau) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    t = Fraction(tau)
-    if t <= 1:
+    a, b = float(tau).as_integer_ratio()
+    if a <= b:
         raise ValueError(f"tau must exceed 1, got {tau}")
-    a, b = t.numerator, t.denominator
     # log(1 - 1/tau) = -log1p(b / (a - b)) and log(tau) = log1p((a - b) / b)
     x = (math.log(n) + math.log1p(b / (a - b))) / math.log1p((a - b) / b)
     j = round(x)

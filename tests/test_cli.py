@@ -938,6 +938,7 @@ def test_gauge_command_never_imports_scipy(tmp_path):
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert 'multiprocessing' not in sys.modules\n"
+            "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)

@@ -13,6 +13,8 @@ from bmbodies.bodies import (
     SignedPoints,
     ball_body,
     cap_body,
+    circumradius_upper,
+    inradius_lower,
     support_many,
 )
 from bmbodies import distance
@@ -90,6 +92,39 @@ def test_op_norm_matches_brute_force_on_mixed_polytopes():
         brute = max(norm(t @ p) for p in _brute_extremes(src))
         assert r.lo == brute
         assert r.hi == brute
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), full=st.booleans())
+def test_an_inf_ball_is_stored_as_its_box_and_acts_as_one(seed, n, full):
+    rng = np.random.default_rng(seed)
+    r = float(rng.uniform(0.3, 2.0))
+    sup = None if full or n == 1 else np.sort(rng.choice(n, rng.integers(1, n), replace=False))
+    gen = np.zeros((1, n))
+    gen[0, slice(None) if sup is None else sup] = r
+    # a partial box is flat, so a Euclidean ball makes the body full-dimensional
+    rest = [] if sup is None else [Ball(2.0, float(rng.uniform(0.3, 2.0)))]
+    body = HullBody(n, [Ball(math.inf, r, sup), *rest])
+    box = HullBody(n, [SignedPoints(gen, unconditional=True), *rest])
+    stored = body.components[0]
+    assert isinstance(stored, SignedPoints) and stored.unconditional
+    assert np.array_equal(stored.points, gen)
+    ys = rng.normal(size=(16, n))
+    assert np.array_equal(support_many(body, ys), support_many(box, ys))
+    assert inradius_lower(body) == inradius_lower(box)
+    assert circumradius_upper(body) == circumradius_upper(box)
+    x = rng.normal(size=n)
+    a, b = gauge(body, x), gauge(box, x)
+    assert (a.lo, a.hi) == (b.lo, b.hi)
+    t = rng.normal(size=(n, n))
+    for p in (1.0, 2.0):
+        # one target per side, so neither op_norm reads the other's gauge memo
+        rb = float(rng.uniform(0.5, 2.0))
+        ball, ball2 = ball_body(n, p, rb), ball_body(n, p, rb)
+        for u, v in ((op_norm(t, body, ball), op_norm(t, box, ball2)),
+                     (op_norm(t, ball, body), op_norm(t, ball2, box))):
+            assert (u.lo, u.hi) == (v.lo, v.hi)
+            assert np.array_equal(u.witness, v.witness)
 
 
 def test_op_norm_scales_linearly():
@@ -495,7 +530,7 @@ def test_bm_upper_certifies_every_candidate_identity_first(kind, n, seed, n_subs
     # every candidate gets exactly one outcome, in generation order
     names = ["identity", *(f"diag{i}" for i in range(8))]
     if n <= 4:
-        names += [f"perm{i}" for i in range(math.factorial(n))]
+        names += [f"perm{i}" for i in range(1, math.factorial(n))]
     if distance._hadamard(n) is not None:
         names.append("hadamard")
     assert [c["name"] for c in est.candidates] == names
