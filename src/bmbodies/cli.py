@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -384,7 +385,8 @@ def _pool_map(fn, jobs, workers: int):
     and pickle back their results or their exception, which is raised
     here as soon as any child fails; every child is reaped, and killed
     first on a failure, before this returns or raises.  Forking is safe
-    only in a process that runs no other thread; the CLI starts none."""
+    only in a process that runs no other thread; the CLI starts none.
+    Under main() the workers fork from a frozen heap (see main)."""
     jobs = list(jobs)
     workers = min(workers, len(jobs))
     if workers <= 1:
@@ -893,6 +895,13 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Parse argv (sys.argv when None), run it, return the exit code.
+    argv None means the process runs the CLI as its program, so the import
+    heap is frozen first: exit never traverses or frees it (about 9 ms per
+    process) and _pool_map's workers fork from a frozen heap.  A caller
+    that passes argv keeps its collector as it was."""
+    if argv is None:
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="bmbodies",
         description="random convex body experiments",

@@ -43,19 +43,11 @@ def _ball_support_point(c: Ball, y: np.ndarray, n: int):
     pt_s = np.zeros_like(ys)
     nz = np.linalg.norm(ys)
     if nz > 0:
-        p = float(c.p)
-        if p == 2.0:
+        if c.p == 2.0:
             pt_s = c.radius * ys / nz
-        elif p == 1.0:
+        else:  # p == 1: a body stores a Ball(inf) as its box
             j = int(np.argmax(np.abs(ys)))
             pt_s[j] = c.radius * np.sign(ys[j])
-        elif math.isinf(p):
-            pt_s = c.radius * np.sign(ys)
-        else:
-            q = p / (p - 1.0)
-            w = np.abs(ys) ** (q - 1.0)
-            denom = float(np.linalg.norm(ys, ord=q)) ** (q - 1.0)
-            pt_s = c.radius * np.sign(ys) * w / denom
     if c.support is None:
         return pt_s
     pt = np.zeros(n)
@@ -172,21 +164,13 @@ class _ProjectionProposer:
                             bounds[s + l] = bounds[s + n + l] = [0.0, 0.0]
                     g_rows.append(row)
                     g_offs.append(0.0)
-                else:
+                else:  # p == 2
                     for l in range(n):
-                        if not mask[l]:
+                        if mask[l]:
+                            emap[l, s + l] = 1.0
+                        else:
                             bounds[s + l] = [0.0, 0.0]
-                            continue
-                        emap[l, s + l] = 1.0
-                        if p == math.inf:
-                            for sgn in (1.0, -1.0):
-                                row = np.zeros(nvar)
-                                row[mu] = r
-                                row[s + l] = sgn
-                                g_rows.append(row)
-                                g_offs.append(0.0)
-                    if p == 2.0:
-                        quads.append((s, n, mu, r, mask.copy()))
+                    quads.append((s, n, mu, r, mask.copy()))
         row = np.zeros(nvar)
         row[mu0:] = -1.0
         g_rows.append(row)

@@ -1,5 +1,7 @@
 """Command line behavior: validation, determinism, formats, exit codes."""
+import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
+import bmbodies
 from bmbodies import cli
 from bmbodies import gauge as gauge_module
 from bmbodies.bodies import body_to_text, cap_body
@@ -27,6 +30,16 @@ def _cfg(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+def _src_env():
+    """os.environ with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
 
 
 def _read_records(out_dir, command):
@@ -913,11 +926,7 @@ def test_workers_above_one_need_fork(tmp_path, monkeypatch, capsys):
 
 
 def test_gauge_command_never_imports_scipy(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__))]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
+    env = _src_env()
     # a pooled run forks its workers itself, so neither run imports a pool library
     for workers in (1, 2):
         cfg = _cfg(
@@ -974,11 +983,7 @@ def test_a_json_config_never_imports_yaml(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_CONC_DOC))
     out = str(tmp_path / "out")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__))]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
+    env = _src_env()
     # -X importtime lists every module the run imports, on stderr
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "bmbodies.cli", "conc", "--config",
@@ -990,6 +995,32 @@ def test_a_json_config_never_imports_yaml(tmp_path):
     assert "numpy" in imported and "bmbodies.concentration" in imported
     assert not [m for m in imported if m.split(".")[0] == "yaml"]
     assert len(_read_records(out, "conc")) == 1
+
+
+def test_the_cli_as_a_program_freezes_its_import_heap_and_still_writes_its_records(tmp_path):
+    cfg = _cfg(tmp_path, {**_CONC_DOC, "workers": 2})
+    out = str(tmp_path / "out")
+    # a fresh import freezes nothing; main() with no argv reads sys.argv and freezes
+    script = (
+        "import gc, sys\n"
+        "from bmbodies import cli\n"
+        "assert gc.get_freeze_count() == 0 and gc.isenabled()\n"
+        f"sys.argv = ['bmbodies', 'conc', '--config', {cfg!r}, '--out', {out!r}]\n"
+        "assert cli.main() == 0\n"
+        "assert gc.get_freeze_count() > 0 and gc.isenabled()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(_read_records(out, "conc")) == 1
+
+
+def test_main_with_argv_leaves_the_collector_as_it_was(tmp_path):
+    before = (gc.get_freeze_count(), gc.isenabled())
+    cfg = _cfg(tmp_path, _CONC_DOC)
+    assert cli.main(["conc", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    importlib.reload(bmbodies)  # reruns the package's import code in this process
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_unusable_out_path_is_validation(tmp_path, capsys):

@@ -49,9 +49,6 @@ def _brute_extremes(body):
                 e = np.zeros(body.dim)
                 e[j] = c.radius
                 pts.extend((e, -e))
-        elif c.p == math.inf:
-            for signs in itertools.product((1.0, -1.0), repeat=body.dim):
-                pts.append(c.radius * np.asarray(signs))
         else:
             raise AssertionError("euclidean components have no finite extreme set")
     return pts
