@@ -6,9 +6,10 @@ command/replicate/object-kind/object-index, so partial reruns keep
 their identities.  Parallel work is cut into fixed blocks whose sizes
 and stream names depend only on the configuration, never on the worker
 count, and block results are reduced in block order; any pool size
-therefore reproduces the same numeric payloads.  A pool forks its
-workers (so workers > 1 needs os.fork), which inherit their jobs, take
-the next one as they free up and pickle back only results and exceptions.
+therefore reproduces the same output files, byte for byte.  A pool
+forks its workers (so workers > 1 needs os.fork), which inherit their
+jobs, take the next one as they free up and pickle back only results
+and exceptions.
 
 Exit codes: 0 success, 2 configuration or validation failure, 3
 numeric tolerance failure inside a solver.
@@ -24,7 +25,6 @@ import math
 import os
 import pickle
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,7 +358,6 @@ def _jsonable(obj):
 def _mk_record(cfg: ExperimentConfig, stream: str, kind: str, payload: dict) -> dict:
     return {
         "experiment_id": f"{cfg.command}-{cfg.config_hash[:12]}",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
         "stream": stream,

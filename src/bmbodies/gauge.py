@@ -231,7 +231,6 @@ def _cone_program(body: HullBody):
         "owner": owner,
         "n_box": n_box,
         "b2_owner": b2_owner,
-        "b2_radius": np.array(b2_radius),
     }
     body._cache["gauge_cone"] = static
     return static
@@ -273,7 +272,7 @@ def _split(body, static, c, lam, b2, z):
     # Ball(2) pieces are zero off their supports, so their value is the
     # column norm over the radius
     b2 = b2 * share[:, None]
-    vals = np.sqrt((b2 * b2).sum(axis=0)) / static["b2_radius"]
+    vals = np.sqrt((b2 * b2).sum(axis=0)) / static["prog"].r
     for b in np.nonzero(vals > 0.0)[0]:
         pieces.append([static["b2_owner"][b], b2[:, b], float(vals[b])])
     resid = z - sum((p[1] for p in pieces), np.zeros(n))

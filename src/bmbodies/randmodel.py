@@ -3,7 +3,7 @@ fixed-size subsets, and random bodies.
 
 All sampling goes through numpy Generators backed by Philox, a
 counter-based PRNG with 128-bit state.  A substream is addressed by a
-master seed plus a hierarchical name such as "separate/body/3"; the name
+master seed plus a hierarchical name such as "separate/0/body/3"; the name
 is hashed into the seed material, so any worker can reconstruct any
 stream independently of scheduling order.
 """
@@ -53,15 +53,13 @@ class ModelParams:
 
     n is the ambient dimension, delta the subset density, n_subsets the
     number of subsets drawn.  m = round_half_up(delta * n) is the subset
-    size.  below_regime flags delta at or below sqrt(log(n)/n); it never
-    raises.
+    size.
     """
 
     n: int
     delta: float
     n_subsets: int
     m: int = field(init=False)
-    below_regime: bool = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -76,8 +74,6 @@ class ModelParams:
                 f"delta*n rounds to {m}; subsets would be empty (n={self.n}, delta={self.delta})"
             )
         object.__setattr__(self, "m", m)
-        threshold = math.sqrt(math.log(max(self.n, 2)) / self.n)
-        object.__setattr__(self, "below_regime", bool(self.delta <= threshold))
 
 
 def sample_subsets(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -181,7 +181,8 @@ def test_record_envelope_fields(tmp_path):
         assert rec["experiment_id"] == "conc-" + rec["config_hash"][:12]
         assert rec["seed"] == 5
         assert rec["stream"].startswith("conc/")
-        assert "payload" in rec and "kind" in rec and "timestamp" in rec
+        # no wall-clock field: a record is a function of config, seed and source
+        assert set(rec) == {"config_hash", "experiment_id", "kind", "payload", "seed", "stream"}
     curve = next(r for r in recs if r["kind"] == "quadratic")
     pay = curve["payload"]
     assert pay["trials"] == 3000
@@ -480,13 +481,43 @@ _VIEW_PARAMS = {command: params for command, params, *_ in _VIEWS}
 def test_every_format_writes_the_jsonl_records(tmp_path, command, fmt):
     params = _CONC if (command, fmt) == ("conc", "svg") else _VIEW_PARAMS[command]
     cfg = _cfg(tmp_path, {"command": command, "params": params})
-    lines = {}
+    records = {}
     for f in ("jsonl", fmt):
         out = str(tmp_path / f)
         assert cli.main([command, "--config", cfg, "--out", out, "--format", f]) == cli.EXIT_OK
-        with open(os.path.join(out, f"{command}-records.jsonl"), encoding="utf-8") as fh:
-            lines[f] = [re.sub(r'"timestamp": "[^"]*"', "", ln) for ln in fh]
-    assert lines["jsonl"] and lines[fmt] == lines["jsonl"]
+        with open(os.path.join(out, f"{command}-records.jsonl"), "rb") as fh:
+            records[f] = fh.read()
+    assert records["jsonl"] and records[fmt] == records["jsonl"]
+
+
+def _out_files(out):
+    """{name: bytes} of every file a run wrote into out."""
+    files = {}
+    for name in os.listdir(out):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+# params that really fork at two workers: two gauge bodies, two conc trial
+# blocks per replicate and three separate pairs
+_FORKING_PARAMS = dict(_VIEW_PARAMS, gauge=dict(_MODEL, count=2, points=2),
+                       conc=dict(_VIEW_PARAMS["conc"], trials=cli.BLOCK_TRIALS + 500))
+
+
+@pytest.mark.parametrize("command, fmt", [(c, f) for c in _FORKING_PARAMS for f in cli.FORMATS
+                                          if f != "svg" or c in cli.SVG_COMMANDS])
+def test_every_output_file_is_identical_across_runs_and_worker_counts(tmp_path, command, fmt):
+    cfg = _cfg(tmp_path, {"command": command, "params": _FORKING_PARAMS[command]})
+    runs = []
+    for k, workers in enumerate((1, 1, 2)):
+        out = str(tmp_path / f"run{k}")
+        argv = [command, "--config", cfg, "--out", out, "--format", fmt,
+                "--workers", str(workers), "--seed", "9"]
+        assert cli.main(argv) == cli.EXIT_OK
+        runs.append(_out_files(out))
+    assert f"{command}-records.jsonl" in runs[0]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize(

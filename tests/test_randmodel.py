@@ -44,15 +44,6 @@ def test_model_params_derives_subset_size():
         ModelParams(n=10, delta=1.5, n_subsets=1)
 
 
-def test_below_regime_flag_tracks_density_threshold():
-    # the sparse regime holds while delta <= sqrt(log(n)/n)
-    import math
-
-    thr = math.sqrt(math.log(20) / 20)
-    assert ModelParams(n=20, delta=0.25, n_subsets=2).below_regime == (0.25 <= thr)
-    assert not ModelParams(n=20, delta=0.5, n_subsets=2).below_regime
-
-
 def test_sample_subset_shape_and_range():
     rng = substream(7, "subsets")
     for n, m in ((10, 3), (50, 25), (6, 1)):
