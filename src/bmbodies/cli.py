@@ -381,9 +381,12 @@ def _model_body(cfg: ExperimentConfig, stream: str):
 def _pool_map(fn, jobs, workers: int):
     """[fn(j) for j in jobs].  Above one worker, min(workers, len(jobs))
     forked children take job indices from a shared pipe as they free up
-    and pickle back their results or their exception, which is raised
-    here as soon as any child fails; every child is reaped, and killed
-    first on a failure, before this returns or raises.  Forking is safe
+    and pickle back their results or their exception.  Once every child
+    has finished, the exception of the lowest failing job is raised here,
+    the one a serial run raises, since jobs start in index order; a child
+    that dies without a result fails the map at once.  Every child is
+    reaped, and killed first on such a failure, before this returns or
+    raises.  Forking is safe
     only in a process that runs no other thread; the CLI starts none.
     Under main() the workers fork from a frozen heap (see main)."""
     jobs = list(jobs)
@@ -398,6 +401,7 @@ def _pool_map(fn, jobs, workers: int):
     read_fd, write_fd = os.pipe()
     tasks_in, tasks_out = open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)
     children, results = {}, [None] * len(jobs)  # result pipe -> (worker, pid, chunks)
+    failed = {}  # job index -> exception of each failing job
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
@@ -425,9 +429,12 @@ def _pool_map(fn, jobs, workers: int):
                                        f"{status}, exit code {os.waitstatus_to_exitcode(status)})")
                 tag, value = pickle.loads(b"".join(chunks))
                 if tag == "err":
-                    raise value
+                    failed[value[0]] = value[1]
+                    continue
                 for i, result in value:
                     results[i] = result
+        if failed:
+            raise failed[min(failed)]
     finally:
         tasks_in.close()
         tasks_out.close()
@@ -441,8 +448,8 @@ def _pool_map(fn, jobs, workers: int):
 def _pool_child(fn, jobs, tasks_in, tasks_out, write_fd):
     """A forked child's whole life: run the jobs whose indices it reads
     from tasks_in, pickle ("ok", [(index, result), ...]) or ("err",
-    exception) into write_fd, then leave through os._exit."""
-    code = 1
+    (index, exception)) into write_fd, then leave through os._exit."""
+    code, i = 1, -1
     try:
         try:
             tasks_out.close()  # else no child would see the indices end
@@ -453,9 +460,9 @@ def _pool_child(fn, jobs, tasks_in, tasks_out, write_fd):
             data = pickle.dumps(("ok", done))
         except BaseException as exc:
             try:  # the round trip proves that the parent can rebuild it
-                pickle.loads(data := pickle.dumps(("err", exc)))
+                pickle.loads(data := pickle.dumps(("err", (i, exc))))
             except Exception:
-                data = pickle.dumps(("err", RuntimeError(repr(exc))))
+                data = pickle.dumps(("err", (i, RuntimeError(repr(exc)))))
         with open(write_fd, "wb") as fh:
             fh.write(data)
         sys.stdout.flush()

@@ -14,15 +14,17 @@ the block s_k = (1, r_k x[S_k]).  Its conic dual is
 
 with E_k the embedding of R^{S_k} into R^n.  The method is the
 predictor-corrector of CVXOPT's coneqp (Vandenberghe 2010) without
-equality constraints: an infeasible start, Nesterov-Todd scaling
-W = beta (2 v v' - J) per block, Mehrotra's corrector, and one n x n
-normal matrix G' W^-2 G per iteration, to which cone block k adds
+equality constraints: an infeasible start from conelp's two
+least-squares problems (the program has no quadratic term), Nesterov-Todd
+scaling W = beta (2 v v' - J) per block, Mehrotra's corrector, and one
+n x n normal matrix G' W^-2 G per iteration, to which cone block k adds
 (r_k / beta_k)^2 (I + 4 (|v|^2 + 1) v1 v1') on its support.  Block
 vectors are stored end to end in one flat array, LP rows first, so every
 operation is a handful of numpy calls whatever the block sizes.  polish
-turns a late iterate into the exact optimum by Newton's method on its
-active constraints.  Nothing here certifies anything: callers turn the
-iterates into bounds they recheck themselves.
+turns an iterate into the exact optimum by Newton's method on its active
+constraints, correcting a wrong guess of that set from the Newton point
+itself.  Nothing here certifies anything: callers turn the iterates into
+bounds they recheck themselves.
 """
 from __future__ import annotations
 
@@ -130,14 +132,16 @@ def iterates(prog: SocProgram, c, max_iter: int):
         # the smallest eigenvalue u0 - |u1| of each block
         return u[starts] - np.sqrt(reduceat(u * u * off, starts))
 
-    # Mehrotra's start: least squares with W = I, both sides shifted into
-    # the cone, then shifted again to balance s'z between them
+    # conelp's start: with W = I, x minimizes |h - G x| (G is zero on the
+    # cone heads and h on their tails, so G'h = A'f) and z is the
+    # least-norm solution of G'z = c; both sides are shifted into the
+    # cone, then shifted again to balance s'z between them
     h0 = a.T @ a
     h0[diag, diag] += np.bincount(tail_x, weights=prog.tail_r**2, minlength=nx)
     li = cho_inv(h0)
-    x = li.T @ (li @ (c + a.T @ h[:n_lin]))
+    x = li.T @ (li @ (a.T @ h[:n_lin]))
     s = h - prog.gx(x)
-    z = -s
+    z = prog.gx(li.T @ (li @ c))
     s = s + max(-1.5 * float(lowest(s).min()), 0.0) * e
     z = z + max(-1.5 * float(lowest(z).min()), 0.0) * e
     sz = float(s @ z)
@@ -225,45 +229,23 @@ def iterates(prog: SocProgram, c, max_iter: int):
             raise ConeError("non-finite")
 
 
-def polish(prog: SocProgram, c, x, s, z):
-    """Newton's method on the optimality conditions of the constraints
-    active at the iterate (x, s, z); returns a polished (x, z), or None
-    when the active set does not yield a consistent optimum.
-
-    A row counts as active when its slack is below its multiplier, a
-    cone when the distance of s to the cone's boundary is below z0.  On
-    that set the optimum solves
-
-        c = A_act' alpha + sum_k nu_k r_k^2 E_k x_S,  A_act x = f_act,
-        (r_k^2 |x_S|^2 - 1) / 2 = 0,
-
-    and its multipliers give the dual: alpha on the active rows and
-    (t_k, w_k) = nu_k (1, -r_k x_S) on the active cones.  The Newton
-    matrix is regularized by +-_POLISH_REG on its diagonal, so faces of
-    optima and redundant active rows cost nothing but a smaller step.
-    The answer is accepted only when the residuals vanish, the
-    multipliers are nonnegative and x satisfies every constraint, each
-    up to _POLISH_TOL; a rejected or wrong answer costs a weaker bound,
-    never a wrong one, since the caller rechecks what it gets.
-    """
-    n_lin, nx = prog.n_lin, prog.nx
-    act = np.nonzero(s[:n_lin] < z[:n_lin])[0]
-    s0, z0 = s[prog.heads_q], z[prog.heads_q]
-    s1 = np.sqrt(np.bincount(prog.tail_k, weights=s[prog.tail] ** 2, minlength=z0.size))
-    cones = np.nonzero(s0 - s1 < z0)[0]
-    on = np.isin(prog.tail_k, cones)
-    t_x, t_k = prog.tail_x[on], np.searchsorted(cones, prog.tail_k[on])
+def _kkt_point(prog, c, x, alpha, nu, act, cones, scale):
+    """Newton's method from (x, alpha, nu) on the optimality conditions of
+    the rows and cones that the boolean masks act and cones hold active;
+    returns the solution, or None unless it converges within
+    _POLISH_STEPS steps."""
+    nx = prog.nx
+    on = cones[prog.tail_k]
+    t_x, t_k = prog.tail_x[on], (np.cumsum(cones) - 1)[prog.tail_k[on]]
     r2 = prog.r[cones] ** 2
-    a_act, f_act = prog.a[act], prog.h[act]
-    alpha, nu = z[act], z0[cones]
-    m, q = act.size, cones.size
+    a_act, f_act = prog.a[act], prog.h[: prog.n_lin][act]
+    m, q = a_act.shape[0], r2.size
     size = nx + m + q
     kkt = np.zeros((size, size))
     kkt[nx : nx + m, :nx] = a_act
     kkt[:nx, nx : nx + m] = a_act.T
     reg = np.concatenate([np.full(nx, _POLISH_REG), np.full(m + q, -_POLISH_REG)])
     diag = np.arange(size)
-    scale = max(1.0, float(np.abs(c).max()))
     for _ in range(_POLISH_STEPS + 1):
         grad = np.zeros((q, nx))
         grad[t_k, t_x] = r2[t_k] * x[t_x]
@@ -273,7 +255,7 @@ def polish(prog: SocProgram, c, x, s, z):
             0.5 * (grad @ x - 1.0),
         ])
         if np.abs(res).max() <= _POLISH_TOL * scale:
-            break
+            return x, alpha, nu
         kkt[nx + m :, :nx] = grad
         kkt[:nx, nx + m :] = grad.T
         kkt[diag, diag] = reg
@@ -285,18 +267,66 @@ def polish(prog: SocProgram, c, x, s, z):
         x = x + step[:nx]
         alpha = alpha + step[nx : nx + m]
         nu = nu + step[nx + m :]
+    return None
+
+
+def polish(prog: SocProgram, c, x, s, z):
+    """Newton's method on the optimality conditions of the constraints
+    active at the iterate (x, s, z); returns a polished (x, z), or None
+    when the active set does not yield a consistent optimum.
+
+    The first guess has a row active when its slack is below its
+    multiplier, a cone when the distance of s to the cone's boundary is
+    below z0.  On that set the optimum solves
+
+        c = A_act' alpha + sum_k nu_k r_k^2 E_k x_S,  A_act x = f_act,
+        (r_k^2 |x_S|^2 - 1) / 2 = 0,
+
+    and its multipliers give the dual: alpha on the active rows and
+    (t_k, w_k) = nu_k (1, -r_k x_S) on the active cones.  The Newton
+    matrix is regularized by +-_POLISH_REG on its diagonal, so faces of
+    optima and redundant active rows cost nothing but a smaller step.
+    A guess that misses an active constraint can give a point that breaks
+    it, and one that holds an inactive constraint can give it a negative
+    multiplier; as in a primal-dual active-set method (Hintermueller, Ito
+    and Kunisch 2002) the broken constraints join the set, the negative
+    ones leave it, and Newton's method restarts from the iterate, at most
+    _POLISH_STEPS times and until the set stops changing.  The answer is
+    accepted only when the residuals vanish, the multipliers are
+    nonnegative and x satisfies every constraint, each up to _POLISH_TOL;
+    a rejected or wrong answer costs a weaker bound, never a wrong one,
+    since the caller rechecks what it gets.
+    """
+    n_lin = prog.n_lin
+    zl, z0 = z[:n_lin], z[prog.heads_q]
+    s1 = np.sqrt(np.bincount(prog.tail_k, weights=s[prog.tail] ** 2, minlength=z0.size))
+    act, cones = s[:n_lin] < zl, s[prog.heads_q] - s1 < z0
+    scale = max(1.0, float(np.abs(c).max()))
+    for _ in range(_POLISH_STEPS):
+        point = _kkt_point(prog, c, x, zl[act], z0[cones], act, cones, scale)
+        if point is None:
+            return None
+        xp, alpha, nu = point
+        slack = prog.h - prog.gx(xp)
+        cone_norm = np.sqrt(np.bincount(prog.tail_k, weights=slack[prog.tail] ** 2,
+                                        minlength=z0.size))
+        rows = act | (slack[:n_lin] < -_POLISH_TOL)
+        rows[np.nonzero(act)[0][alpha < -_POLISH_TOL]] = False
+        caps = cones | (cone_norm - 1.0 > _POLISH_TOL)
+        caps[np.nonzero(cones)[0][nu < -_POLISH_TOL]] = False
+        if np.array_equal(rows, act) and np.array_equal(caps, cones):
+            break
+        act, cones = rows, caps
     else:
         return None
-    slack = prog.h - prog.gx(x)
-    cone_norm = np.sqrt(np.bincount(prog.tail_k, weights=slack[prog.tail] ** 2,
-                                    minlength=z0.size))
     if (min(alpha.min(initial=0.0), nu.min(initial=0.0)) < -_POLISH_TOL
             or slack[:n_lin].min(initial=0.0) < -_POLISH_TOL
             or (cone_norm - 1.0).max(initial=0.0) > _POLISH_TOL):
         return None
     zp = np.zeros_like(z)
-    zp[act] = np.maximum(alpha, 0.0)
-    nu = np.maximum(nu, 0.0)
-    zp[prog.heads_q[cones]] = nu
-    zp[prog.tail[on]] = -(nu * prog.r[cones])[t_k] * x[t_x]
-    return x, zp
+    zp[:n_lin][act] = np.maximum(alpha, 0.0)
+    nu_k = np.zeros(z0.size)
+    nu_k[cones] = np.maximum(nu, 0.0)
+    zp[prog.heads_q] = nu_k
+    zp[prog.tail] = -(nu_k * prog.r)[prog.tail_k] * xp[prog.tail_x]
+    return xp, zp

@@ -945,6 +945,21 @@ def test_a_worker_exception_that_cannot_be_pickled_arrives_as_its_repr():
     _no_children_left()
 
 
+def test_a_pooled_map_raises_the_failure_a_serial_map_raises():
+    # job 3 fails first, but job 1 is the failure a serial run meets first
+    def job(j):
+        if j == 1:
+            time.sleep(0.3)
+        if j in (1, 3):
+            raise ValueError(f"job {j}")
+        return j
+
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"^job 1$"):
+            cli._pool_map(job, range(5), workers)
+    _no_children_left()
+
+
 def test_workers_above_one_need_fork(tmp_path, monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
     cfg = _cfg(tmp_path, dict(_CONC_DOC, workers=2))
@@ -958,32 +973,32 @@ def test_workers_above_one_need_fork(tmp_path, monkeypatch, capsys):
 
 def test_gauge_command_never_imports_scipy(tmp_path):
     env = _src_env()
-    # a pooled run forks its workers itself, so neither run imports a pool library
-    for workers in (1, 2):
-        cfg = _cfg(
-            tmp_path,
-            {
-                "command": "gauge",
-                "workers": workers,
-                "params": {"n": 16, "delta": 0.25, "n_subsets": 40, "kind": "cap",
-                           "count": 2, "points": 2},
-            },
-        )
-        out = str(tmp_path / f"out{workers}")
+    cap = {"n": 16, "delta": 0.25, "n_subsets": 40, "kind": "cap", "count": 2, "points": 2}
+    dist = {"n": 8, "delta": 0.5, "n_subsets": 16}
+    # a pooled run forks its workers itself, so neither run imports a pool
+    # library; a serial run gauges in its own process, which must not load
+    # numpy.ma either (np.unique and the set routines built on it import it)
+    for command, workers, params, count in [("gauge", 1, cap, 4), ("gauge", 2, cap, 4),
+                                            ("dist", 1, dist, 2)]:
+        cfg = _cfg(tmp_path, {"command": command, "workers": workers, "params": params},
+                   name=f"{command}{workers}.yaml")
+        out = str(tmp_path / f"{command}{workers}")
         script = (
             "import sys\n"
             "from bmbodies import cli\n"
-            f"code = cli.main(['gauge', '--config', {cfg!r}, '--out', {out!r}])\n"
+            f"code = cli.main([{command!r}, '--config', {cfg!r}, '--out', {out!r}])\n"
             "assert code == 0, code\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert 'multiprocessing' not in sys.modules\n"
             "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
         )
+        if workers == 1:
+            script += "assert 'numpy.ma' not in sys.modules\n"
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)
-        assert proc.returncode == 0, (workers, proc.stderr)
-        assert len(_read_records(out, "gauge")) == 4
+        assert proc.returncode == 0, (command, workers, proc.stderr)
+        assert len(_read_records(out, command)) == count
 
 
 def test_json_and_yaml_configs_differ_only_where_their_scalars_do(tmp_path):
