@@ -2,16 +2,17 @@
 
 A HullBody is abs.conv of its components.  Components are either
 SignedPoints (a finite generator list, optionally closed under sign
-flips coordinatewise) or a Ball (an l_p ball, p in {1, 2, inf}, possibly
-restricted to a coordinate subset).  A body stores a Ball(inf) r B_inf^S
-as the box of its one generator r 1_S, so no code past the constructor
-sees one.  Support functions are exact closed forms; gauges are
-certified two-sided and live in gauge.py.
+flips coordinatewise), a Ball (an l_p ball, p in {1, 2, inf}, possibly
+restricted to a coordinate subset) or Caps (Euclidean caps r_k B_2^{S_k}).
+A body stores a Ball(inf) r B_inf^S as the box of its one generator r 1_S
+and its restricted Ball(2)s as the rows of one Caps, so no code past the
+constructor sees either.  Support functions are exact closed forms;
+gauges are certified two-sided and live in gauge.py.
 
 The model bodies: subset_body builds
     abs.conv( unc.conv(indicators of I_1..I_N), sqrt(m) B_1, delta*sqrt(n) B_2 )
-with m = round_half_up(delta*n), and cap_body builds the hull of
-Euclidean caps sqrt(m) B_2^{I_l} together with delta*sqrt(n) B_2.
+with m = round_half_up(delta*n), and cap_body builds the hull of the
+Caps of sqrt(m) B_2^{I_l} together with delta*sqrt(n) B_2.
 """
 from __future__ import annotations
 
@@ -65,7 +66,8 @@ class SignedPoints:
 @dataclass(frozen=True)
 class Ball:
     """l_p ball of given radius, restricted to `support` when not None;
-    HullBody stores a Ball(inf) as its box (see HullBody)."""
+    HullBody stores a Ball(inf) as its box and a restricted Ball(2) as a
+    row of its Caps (see HullBody)."""
 
     p: float
     radius: float
@@ -85,14 +87,25 @@ class Ball:
             object.__setattr__(self, "support", sup)
 
 
+@dataclass(frozen=True)
+class Caps:
+    """Euclidean caps r_k B_2^{S_k}: radii[k] is r_k, and row k of the (K, n)
+    float mask is the 0/1 indicator of S_k.  It has no checks of its own:
+    only HullBody (from restricted Ball(2)s) and cap_body build one."""
+
+    radii: np.ndarray
+    mask: np.ndarray
+
+
 class HullBody:
     """Absolute convex hull of components; immutable once constructed.
 
     Construction validates shapes and finiteness, stores each Ball(inf)
-    r B_inf^S as SignedPoints([r 1_S], unconditional=True), and accepts a
-    body exactly when its certified inradius bound (the largest component
-    inradius, see inradius_lower) is positive: every bound divided by it
-    is then finite.
+    r B_inf^S as SignedPoints([r 1_S], unconditional=True), joins every
+    Caps and restricted Ball(2), in order, into one Caps at the first one's
+    place, and accepts a body exactly when its certified inradius bound
+    (the largest component inradius, see inradius_lower) is positive:
+    every bound divided by it is then finite.
     """
 
     __slots__ = ("dim", "components", "_cache")
@@ -100,24 +113,28 @@ class HullBody:
     def __init__(self, dim: int, components):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        comps = list(components)
+        comps = []
+        for c in components:
+            if isinstance(c, Ball):
+                ind = np.zeros((1, dim))
+                ind[0, slice(None) if c.support is None else check_index_set(c.support, dim)] = 1.0
+                if c.p == math.inf:
+                    c = SignedPoints(c.radius * ind, unconditional=True)
+                elif c.p == 2.0 and c.support is not None:
+                    c = Caps(np.array([c.radius]), ind)
+            elif not isinstance(c, (SignedPoints, Caps)):
+                raise TypeError(f"unknown component type {type(c).__name__}")
+            arr = c.points if isinstance(c, SignedPoints) else getattr(c, "mask", None)
+            if arr is not None and arr.shape[1] != dim:
+                raise ValueError(f"component dimension {arr.shape[1]} != body dim {dim}")
+            comps.append(c)
         if not comps:
             raise ValueError("a body needs at least one component")
-        for i, c in enumerate(comps):
-            if isinstance(c, SignedPoints):
-                if c.points.shape[1] != dim:
-                    raise ValueError(
-                        f"generator dimension {c.points.shape[1]} != body dim {dim}"
-                    )
-            elif isinstance(c, Ball):
-                if c.support is not None:
-                    check_index_set(c.support, dim)
-                if c.p == math.inf:
-                    gen = np.zeros((1, dim))
-                    gen[0, slice(None) if c.support is None else c.support] = c.radius
-                    comps[i] = SignedPoints(gen, unconditional=True)
-            else:
-                raise TypeError(f"unknown component type {type(c).__name__}")
+        at = [i for i, c in enumerate(comps) if isinstance(c, Caps)]
+        if len(at) > 1:
+            comps[at[0]] = Caps(np.concatenate([comps[i].radii for i in at]),
+                                np.vstack([comps[i].mask for i in at]))
+            comps = [c for i, c in enumerate(comps) if i not in at[1:]]
         comps = tuple(comps)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", comps)
@@ -142,31 +159,12 @@ class HullBody:
             if isinstance(c, SignedPoints):
                 tag = "unc" if c.unconditional else "pts"
                 kinds.append(f"{tag}[{c.points.shape[0]}]")
+            elif isinstance(c, Caps):
+                kinds.append(f"caps[{c.radii.size}](r<={c.radii.max():g})")
             else:
                 sup = "full" if c.support is None else f"|S|={c.support.size}"
                 kinds.append(f"B{c.p:g}(r={c.radius:g},{sup})")
         return f"HullBody(dim={self.dim}, {', '.join(kinds)})"
-
-
-def _restrict(ys: np.ndarray, support) -> np.ndarray:
-    return ys if support is None else ys[:, support]
-
-
-def _batched_caps(body: HullBody):
-    """Ball(2) components with a support as 0/1 support masks (k, n) and
-    radii (k,), or None without any; cached on the body, so that a cap
-    body's hundreds of caps cost one product in support_many."""
-    if "batched_caps" not in body._cache:
-        caps = [c for c in body.components
-                if isinstance(c, Ball) and c.p == 2.0 and c.support is not None]
-        batched = None
-        if caps:
-            mask = np.zeros((len(caps), body.dim))
-            for i, c in enumerate(caps):
-                mask[i, c.support] = 1.0
-            batched = (mask, np.array([c.radius for c in caps]))
-        body._cache["batched_caps"] = batched
-    return body._cache["batched_caps"]
 
 
 def support_many(body: HullBody, ys) -> np.ndarray:
@@ -175,23 +173,19 @@ def support_many(body: HullBody, ys) -> np.ndarray:
     if ys.shape[1] != body.dim:
         raise ValueError(f"direction dimension {ys.shape[1]} != body dim {body.dim}")
     vals = np.zeros(ys.shape[0])
-    caps = _batched_caps(body)
-    if caps is not None:
-        mask, radii = caps
-        np.maximum(vals, (np.sqrt((ys * ys) @ mask.T) * radii).max(axis=1), out=vals)
     for c in body.components:
-        if isinstance(c, Ball) and c.p == 2.0 and c.support is not None:
-            continue  # in caps above
-        if isinstance(c, SignedPoints):
+        if isinstance(c, Caps):
+            contrib = (np.sqrt((ys * ys) @ c.mask.T) * c.radii).max(axis=1)
+        elif isinstance(c, SignedPoints):
             if c.unconditional:
                 contrib = (np.abs(ys) @ np.abs(c.points).T).max(axis=1)
             else:
                 contrib = np.abs(ys @ c.points.T).max(axis=1)
         elif c.p == 1.0:
-            contrib = c.radius * np.abs(_restrict(ys, c.support)).max(axis=1)
-        else:
-            sub = _restrict(ys, c.support)
-            contrib = c.radius * np.sqrt((sub * sub).sum(axis=1))
+            sub = ys if c.support is None else ys[:, c.support]
+            contrib = c.radius * np.abs(sub).max(axis=1)
+        else:  # a full Ball(2): the restricted ones are rows of the Caps
+            contrib = c.radius * np.sqrt((ys * ys).sum(axis=1))
         np.maximum(vals, contrib, out=vals)
     return vals
 
@@ -260,14 +254,17 @@ def cap_body(params: ModelParams, subsets) -> HullBody:
     """Hull of Euclidean caps sqrt(m) B_2 restricted to each subset,
     together with the full ball delta*sqrt(n) B_2."""
     n = params.n
-    r_cap = math.sqrt(params.m)
-    comps = [Ball(2.0, r_cap, support=row) for row in _subset_family(subsets, n)]
-    comps.append(Ball(2.0, params.delta * math.sqrt(n)))
-    return HullBody(n, comps)
+    subs = _subset_family(subsets, n)
+    mask = np.zeros((subs.shape[0], n))
+    np.put_along_axis(mask, subs, 1.0, axis=1)
+    caps = Caps(np.full(subs.shape[0], math.sqrt(params.m)), mask)
+    return HullBody(n, [caps, Ball(2.0, params.delta * math.sqrt(n))])
 
 
 def _component_inradius(c, n: int) -> float:
     """Euclidean inradius of a single component (0 when flat)."""
+    if isinstance(c, Caps):
+        return float(c.radii[c.mask.all(axis=1)].max(initial=0.0))
     if isinstance(c, Ball):
         if c.support is not None and c.support.size < n:
             return 0.0
@@ -304,7 +301,9 @@ def circumradius_upper(body: HullBody) -> float:
     key = "circumradius_upper"
     if key not in body._cache:
         body._cache[key] = max(
-            c.radius if isinstance(c, Ball) else float(np.sqrt((c.points**2).sum(axis=1)).max())
+            c.radius if isinstance(c, Ball)
+            else float(c.radii.max()) if isinstance(c, Caps)
+            else float(np.sqrt((c.points**2).sum(axis=1)).max())
             for c in body.components
         )
     return body._cache[key]
@@ -317,22 +316,14 @@ def body_to_dict(body: HullBody) -> dict:
     comps = []
     for c in body.components:
         if isinstance(c, SignedPoints):
-            comps.append(
-                {
-                    "kind": "signed_points",
-                    "unconditional": bool(c.unconditional),
-                    "points": [[float(v) for v in row] for row in c.points],
-                }
-            )
+            comps.append({"kind": "signed_points", "unconditional": bool(c.unconditional),
+                          "points": c.points.tolist()})
+        elif isinstance(c, Caps):
+            comps.append({"kind": "caps", "radii": c.radii.tolist(),
+                          "supports": [np.flatnonzero(row).tolist() for row in c.mask]})
         else:
-            comps.append(
-                {
-                    "kind": "ball",
-                    "p": int(c.p),
-                    "radius": float(c.radius),
-                    "support": None if c.support is None else [int(i) for i in c.support],
-                }
-            )
+            comps.append({"kind": "ball", "p": int(c.p), "radius": float(c.radius),
+                          "support": None if c.support is None else c.support.tolist()})
     return {"dim": body.dim, "components": comps}
 
 

@@ -874,10 +874,18 @@ def _report_file(records, fmt: str, command: str) -> dict:
 def emit_report(files: dict, out_dir: str) -> None:
     """Write every output file of a run: files maps a name in out_dir to
     an iterable of text chunks, written in order.  A str would be written
-    one character at a time, so a whole text comes as a 1-tuple."""
+    one character at a time, so a whole text comes as a 1-tuple.  A file
+    is renamed into place from name.partial once whole, so a failed write
+    leaves no torn file, and no .partial either."""
     for name, chunks in files.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        path = os.path.join(out_dir, name)
+        with open(path + ".partial", "w", encoding="utf-8") as fh:
+            try:
+                fh.writelines(chunks)
+            except BaseException:
+                os.remove(fh.name)
+                raise
+        os.replace(fh.name, path)
 
 
 def run(cfg: ExperimentConfig) -> int:

@@ -3,8 +3,9 @@ the pairwise separation run over a body family.
 
 Operator norms report a certified bracket: the lower bound is the gauge
 of a mapped extreme point that was actually found, the upper bound is a
-finite maximum of per-component certificates.  Euclidean components
-certify their upper bound through the target's inradius (see
+finite maximum of per-component certificates.  Euclidean pieces (a
+full ball, or each row of a Caps) certify their upper bound through the
+target's inradius or a cap of the target that holds their image (see
 _image_inradius), which is positive for every valid body.  Boxes mapped
 into a solid target are bounded by domination: the gauge of |T||g|
 bounds every sign vertex of the box spanned by g; a box too large to
@@ -24,7 +25,7 @@ from itertools import islice, permutations, product
 
 import numpy as np
 
-from .bodies import Ball, HullBody, SignedPoints, _batched_caps, inradius_lower, support_many
+from .bodies import Ball, Caps, HullBody, SignedPoints, inradius_lower, support_many
 from .gauge import gauge
 from .linalg import spectral_norm
 # not called here (op_norm needs no decomposition); bench/tracer.py wraps it on this module
@@ -126,11 +127,7 @@ def _check_bar(lo: float, bar: float) -> None:
 def _solid(body: HullBody) -> bool:
     """Every component is unconditional, so |z| <= |v| coordinatewise
     with v in the body puts z in the body too."""
-    return all(isinstance(c, Ball) or c.unconditional for c in body.components)
-
-
-def _support(comp: Ball, n: int) -> np.ndarray:
-    return np.arange(n) if comp.support is None else comp.support
+    return all(isinstance(c, (Ball, Caps)) or c.unconditional for c in body.components)
 
 
 def _sign_patterns(k: int) -> np.ndarray:
@@ -169,7 +166,7 @@ def _segment_points(comp, n: int) -> np.ndarray:
     +-r e_i of a Ball(1) over its support."""
     if isinstance(comp, SignedPoints):
         return np.concatenate([comp.points, -comp.points], axis=0)
-    sup = _support(comp, n)
+    sup = np.arange(n) if comp.support is None else comp.support
     pts = np.zeros((2 * sup.size, n))
     pts[np.arange(sup.size), sup] = comp.radius
     pts[sup.size + np.arange(sup.size), sup] = -comp.radius
@@ -200,17 +197,15 @@ def _dual_probes(body: HullBody) -> np.ndarray:
 
 def _image_inradius(k2: HullBody, image: np.ndarray) -> float:
     """Radius rho with gauge_K2(x) <= |x|_2 / rho for every x in the
-    column span of image: inradius_lower(K2), or the radius of a flat
-    Ball(2) piece of K2 whose span holds the image, whichever is larger.
-    A piece qualifies only when the image rows off its support vanish
-    exactly."""
+    column span of image: inradius_lower(K2), or the radius of a cap of
+    K2 whose span holds the image, whichever is larger.  A cap qualifies
+    only when the image rows off its support vanish exactly."""
     rho = inradius_lower(k2)
-    caps = _batched_caps(k2)
-    if caps is not None:
-        mask, radii = caps
-        live = np.any(image != 0.0, axis=1)
-        holds = np.all(mask[:, live] > 0.0, axis=1)
-        rho = max(rho, float(radii[holds].max(initial=0.0)))
+    live = np.any(image != 0.0, axis=1)
+    for c in k2.components:
+        if isinstance(c, Caps):
+            holds = np.all(c.mask[:, live] > 0.0, axis=1)
+            rho = max(rho, float(c.radii[holds].max(initial=0.0)))
     return rho
 
 
@@ -289,9 +284,10 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
     not solid, a guided box takes |g|_2 |T_S|_2 / rho as its upper bound,
     with rho from _image_inradius.
 
-    A Euclidean component r * B_2^S takes its certified upper bound
-    r |T_S|_2 / rho the same way and, unless that bound cannot beat the
-    lower bound found so far, its lower bound from closed-form points:
+    A Euclidean piece r * B_2^S, a full Ball(2) or each cap row in row
+    order, takes its certified upper bound r |T_S|_2 / rho the same way
+    and, unless that bound cannot beat the lower bound found so far, its
+    lower bound from closed-form points:
     for a dual probe y of K2, u_y = T_S^T y / |T_S^T y| maximizes
     r <y, T_S u> over the unit sphere of S.  The coordinate directions and
     every r * u_y are ranked by probe score and the top _BALL2_GAUGES get
@@ -328,15 +324,18 @@ def op_norm(t_mat, k: HullBody, k2: HullBody, *, bar: float = math.inf) -> OpNor
         key=lambda ic: isinstance(ic[1], SignedPoints) and ic[1].unconditional,
     )
     for ci, comp in boxes_last:
-        if isinstance(comp, Ball) and comp.p == 2.0:
-            sup = _support(comp, k.dim)
-            ts = t_mat[:, sup]
-            c_hi = comp.radius * spectral_norm(ts) / _image_inradius(k2, ts)
-            c_lo, c_wit = 0.0, None
-            if c_hi > lo:
-                pts = _ball2_points(t_mat, sup, comp.radius, k2)
-                c_lo, c_wit = _probe_ranked_lo(t_mat, pts, k2, _BALL2_GAUGES, bar, lo)
-            fold(c_lo, c_hi, c_wit)
+        if isinstance(comp, Caps) or (isinstance(comp, Ball) and comp.p == 2.0):
+            euclid = (zip(comp.mask, comp.radii.tolist()) if isinstance(comp, Caps)
+                      else [(np.ones(k.dim), comp.radius)])
+            for row, radius in euclid:
+                sup = np.flatnonzero(row)
+                ts = t_mat[:, sup]
+                c_hi = radius * spectral_norm(ts) / _image_inradius(k2, ts)
+                c_lo, c_wit = 0.0, None
+                if c_hi > lo:
+                    pts = _ball2_points(t_mat, sup, radius, k2)
+                    c_lo, c_wit = _probe_ranked_lo(t_mat, pts, k2, _BALL2_GAUGES, bar, lo)
+                fold(c_lo, c_hi, c_wit)
             continue
         if isinstance(comp, Ball) or not comp.unconditional:
             fold(*_eval_points_max(t_mat, _segment_points(comp, k.dim), k2, bar))

@@ -10,12 +10,12 @@ them.
 Every body reduces to one cone program, the gauge dual max <x, y> over
 h_K(y) <= 1: a linear row per box generator (a Ball(inf) is stored as
 its box), Ball(1) coordinate and segment, and one second-order cone per
-Ball(2) (see _cone_program).  A numpy interior-point method (cone.py)
-solves it; once its iterates are near the optimum, Newton's method on
-the active constraints polishes them to the exact optimum.  lo is then
-recomputed from y through the support function, and hi from the conic
-dual (box weights, segment multiples and Ball(2) vectors) through closed
-forms, so solver inaccuracy can only widen a bracket.
+full Ball(2) and per cap row (see _cone_program).  A numpy interior-point
+method (cone.py) solves it; once its iterates are near the optimum,
+Newton's method on the active constraints polishes them to the exact
+optimum.  lo is then recomputed from y through the support function, and
+hi from the conic dual (box weights, segment multiples and cone vectors)
+through closed forms, so solver inaccuracy can only widen a bracket.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from .bodies import (
     Ball,
+    Caps,
     HullBody,
     SignedPoints,
     circumradius_upper,
@@ -84,19 +85,21 @@ class GaugeResult:
 
 def component_value(comp, z: np.ndarray, n: int) -> float:
     """Exact gauge of z with respect to a single component (inf when z
-    lies outside the component's span)."""
+    lies outside the component's span).  For Caps it is the least
+    |z_S|/r over the rows whose support S holds all of z's nonzeros."""
+    if isinstance(comp, Caps):
+        holds = ~np.any((comp.mask == 0.0) & (z != 0.0), axis=1)
+        best = math.inf
+        for k in np.flatnonzero(holds):
+            sub = z[comp.mask[k] > 0.0]
+            best = min(best, float(np.sqrt((sub * sub).sum())) / float(comp.radii[k]))
+        return best
     if isinstance(comp, Ball):
-        if comp.support is not None:
-            mask = np.zeros(n, dtype=bool)
-            mask[comp.support] = True
-            if np.any(z[~mask] != 0.0):
-                return math.inf
-            sub = z[comp.support]
-        else:
-            sub = z
-        if comp.p == 1.0:
-            return float(np.abs(sub).sum()) / comp.radius
-        return float(np.sqrt((sub * sub).sum())) / comp.radius
+        sub = z if comp.support is None else z[comp.support]
+        if np.count_nonzero(sub) < np.count_nonzero(z):
+            return math.inf
+        norm = np.abs(sub).sum() if comp.p == 1.0 else np.sqrt((sub * sub).sum())
+        return float(norm) / comp.radius
     if comp.unconditional:
         ag, az = np.abs(comp.points), np.abs(z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -114,17 +117,9 @@ def component_value(comp, z: np.ndarray, n: int) -> float:
 
 
 def _best_single_component(body: HullBody, z: np.ndarray):
-    # a Ball whose support has fewer coordinates than z has nonzeros
-    # cannot contain a multiple of z: its value is inf, so skip it
-    nnz = int(np.count_nonzero(z))
-    best_val, best_idx = math.inf, -1
-    for j, comp in enumerate(body.components):
-        if isinstance(comp, Ball) and comp.support is not None and comp.support.size < nnz:
-            continue
-        val = component_value(comp, z, body.dim)
-        if val < best_val:
-            best_val, best_idx = val, j
-    return best_val, best_idx
+    vals = [component_value(comp, z, body.dim) for comp in body.components]
+    j = int(np.argmin(vals))
+    return vals[j], j
 
 
 def _dual_candidates(body: HullBody, z: np.ndarray):
@@ -155,7 +150,8 @@ def _cone_program(body: HullBody):
     h_K(y) <= 1 splits into one row per family: <|y|, |g|> <= 1 per box
     generator (a Ball(inf) is the box of r 1_S), r_i |y_i| <= 1 per
     coordinate with the largest covering Ball(1) radius r_i, |<y, g>| <= 1
-    per conditional generator (segment), and r ||y_S|| <= 1 per Ball(2).
+    per conditional generator (segment), and r ||y_S|| <= 1 per full
+    Ball(2) and per cap row, in component and row order.
     With u >= |y| the solid rows read V' u <= 1 for nonnegative columns V
     and r ||u_S|| <= 1.  A coordinate no segment touches keeps only u_i,
     with y_i = sign(z_i) u_i, so the variables are x = (y_T, u) over the
@@ -165,7 +161,7 @@ def _cone_program(body: HullBody):
         |y_T| <= u_T,  u_U >= 0,  r_k ||u_{S_k}|| <= 1.
 
     Its conic dual is the decomposition: weights lam >= 0 on V, segment
-    multiples c = c+ - c-, and one vector w_k per Ball(2) with
+    multiples c = c+ - c-, and one vector w_k per cone with
     ||w_k|| <= t_k, covering |z - G c|.
     """
     cached = body._cache.get("gauge_cone")
@@ -177,6 +173,11 @@ def _cone_program(body: HullBody):
     atom_owner = np.full(n, -1)
     b2_owner, b2_sup, b2_radius = [], [], []
     for j, comp in enumerate(body.components):
+        if isinstance(comp, Caps):
+            b2_owner.extend([j] * comp.radii.size)
+            b2_sup.extend(np.flatnonzero(row) for row in comp.mask)
+            b2_radius.extend(comp.radii)
+            continue
         if isinstance(comp, SignedPoints):
             k = comp.points.shape[0]
             if comp.unconditional:
@@ -241,11 +242,11 @@ def _split(body, static, c, lam, b2, z):
 
     Segments give pieces c_j g_j.  The rest u = z - G c is split over the
     solid columns in proportion to their coverage: column j (V's columns
-    with weights lam, then the Ball(2) vectors b2) takes u * col_j /
-    cover, which lies in lam_j K_j by solidity.  Piece values are
-    recomputed from exact closed forms: max|piece| / v over a box column's
-    support, and the ball norm of each Ball(1)/Ball(2) component's summed
-    pieces.
+    with weights lam, then the cone vectors b2) takes u * col_j / cover,
+    which lies in lam_j K_j by solidity.  Piece values are recomputed from
+    exact closed forms: max|piece| / v over a box column's support, the
+    l1 norm of each Ball(1) component's summed pieces over its radius, and
+    each cone's piece norm over its radius.
     """
     n = body.dim
     pieces = []
@@ -269,7 +270,7 @@ def _split(body, static, c, lam, b2, z):
     for j in sorted(balls):
         if np.any(balls[j] != 0.0):
             pieces.append([j, balls[j], component_value(body.components[j], balls[j], n)])
-    # Ball(2) pieces are zero off their supports, so their value is the
+    # cone pieces are zero off their supports, so their value is the
     # column norm over the radius
     b2 = b2 * share[:, None]
     vals = np.sqrt((b2 * b2).sum(axis=0)) / static["prog"].r

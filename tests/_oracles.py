@@ -1,6 +1,7 @@
 """Independent reference computations used by the tests.
 
 Everything here deliberately avoids the package's own solver paths:
+a body's caps are taken one at a time, as restricted Euclidean balls,
 singular values come from characteristic polynomials, gauges from a
 membership bisection driven by support-direction separations, 2x2
 distance bounds from closed-form norms on a dense map grid,
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bmbodies.bodies import Ball, SignedPoints
+from bmbodies.bodies import Ball, Caps, SignedPoints, _component_inradius
 
 
 def charpoly_singular_values(a: np.ndarray) -> np.ndarray:
@@ -36,6 +37,89 @@ def charpoly_singular_values(a: np.ndarray) -> np.ndarray:
     roots = np.roots(coeffs)
     vals = np.clip(roots.real, 0.0, None)
     return np.sqrt(np.sort(vals)[::-1])
+
+
+def per_cap_components(body) -> list:
+    """The body's components with its Caps split into one restricted
+    Ball(2) per row, in row order."""
+    out = []
+    for c in body.components:
+        if isinstance(c, Caps):
+            out.extend(Ball(2.0, float(r), support=np.flatnonzero(row))
+                       for r, row in zip(c.radii, c.mask))
+        else:
+            out.append(c)
+    return out
+
+
+def _is_cap(c) -> bool:
+    return isinstance(c, Ball) and c.p == 2.0 and c.support is not None
+
+
+def cap_support_many(body, ys) -> np.ndarray:
+    """h_K at each row of ys, one component at a time, with the caps'
+    share from a (k, n) support mask filled one cap at a time."""
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    comps = per_cap_components(body)
+    vals = np.zeros(ys.shape[0])
+    caps = [c for c in comps if _is_cap(c)]
+    if caps:
+        mask = np.zeros((len(caps), body.dim))
+        for i, c in enumerate(caps):
+            mask[i, c.support] = 1.0
+        radii = np.array([c.radius for c in caps])
+        np.maximum(vals, (np.sqrt((ys * ys) @ mask.T) * radii).max(axis=1), out=vals)
+    for c in comps:
+        if _is_cap(c):
+            continue
+        if isinstance(c, SignedPoints):
+            pts = np.abs(c.points) if c.unconditional else c.points
+            contrib = np.abs((np.abs(ys) if c.unconditional else ys) @ pts.T).max(axis=1)
+        else:
+            sub = ys if c.support is None else ys[:, c.support]
+            contrib = c.radius * (np.abs(sub).max(axis=1) if c.p == 1.0
+                                  else np.sqrt((sub * sub).sum(axis=1)))
+        np.maximum(vals, contrib, out=vals)
+    return vals
+
+
+def cap_value(body, z: np.ndarray) -> float:
+    """Least |z_S|/r over the caps whose support S holds every nonzero of
+    z, one cap at a time; inf when no cap holds z."""
+    best = math.inf
+    for c in filter(_is_cap, per_cap_components(body)):
+        off = np.ones(body.dim, dtype=bool)
+        off[c.support] = False
+        if not np.any(z[off] != 0.0):
+            sub = z[c.support]
+            best = min(best, float(np.sqrt((sub * sub).sum())) / c.radius)
+    return best
+
+
+def cap_radii_bounds(body) -> tuple:
+    """(inradius_lower, circumradius_upper) with every cap on its own: a
+    cap is flat unless its support is every coordinate."""
+    inner, outer = [], []
+    for c in per_cap_components(body):
+        if _is_cap(c):
+            inner.append(c.radius if c.support.size == body.dim else 0.0)
+            outer.append(c.radius)
+        else:
+            inner.append(_component_inradius(c, body.dim))
+            outer.append(c.radius if isinstance(c, Ball)
+                         else float(np.sqrt((c.points**2).sum(axis=1)).max()))
+    return max(inner), max(outer)
+
+
+def cap_image_inradius(body, image: np.ndarray) -> float:
+    """The body's inradius bound, or the largest radius of a cap whose
+    support holds every nonzero row of image, one cap at a time."""
+    rho = cap_radii_bounds(body)[0]
+    live = np.any(image != 0.0, axis=1)
+    for c in filter(_is_cap, per_cap_components(body)):
+        if np.all(np.isin(np.flatnonzero(live), c.support)):
+            rho = max(rho, c.radius)
+    return rho
 
 
 def _ball_support_point(c: Ball, y: np.ndarray, n: int):
@@ -61,7 +145,7 @@ def support_point(body, y: np.ndarray):
     n = body.dim
     best_val = -math.inf
     best_pt = np.zeros(n)
-    for c in body.components:
+    for c in per_cap_components(body):
         if isinstance(c, Ball):
             pt = _ball_support_point(c, y, n)
             val = float(pt @ y)
@@ -96,7 +180,7 @@ class _ProjectionProposer:
     def __init__(self, body):
         n = body.dim
         atoms = []
-        for c in body.components:
+        for c in per_cap_components(body):
             if isinstance(c, SignedPoints):
                 pts = np.asarray(c.points, dtype=float)
                 for g in pts:

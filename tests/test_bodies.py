@@ -6,8 +6,10 @@ import pickle
 import numpy as np
 import pytest
 
+from bmbodies import bodies
 from bmbodies.bodies import (
     Ball,
+    Caps,
     HullBody,
     SignedPoints,
     ball_body,
@@ -152,6 +154,19 @@ def test_cap_body_supports_union_of_coordinate_balls():
     for row in subs:
         want = max(want, math.sqrt(params.m) * float(np.linalg.norm(y[row])))
     assert math.isclose(support_function(cap, y), want, rel_tol=1e-12)
+
+
+def test_a_cap_body_checks_its_subset_family_once(monkeypatch):
+    params = ModelParams(n=80, delta=0.25, n_subsets=320)
+    subs = sample_subsets(80, params.m, 320, substream(6, "cap/once"))
+    real, calls = bodies._subset_family, []
+    monkeypatch.setattr(bodies, "_subset_family", lambda *a: calls.append(a) or real(*a))
+    body = cap_body(params, subs)
+    assert len(calls) == 1
+    caps, ball = body.components
+    assert isinstance(caps, Caps) and isinstance(ball, Ball)
+    assert caps.mask.shape == (320, 80) and np.array_equal(caps.mask.sum(axis=1), [20] * 320)
+    assert repr(body) == "HullBody(dim=80, caps[320](r<=4.47214), B2(r=2.23607,full))"
 
 
 @pytest.mark.parametrize("build", [subset_body, cap_body])

@@ -576,6 +576,30 @@ def test_large_deviation_records_carry_finite_raw_moments(tmp_path):
     assert math.isfinite(pl["raw_se"]) and pl["raw_se"] > 0.0
 
 
+def test_a_failed_write_leaves_no_torn_or_temporary_file(tmp_path, monkeypatch):
+    # the second record fails to render while the records file is being
+    # written; the earlier run's file must stay whole, beside nothing else
+    cfg = _cfg(tmp_path, {"command": "gauge", "params": dict(_MODEL, count=1, points=3)})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "gauge-records.jsonl").write_text("earlier run\n")
+    real, records = json.dumps, []
+
+    def dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "payload" in obj:
+            records.append(obj)
+            if len(records) == 2:
+                raise RuntimeError("rendering failed")
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    with pytest.raises(RuntimeError, match="rendering failed"):
+        cli.main(["gauge", "--config", cfg, "--out", str(out)])
+    assert len(records) == 2
+    assert os.listdir(out) == ["gauge-records.jsonl"]
+    assert (out / "gauge-records.jsonl").read_text() == "earlier run\n"
+
+
 @pytest.mark.parametrize("kind", ["subset", "cap"])
 def test_sample_body_files_are_the_bodies_regenerated_from_their_records(tmp_path, kind):
     cfg = _cfg(tmp_path, {"command": "sample", "seed": 4,

@@ -31,6 +31,8 @@ from bmbodies.distance import (
 from bmbodies.gauge import gauge
 from bmbodies.randmodel import ModelParams, sample_body, substream
 
+from _oracles import per_cap_components
+
 
 def _brute_extremes(body):
     """All extreme points of a polytopal hull body."""
@@ -383,7 +385,7 @@ def test_ball2_points_attain_the_best_probe_score_over_the_sphere(seed, n, targe
     t = np.eye(n) + spread * np.random.default_rng(seed).normal(size=(n, n))
     probes = _dual_probes(k2)
     best = 0.0
-    for c in k.components:
+    for c in per_cap_components(k):
         if not (isinstance(c, Ball) and c.p == 2.0):
             continue
         sup = np.arange(n) if c.support is None else c.support

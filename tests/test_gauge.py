@@ -6,22 +6,33 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bmbodies
 from bmbodies.bodies import (
     Ball,
+    Caps,
     HullBody,
     SignedPoints,
     ball_body,
     cap_body,
+    circumradius_upper,
     inradius_lower,
     subset_body,
     support_many,
 )
+from bmbodies.distance import _image_inradius
 from bmbodies.gauge import GaugeError, component_value, gauge
 from bmbodies.randmodel import ModelParams, sample_body, sample_subsets, substream
 
-from _oracles import OracleGauge
+from _oracles import (
+    OracleGauge,
+    cap_image_inradius,
+    cap_radii_bounds,
+    cap_support_many,
+    cap_value,
+)
 
 
 def test_ball_gauges_are_exact():
@@ -198,6 +209,56 @@ def test_decomposition_and_witness_recheck_without_the_solver():
             _recheck(body, x, r)
             lp_runs += r.rounds > 0
     assert lp_runs >= 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), full=st.booleans(),
+       box=st.booleans(), l1=st.booleans())
+def test_cap_families_match_the_per_cap_formulas(seed, n, full, box, l1):
+    # restricted Ball(2)s of random sizes and radii, among the other kinds
+    # of component; the body joins them into one Caps at the first one's
+    # place, and every layer must read it as the caps one at a time would
+    rng = np.random.default_rng(seed)
+    caps = [Ball(2.0, float(rng.uniform(0.3, 2.0)),
+                 support=np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False)))
+            for _ in range(int(rng.integers(1, 7)))]
+    others = [Ball(2.0, float(rng.uniform(0.3, 2.0)))] if full else []
+    if box:
+        others.append(SignedPoints(rng.uniform(0.2, 1.5, size=(2, n)), unconditional=True))
+    if l1:
+        others.append(Ball(1.0, float(rng.uniform(0.3, 2.0))))
+    comps = list(caps)
+    for c in others:
+        comps.insert(int(rng.integers(0, len(comps) + 1)), c)
+    assume(full or box or l1 or any(c.support.size == n for c in caps))
+    body = HullBody(n, comps)
+    (family,) = [c for c in body.components if isinstance(c, Caps)]
+    assert len(body.components) == len(others) + 1
+    first = next(i for i, c in enumerate(comps) if isinstance(c, Ball) and c.support is not None)
+    assert body.components[first] is family
+    assert family.radii.tolist() == [c.radius for c in caps]
+    for row, c in zip(family.mask, caps):
+        assert np.flatnonzero(row).tolist() == c.support.tolist()
+
+    ys = rng.normal(size=(8, n)) * (rng.random((8, n)) < 0.7)
+    assert np.array_equal(support_many(body, ys), cap_support_many(body, ys))
+    assert (inradius_lower(body), circumradius_upper(body)) == cap_radii_bounds(body)
+    for c in caps:
+        # a point on part of a cap's support, one on all of it, a dense one
+        z = np.zeros(n)
+        z[c.support] = rng.normal(size=c.support.size) * (rng.random(c.support.size) < 0.6)
+        for pt in (z, np.where(z == 0.0, 0.0, 1.0) * rng.normal(size=n), rng.normal(size=n)):
+            assert component_value(family, pt, n) == cap_value(body, pt)
+            image = np.outer(pt, rng.normal(size=3))
+            assert _image_inradius(body, image) == cap_image_inradius(body, image)
+    for x in (z, rng.normal(size=n)):
+        r = gauge(body, x)
+        _recheck(body, x, r)
+        for j, vec, val in r.pieces:
+            if body.components[j] is family:
+                # a cap piece is the column of its cone, summed over every
+                # coordinate, so its value may sit an ulp from the cap's
+                assert cap_value(body, vec) <= val * (1 + 4e-16)
 
 
 def test_solver_failure_raises_typed_error_with_status(monkeypatch):

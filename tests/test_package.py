@@ -93,8 +93,9 @@ def test_import_pins_blas_threads_unless_the_user_set_them(preset):
 
 def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
     # bench/tracer.py wraps these names in place; a module that stops
-    # importing one of them would break `bench/run.py --trace 1`
-    import bmbodies.cli  # noqa: F401  (loads every module the tracer names)
+    # binding one of them, or binds it to something else, would break
+    # `bench/run.py --trace 1`, which no other test runs
+    from bmbodies import cli  # noqa: F401  (loads every module the tracer names)
 
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
     monkeypatch.syspath_prepend(bench)
@@ -104,7 +105,7 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
         owner = sys.modules[module]
         for part in attr.split("."):
             owner = getattr(owner, part, None)
-        if owner is None:
+        if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert missing == []
 
