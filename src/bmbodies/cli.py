@@ -31,11 +31,11 @@ import numpy as np
 
 from .bodies import body_to_text, cap_body
 from .concentration import TailCurve, mc_curve, mc_tally, pilot_thresholds
-from .distance import bm_upper, op_norm, run_separation, separation_scale
+from .distance import bm_upper, op_norm, run_separation
 from .gauge import GaugeError, gauge
 from .randmodel import ModelParams, round_half_up, sample_body, substream
-from .symnet import (build_net, certify_pair, level_count, log_log_separation, lp_body,
-                     net_lines, tau_for_separation)
+from .symnet import (PROFILE_CAP, build_net, certify_pair, level_count, lp_body, net_lines,
+                     tau_for_separation)
 
 # not called here (build_net owns the step family); bench/tracer.py wraps them on this module
 from .symnet import enumerate_steps, log_profile  # noqa: F401
@@ -76,7 +76,6 @@ class ExperimentConfig:
     workers: int
     fmt: str
     out_dir: str
-    constants: dict
     params: dict
     config_hash: str
     raw: bytes = field(repr=False, default=b"")
@@ -131,13 +130,9 @@ _NAT = _rule(lambda v: _is_int(v) and v >= 0, "needs an integer >= 0")
 _POS_NUM = _rule(lambda v: _is_num(v) and v > 0, "needs a positive number")
 _ABOVE_ONE = _rule(lambda v: _is_num(v) and v > 1, "needs a number > 1")
 _FRACTION = _rule(lambda v: _is_num(v) and 0 < v <= 1, "needs a number in (0, 1]")
-# separation_scale divides by log^2(1/delta), which vanishes at delta = 1
-_OPEN_FRACTION = _rule(lambda v: _is_num(v) and 0 < v < 1, "needs a number in (0, 1)")
 # bm_upper has no refinement search: the refine key stays so that a config
 # asking for one is refused instead of being accepted and ignored
 _NO_REFINE = _rule(lambda v: v is False, "must be false: bm_upper has no refinement search")
-_NUMBER = _rule(_is_num, "needs a number")
-_NONNEG = _rule(lambda v: _is_num(v) and v >= 0, "needs a number >= 0")
 _MAPPING = _rule(lambda v: isinstance(v, dict), "must be a mapping")
 _THRESHOLDS = _unset_or(_rule(
     lambda v: isinstance(v, list) and bool(v) and all(_is_num(t) and t > 0 for t in v)
@@ -202,13 +197,12 @@ _MODEL_KEYS = {
     "kind": ("subset", _choice(_BODY_KINDS)),
 }
 
-# per command: its params table and the checks of the constants it reads
-# (each defaults to 1.0)
+# per command: its params table
 _TABLES = {
-    "sample": (dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT)), {}),
-    "gauge": (dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT), points=(_REQUIRED, _POS_INT),
-                   tol=(1e-6, _POS_NUM)), {}),
-    "conc": ({
+    "sample": dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT)),
+    "gauge": dict(_MODEL_KEYS, count=(_REQUIRED, _POS_INT), points=(_REQUIRED, _POS_INT),
+                  tol=(1e-6, _POS_NUM)),
+    "conc": {
         "n": (_REQUIRED, _POS_INT),
         # a curve's raw_se needs two trials: one would write NaN, which is not JSON
         "trials": (_REQUIRED, _rule(lambda v: _is_int(v) and v >= 2,
@@ -223,13 +217,12 @@ _TABLES = {
         "thresholds": (None, _only_if(lambda p: p["statistic"] != "small_ball",
                                       "with statistic small_ball", _THRESHOLDS)),
         "replicates": (1, _POS_INT),
-    }, {"c": _NONNEG}),
-    "dist": (dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(False, _NO_REFINE)), {}),
-    "separate": (dict(_MODEL_KEYS, delta=(_REQUIRED, _subset_delta(_OPEN_FRACTION, 0)),
-                      bodies=(_REQUIRED, _POS_INT), threshold=(2.0, _POS_NUM),
-                      bins=(16, _POS_INT), max_pairs=(None, _unset_or(_NAT)),
-                      n_diag=(8, _NAT), refine=(False, _NO_REFINE)), {"c1": _NUMBER}),
-    "net": ({
+    },
+    "dist": dict(_MODEL_KEYS, n_diag=(8, _NAT), refine=(False, _NO_REFINE)),
+    "separate": dict(_MODEL_KEYS, bodies=(_REQUIRED, _POS_INT), threshold=(2.0, _POS_NUM),
+                     bins=(16, _POS_INT), max_pairs=(None, _unset_or(_NAT)),
+                     n_diag=(8, _NAT), refine=(False, _NO_REFINE)),
+    "net": {
         "n": (_REQUIRED, _POS_INT),
         "tau": (None, _this_or("t", _ABOVE_ONE)),
         # tau = t^(1/12) rounds to 1 for t within a few ulps of 1
@@ -238,8 +231,8 @@ _TABLES = {
             f"needs a number > 1 whose 12th root exceeds 1, got {v!r}"))),
         "p_values": (None, _P_VALUES),
         "samples": (10**4, _POS_INT),
-        "cap": (10**6, _net_cap),
-    }, {"C": _NUMBER}),
+        "cap": (PROFILE_CAP, _net_cap),
+    },
 }
 
 
@@ -256,16 +249,14 @@ def _top_table(command: str) -> dict:
                                   f"must be one of {formats} for {command!r}")),
         "out": ("results", _rule(lambda v: isinstance(v, str) and v != "",
                                  "needs a nonempty path")),
-        "constants": ({}, _MAPPING),
         "params": ({}, _MAPPING),
     }
 
 
-def _check_keys(table: dict, given: dict, prefix: str, noun: str, command: str,
-                errors: list) -> dict:
+def _check_keys(table: dict, given: dict, prefix: str, command: str, errors: list) -> dict:
     """Every key of the table with its given value or default, each checked once."""
     for key in sorted(set(given) - set(table), key=str):
-        errors.append(f"{prefix}.{key}: unknown {noun} for command {command!r}")
+        errors.append(f"{prefix}.{key}: unknown key for command {command!r}")
     values = {key: given.get(key, default) for key, (default, _) in table.items()}
     for key, (_, check) in table.items():
         if values[key] is _REQUIRED:
@@ -316,13 +307,10 @@ def load_config(path: str, command: str, overrides: dict | None = None):
         return None, [f"command: unknown command {command!r}"]
 
     errors: list = []
-    top = _check_keys(_top_table(command), {**doc, **(overrides or {})}, "config", "key",
-                      command, errors)
-    given = {k: v if isinstance(v, dict) else {} for k, v in top.items()}
-    table, constant_checks = _TABLES[command]
-    params = _check_keys(table, given["params"], "params", "key", command, errors)
-    constants = _check_keys({name: (1.0, check) for name, check in constant_checks.items()},
-                            given["constants"], "constants", "constant", command, errors)
+    top = _check_keys(_top_table(command), {**doc, **(overrides or {})}, "config", command,
+                      errors)
+    given = top["params"] if isinstance(top["params"], dict) else {}
+    params = _check_keys(_TABLES[command], given, "params", command, errors)
     if errors:
         return None, errors
     cfg = ExperimentConfig(
@@ -331,7 +319,6 @@ def load_config(path: str, command: str, overrides: dict | None = None):
         workers=top["workers"],
         fmt=top["format"],
         out_dir=top["out"],
-        constants={name: float(v) for name, v in constants.items()},
         params=params,
         config_hash=hashlib.sha256(raw).hexdigest(),
         raw=raw,
@@ -504,8 +491,7 @@ def _gauge_job(cfg: ExperimentConfig, idx: int):
     rows = []
     for j in range(cfg.params["points"]):
         g = gauge(body, rng.standard_normal(body.dim), tol=cfg.params["tol"])
-        rows.append({"point": j, "lo": g.lo, "hi": g.hi, "width": g.hi - g.lo,
-                     "rounds": g.rounds})
+        rows.append({"point": j, "lo": g.lo, "hi": g.hi, "rounds": g.rounds})
     return rows
 
 
@@ -534,7 +520,7 @@ def _cmd_gauge(cfg: ExperimentConfig):
             for i, rows in enumerate(results) for row in rows], {}
 
 
-def _curve_payload(curve: TailCurve, constants: dict) -> dict:
+def _curve_payload(curve: TailCurve) -> dict:
     fit = curve.fitted_c()
     return {
         "thresholds": curve.thresholds,
@@ -550,7 +536,6 @@ def _curve_payload(curve: TailCurve, constants: dict) -> dict:
         "raw_se": curve.raw_se,
         "fitted_c": fit,
         "bound_at_fit": curve.bound_values(fit if math.isfinite(fit) else 0.0),
-        "bound_at_c": curve.bound_values(constants["c"]),
     }
 
 
@@ -572,7 +557,7 @@ def _cmd_conc(cfg: ExperimentConfig):
         tallies = _pool_map(functools.partial(_conc_block, cfg, rep, mat, m, thresholds),
                             enumerate(sizes), cfg.workers)
         curve = mc_curve(stat, mat, n, m, trials, thresholds, tallies)
-        payload = _curve_payload(curve, cfg.constants)
+        payload = _curve_payload(curve)
         if stat == "quadratic":
             payload["center"] = (m / n) * float(np.trace(mat))
         payload.update({"replicate": rep, "statistic": stat, "matrix": p["matrix"],
@@ -607,13 +592,11 @@ def _cmd_separate(cfg: ExperimentConfig):
     payload = {
         "bodies": len(bodies),
         "matrix": [[None if math.isnan(v) else v for v in row] for row in report.matrix.tolist()],
-        "pairs_done": len(report.estimates),
         "missing_pairs": report.missing_pairs,
         "hist_counts": report.hist_counts,
         "hist_edges": report.hist_edges,
         "threshold": report.threshold,
         "n_below_threshold": report.n_below_threshold,
-        "predicted_scale": separation_scale(cfg.constants["c1"], p["delta"]),
     }
     records = [_mk_record(cfg, "separate/0/merged", "separation", payload)]
     for (i, j), est in report.estimates.items():
@@ -646,7 +629,6 @@ def _cmd_net(cfg: ExperimentConfig):
                 "profile_count": net.profile_count,
                 "cell_count": net.cell_count,
                 "log_log_cell_bound": net.log_log_cell_bound,
-                "log_log_separation": log_log_separation(n, tau, cfg.constants["C"]),
                 "file": "net.txt",
             },
         )
@@ -714,7 +696,7 @@ def _csv_for(command: str, records) -> str:
         rows = [[r["payload"][k] for k in header] for r in records]
         return _csv_lines(header, rows)
     if command == "gauge":
-        header = ["body", "point", "lo", "hi", "width", "rounds"]
+        header = ["body", "point", "lo", "hi", "rounds"]
         rows = [[r["payload"][k] for k in header] for r in records]
         return _csv_lines(header, rows)
     if command == "conc":
@@ -851,8 +833,8 @@ def _svg_hist(records) -> str:
         f'y1="{_SVG_PAD}" y2="{_SVG_H - _SVG_PAD}"/>\n'
     )
     parts.append(
-        f'<text class="label" x="{_SVG_PAD}" y="{_SVG_PAD - 8}">predicted scale '
-        f'{pl["predicted_scale"]:.6g}, below threshold {pl["n_below_threshold"]}</text>\n'
+        f'<text class="label" x="{_SVG_PAD}" y="{_SVG_PAD - 8}">{pl["n_below_threshold"]} '
+        f'pairs below threshold {pl["threshold"]:.6g}</text>\n'
     )
     return _svg_frame(parts, "pairwise distance upper bounds")
 

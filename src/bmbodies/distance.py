@@ -39,7 +39,6 @@ __all__ = [
     "op_norm",
     "bm_upper",
     "run_separation",
-    "separation_scale",
 ]
 
 _STREAM_SEED = 0xB0D1E5
@@ -456,13 +455,6 @@ def bm_upper(k: HullBody, k2: HullBody, n_diag: int = 8) -> BmEstimate:
     return BmEstimate(
         upper=upper, best_map=mat, norm_fwd=fwd, norm_inv=bwd, candidates=log
     )
-
-
-def separation_scale(c1: float, delta: float) -> float:
-    """Predicted distance scale c1 / (delta * log^2(1/delta))."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return c1 / (delta * math.log(1.0 / delta) ** 2)
 
 
 @dataclass

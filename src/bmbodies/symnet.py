@@ -41,7 +41,6 @@ __all__ = [
     "build_net",
     "certify_pair",
     "tau_for_separation",
-    "log_log_separation",
     "net_lines",
 ]
 
@@ -347,12 +346,6 @@ def _grid_top(n: int, tau: float) -> int:
     profile range [-log tau^2, log n], and the base of the cell-count
     bound."""
     return math.floor(math.log(max(n, 2)) / math.log(tau)) + 2
-
-
-def log_log_separation(n: int, tau: float, c: float) -> float:
-    """log log of the separated-set annotation exp(exp(c log^2 n / log tau)),
-    a report value only."""
-    return c * math.log(max(n, 2)) ** 2 / math.log(tau)
 
 
 def _cell_dtype(n: int, tau: float) -> np.dtype:

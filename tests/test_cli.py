@@ -21,7 +21,6 @@ from bmbodies import cli
 from bmbodies import gauge as gauge_module
 from bmbodies.bodies import body_to_text, cap_body
 from bmbodies.concentration import mc_small_ball
-from bmbodies.distance import separation_scale
 from bmbodies.randmodel import ModelParams, sample_body, substream
 from bmbodies.symnet import SymmetricBody, build_net, lp_body, net_lines
 
@@ -77,7 +76,7 @@ def test_validation_reports_every_error(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert "config.mystery: unknown key" in err
     assert "seed:" in err
-    assert "constants.c9: unknown constant" in err
+    assert "config.constants: unknown key" in err
     assert "params.bogus" in err
     # m/delta requirement is part of the same exhaustive report
     assert "delta" in err or "m" in err
@@ -382,8 +381,7 @@ def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
                      for r in _read_records(out, "separate")])
     assert runs[0] == runs[1]
     summary = runs[0][0][2]
-    assert summary["pairs_done"] == 3 and summary["missing_pairs"] == []
-    assert summary["predicted_scale"] == separation_scale(1.0, 0.5)
+    assert summary["missing_pairs"] == []
     pairs = {(p["i"], p["j"]): p["upper"] for _, kind, p in runs[0] if kind == "pair"}
     assert list(pairs) == [(0, 1), (0, 2), (1, 2)]
     for (i, j), upper in pairs.items():
@@ -392,6 +390,23 @@ def test_separate_cap_bodies_identical_across_worker_counts(tmp_path):
 
 _MODEL = {"n": 6, "delta": 0.5, "n_subsets": 2}
 _CONC = {"n": 6, "m": 2, "trials": 100, "statistic": "quadratic"}
+
+
+def test_separate_runs_at_delta_one(tmp_path):
+    # delta = 1 gives subsets of size m = n, which every model command takes
+    cfg = _cfg(tmp_path, {"command": "separate",
+                          "params": dict(_MODEL, delta=1.0, bodies=3, n_diag=1)})
+    runs = []
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}")
+        assert cli.main(
+            ["separate", "--config", cfg, "--workers", str(workers), "--out", out]
+        ) == cli.EXIT_OK
+        runs.append([r["payload"] for r in _read_records(out, "separate")])
+    assert runs[0] == runs[1]
+    uppers = [p["upper"] for p in runs[0][1:]]
+    assert len(uppers) == 3
+    assert all(math.isfinite(u) and u >= 1.0 for u in uppers)
 
 
 @pytest.mark.parametrize(
@@ -413,8 +428,9 @@ _CONC = {"n": 6, "m": 2, "trials": 100, "statistic": "quadratic"}
         ("conc", dict(_CONC, n=None), [], "params.n"),
         ("conc", dict(_CONC, matrix=None), [], "params.matrix"),
         ("gauge", dict(_MODEL, count=1, points=1, tol=None), [], "params.tol"),
-        ("conc", _CONC, [], "constants.c0"),
-        ("gauge", dict(_MODEL, count=1, points=1), [], "constants.c1"),
+        ("conc", _CONC, [], "config.constants: unknown key"),
+        # the paper leaves C unspecified, so no run reads one
+        ("net", {"n": 6, "tau": 2.0, "C": 1.0}, [], "params.C: unknown key"),
         ("conc", dict(_CONC, delta=0.5), [], "params.delta"),
         ("net", {"n": 6, "tau": 2.0, "t": 3.0}, [], "params.t"),
         ("conc", dict(_CONC, matrix="identity", diag=[1.0] * 6), [], "params.diag"),
@@ -425,8 +441,8 @@ _CONC = {"n": 6, "m": 2, "trials": 100, "statistic": "quadratic"}
 def test_settings_that_reach_no_code_are_rejected(tmp_path, capsys, command, params, flags,
                                                    needle):
     doc = {"command": command, "params": params}
-    if needle.startswith("constants."):  # the config sets the constant the needle names
-        doc["constants"] = {needle.split(".")[1]: 1.0}
+    if needle.startswith("config.constants"):
+        doc["constants"] = {"c": 1.0}
     cfg = _cfg(tmp_path, doc)
     out = str(tmp_path / "out")
     try:
@@ -444,7 +460,7 @@ def test_settings_that_reach_no_code_are_rejected(tmp_path, capsys, command, par
 _VIEWS = [
     ("sample", dict(_MODEL, count=2), "csv",
      "index,file,kind,n,m,n_subsets,covers_all", 2),
-    ("gauge", dict(_MODEL, count=1, points=3), "csv", "body,point,lo,hi,width,rounds", 3),
+    ("gauge", dict(_MODEL, count=1, points=3), "csv", "body,point,lo,hi,rounds", 3),
     ("dist", dict(_MODEL, n_diag=1), "csv", "kind,quantity,value", 5),
     ("net", {"n": 6, "tau": 2.0, "p_values": [1.0, 2.0, "inf"], "samples": 50}, "csv",
      "kind,member,representative,granted,max_ratio", 3),
@@ -474,6 +490,32 @@ def test_csv_and_svg_views_have_their_documented_layout(tmp_path, command, param
 
 
 _VIEW_PARAMS = {command: params for command, params, *_ in _VIEWS}
+
+# the payload fields of each record kind, as the README lists them
+_FIELDS = {
+    "gauge": {"gauge": "body point lo hi rounds"},
+    "conc": {"quadratic": "thresholds counts trials p_hat wilson_lo wilson_hi shape prefactor "
+                          "admissible raw_mean raw_se fitted_c bound_at_fit replicate "
+                          "statistic matrix n m center"},
+    "separate": {"separation": "bodies matrix missing_pairs hist_counts hist_edges threshold "
+                               "n_below_threshold",
+                 "pair": "i j upper norm_fwd norm_inv candidates"},
+    "net": {"net": "n tau levels profile_count cell_count log_log_cell_bound file",
+            "certificate": "member representative granted distance_bound witness_step "
+                           "max_ratio ratio_bound empirical_ok samples"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FIELDS))
+def test_records_carry_exactly_their_documented_fields(tmp_path, command):
+    params = _CONC if command == "conc" else _VIEW_PARAMS[command]
+    cfg = _cfg(tmp_path, {"command": command, "params": params})
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == cli.EXIT_OK
+    fields = {}
+    for r in _read_records(out, command):
+        fields.setdefault(r["kind"], set()).update(r["payload"])
+    assert fields == {kind: set(names.split()) for kind, names in _FIELDS[command].items()}
 
 
 @pytest.mark.parametrize("command, fmt", [(command, "csv") for command in _VIEW_PARAMS]
@@ -521,41 +563,33 @@ def test_every_output_file_is_identical_across_runs_and_worker_counts(tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "command, params, constants, needle",
+    "command, params, needle",
     [
-        # separation_scale divides by log^2(1/delta)
-        ("separate", dict(_MODEL, delta=1.0, bodies=2), {},
-         "params.delta: needs a number in (0, 1)"),
-        ("conc", _CONC, {"c": -1}, "constants.c: needs a number >= 0"),
-        ("conc", dict(_CONC, statistic="small_ball"), {"c": -0.5}, "constants.c: needs"),
         # a tail curve from one trial has no standard error: raw_se would be NaN
-        ("conc", dict(_CONC, trials=1), {}, "params.trials: needs an integer >= 2"),
-        ("conc", dict(_CONC, statistic="small_ball", trials=1), {},
+        ("conc", dict(_CONC, trials=1), "params.trials: needs an integer >= 2"),
+        ("conc", dict(_CONC, statistic="small_ball", trials=1),
          "params.trials: needs an integer >= 2"),
         # NaN and Infinity parse from a config, but a record holding them is not JSON
-        ("net", {"n": 6, "tau": 2.0, "samples": 50}, {"C": math.nan},
-         "constants.C: needs a number"),
-        ("separate", dict(_MODEL, bodies=2, n_diag=1), {"c1": math.inf},
-         "constants.c1: needs a number"),
-        ("conc", dict(_CONC, thresholds=[1.0, math.inf]), {}, "params.thresholds: needs"),
-        ("net", {"n": 6, "tau": math.inf, "samples": 50}, {}, "params.tau: needs a number > 1"),
-        ("conc", dict(_CONC, matrix="diag", diag=[1.0] * 5 + [math.inf]), {},
+        ("conc", dict(_CONC, thresholds=[1.0, math.inf]), "params.thresholds: needs"),
+        ("net", {"n": 6, "tau": math.inf, "samples": 50}, "params.tau: needs a number > 1"),
+        ("conc", dict(_CONC, matrix="diag", diag=[1.0] * 5 + [math.inf]),
          "params.diag: needs a list of n numbers"),
+        ("gauge", dict(_MODEL, count=1, points=1, tol=math.nan),
+         "params.tol: needs a positive number"),
         # delta * n = 0.4 rounds to an empty subset
-        ("dist", {"n": 4, "delta": 0.1, "n_subsets": 2}, {},
+        ("dist", {"n": 4, "delta": 0.1, "n_subsets": 2},
          "params.delta: gives subset size m = 0 outside [1, n]"),
         # t^(1/12) rounds to 1, and build_net needs tau > 1
-        ("net", {"n": 6, "t": 1.0000000000000002}, {},
+        ("net", {"n": 6, "t": 1.0000000000000002},
          "params.t: needs a number > 1 whose 12th root exceeds 1"),
     ],
-    ids=["separate-delta", "conc-curve-c", "conc-small-ball-c", "conc-one-trial",
-         "conc-small-ball-one-trial", "net-nan-constant", "separate-infinite-constant",
-         "conc-infinite-threshold", "net-infinite-tau", "conc-infinite-diag",
-         "dist-empty-subsets", "net-t-rounds-to-one"],
+    ids=["conc-one-trial", "conc-small-ball-one-trial", "conc-infinite-threshold",
+         "net-infinite-tau", "conc-infinite-diag", "gauge-nan-tol", "dist-empty-subsets",
+         "net-t-rounds-to-one"],
 )
 def test_settings_the_run_would_refuse_at_its_end_are_refused_at_load(
-        tmp_path, capsys, command, params, constants, needle):
-    cfg = _cfg(tmp_path, {"command": command, "params": params, "constants": constants})
+        tmp_path, capsys, command, params, needle):
+    cfg = _cfg(tmp_path, {"command": command, "params": params})
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
     assert needle in capsys.readouterr().err
@@ -649,7 +683,7 @@ def test_separate_without_pairs_writes_every_format(tmp_path):
     for fmt, out in outs.items():
         assert cli.main(["separate", "--config", cfg, "--out", out, "--format", fmt]) == cli.EXIT_OK
     (summary,) = [r["payload"] for r in _read_records(outs["jsonl"], "separate")]
-    assert summary["pairs_done"] == 0 and summary["missing_pairs"] == [[0, 1], [0, 2], [1, 2]]
+    assert summary["missing_pairs"] == [[0, 1], [0, 2], [1, 2]]
     assert summary["hist_counts"] == [0] * 16
     with open(os.path.join(outs["csv"], "separate-records.csv"), encoding="utf-8") as fh:
         rows = [ln.split(",")[1:] for ln in fh.read().splitlines()[1:]]
@@ -1026,17 +1060,17 @@ def test_gauge_command_never_imports_scipy(tmp_path):
 
 
 def test_json_and_yaml_configs_differ_only_where_their_scalars_do(tmp_path):
-    # JSON is tried first; PyYAML (YAML 1.1) reads 1e5, with no dot, as a string
-    doc = {"command": "conc", "constants": {"c": "EXP"}, "params": _CONC_DOC["params"]}
+    # JSON is tried first; PyYAML (YAML 1.1) reads 1e-6, with no dot, as a string
+    doc = {"command": "gauge", "params": dict(_MODEL, count=1, points=1, tol="EXP")}
     as_json = tmp_path / "cfg.json"
-    as_json.write_text(json.dumps(doc).replace('"EXP"', "1e5"))
+    as_json.write_text(json.dumps(doc).replace('"EXP"', "1e-6"))
     as_yaml = tmp_path / "cfg.yaml"
-    as_yaml.write_text(yaml.safe_dump(doc).replace("EXP", "1e5"))
-    cfg, errors = cli.load_config(str(as_json), "conc")
-    assert errors == [] and cfg.constants == {"c": 100000.0}
+    as_yaml.write_text(yaml.safe_dump(doc).replace("EXP", "1e-6"))
+    cfg, errors = cli.load_config(str(as_json), "gauge")
+    assert errors == [] and cfg.params["tol"] == 1e-6
     assert cfg.config_hash == hashlib.sha256(as_json.read_bytes()).hexdigest()
-    cfg, errors = cli.load_config(str(as_yaml), "conc")
-    assert cfg is None and len(errors) == 1 and errors[0].startswith("constants.c:")
+    cfg, errors = cli.load_config(str(as_yaml), "gauge")
+    assert cfg is None and len(errors) == 1 and errors[0].startswith("params.tol:")
     # one document read both ways gives one config
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(_CONC_DOC))
@@ -1112,6 +1146,22 @@ _BENCH_RUNS = {
                       "matrix": "gaussian"}),
     "net": ("net", {"n": 12, "tau": 1.5}),
 }
+
+
+def test_every_bench_workload_config_loads(tmp_path, monkeypatch):
+    # the bench validates each invocation's config in a fresh interpreter
+    # before it times anything; a refused config there is a failed operation
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    monkeypatch.syspath_prepend(bench)
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        for k, inv in enumerate(workloads.build(name, 701)):
+            path = tmp_path / f"{name}-{k}.json"
+            path.write_text(inv.config_text())
+            cfg, errors = cli.load_config(str(path), inv.command)
+            assert errors == [], (name, k, errors)
+            assert (cfg.seed, {key: cfg.params[key] for key in inv.params}) == (
+                inv.seed, inv.params)
 
 
 def _refuse_constant(token):

@@ -26,7 +26,6 @@ from bmbodies.distance import (
     bm_upper,
     op_norm,
     run_separation,
-    separation_scale,
 )
 from bmbodies.gauge import gauge
 from bmbodies.randmodel import ModelParams, sample_body, substream
@@ -560,12 +559,6 @@ def test_op_norm_under_a_bar_stops_only_past_it(seed, n, kind, base, spread, fra
         assert ref.lo < bar * (1.0 - 1e-9)
         assert (res.lo, res.hi, res.mode, res.notes) == (ref.lo, ref.hi, ref.mode, ref.notes)
         assert res.witness.tobytes() == ref.witness.tobytes()
-
-
-def test_separation_scale():
-    assert math.isclose(
-        separation_scale(1.5, 0.25), 1.5 / (0.25 * math.log(4.0) ** 2), rel_tol=1e-12
-    )
 
 
 def _model_bodies(count, stream):

@@ -112,8 +112,9 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
 
 # the package's public names before it republished its modules' __all__, less
 # the body-file and net.txt parsers deleted since, merge_curves, which went
-# when a conc block began to return a tally instead of a curve, and the
-# containment-event checkers with the projectors and test vectors only they used
+# when a conc block began to return a tally instead of a curve, the
+# containment-event checkers with the projectors and test vectors only they used,
+# and separation_scale, which went with the config constant c1 it was computed from
 _EARLIER_NAMES = """
 PigeonholeError SpectralInterval SvdResult check_matrix hs_norm
 spectral_interval spectral_norm svd BodySample ModelParams round_half_up
@@ -122,7 +123,7 @@ body_to_dict body_to_text cap_body circumradius_upper inradius_lower
 subset_body support_function support_many GaugeError GaugeResult
 SmallBallEstimate TailCurve default_thresholds mc_large_deviation mc_quadratic_tail
 mc_small_ball pilot_thresholds wilson_interval BmEstimate
-OpNormResult SeparationReport bm_upper op_norm run_separation separation_scale PairCertificate
+OpNormResult SeparationReport bm_upper op_norm run_separation PairCertificate
 StepFamily SymmetricBody SymmetricNet body_from_tag build_net certify_pair
 enumerate_steps level_count log_profile lorentz_body lp_body net_lines
 profile_cell tau_for_separation top_k_body __version__

@@ -18,7 +18,6 @@ from bmbodies.symnet import (
     certify_pair,
     enumerate_steps,
     level_count,
-    log_log_separation,
     log_profile,
     lorentz_body,
     lp_body,
@@ -280,14 +279,9 @@ def test_net_log_log_fields_match_closed_forms():
     assert math.isclose(net.log_log_cell_bound,
                         math.log(profiles) + math.log(math.log(8)), rel_tol=1e-12)
     assert round(net.log_log_cell_bound, 2) == 12.76
-    assert math.isclose(log_log_separation(n, tau, 1.0), math.log(n) ** 2 / math.log(tau),
-                        rel_tol=1e-12)
-    assert round(log_log_separation(n, tau, 1.0), 2) == 15.23
     built = build_net([lp_body(3, 2.0)], 2.0)
     assert math.isclose(built.log_log_cell_bound,
                         math.log(built.profile_count) + math.log(math.log(3)), rel_tol=1e-12)
-    assert math.isclose(log_log_separation(3, 2.0, 2.5), 2.5 * math.log(3) ** 2 / math.log(2.0),
-                        rel_tol=1e-12)
 
 
 def test_net_text_formats_negative_and_multi_digit_indices():
